@@ -154,8 +154,6 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--skip-epoch0-injection", action="store_true",
                    help="do not inject at epoch 0 (features stay raw until "
                         "the first full period)")
-    p.add_argument("--train-projections", action="store_true",
-                   help="experimental: also train the injection projections")
     p.add_argument("--binarize-cooc", action="store_true",
                    help="binarize label co-occurrence counts")
 
@@ -170,7 +168,6 @@ def train_config_from_args(args) -> TrainConfig:
             label_gcn_layers=args.label_layers, variant=args.variant,
             seed=args.seed, optimizer=args.optimizer,
             skip_epoch0_injection=args.skip_epoch0_injection,
-            train_projections=args.train_projections,
             binarize_cooccurrence=args.binarize_cooc)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

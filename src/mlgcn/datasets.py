@@ -229,18 +229,13 @@ def load_dataset(edge_path, label_path, features: FeatureConfig | None = None,
 def dataset_stats(g: MultiLabelGraph) -> DatasetStats:
     """Node/edge/label counts plus the number of co-occurring label pairs."""
     edge_count = g.adjacency.nnz // 2
-    b = g.label_assignments
-    label_sets: dict[int, set[int]] = {}
-    rows = b.row_ids()
-    for i, r in zip(rows, b.indices):
-        label_sets.setdefault(int(i), set()).add(int(r))
-    pairs: set[tuple[int, int]] = set()
-    for labels in label_sets.values():
-        ordered = sorted(labels)
-        for a_pos in range(len(ordered)):
-            for b_pos in range(a_pos + 1, len(ordered)):
-                pairs.add((ordered[a_pos], ordered[b_pos]))
-    return DatasetStats(g.node_count, edge_count, g.label_count, len(pairs))
+    # B is nonnegative, so no entry of the co-occurrence counts B^T B
+    # cancels to zero: each co-occurring pair is one nonzero on each side
+    # of the diagonal
+    b = g.label_assignments.csr_view()
+    cooc = b.T @ b
+    pairs = (cooc.nnz - np.count_nonzero(cooc.diagonal())) // 2
+    return DatasetStats(g.node_count, edge_count, g.label_count, int(pairs))
 
 
 def generate_synthetic(config: SyntheticConfig,

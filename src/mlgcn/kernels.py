@@ -2,10 +2,11 @@
 and hand-derived reverse-mode gradients.
 
 A convolution layer computes ``act(op @ dropout(H) @ W)`` where `op` is a
-fixed sparse propagation operator. Forward passes record everything the
-backward pass needs (aggregated inputs, pre-activations, dropout masks);
-`backward` then walks the two layer stacks in reverse. Gradients never flow
-into the operators or the input feature blocks — those are constants.
+fixed sparse propagation operator. `forward_stack` walks a stack of such
+layers and records everything the backward pass needs (aggregated inputs,
+pre-activations, dropout masks); `backward` then walks the two layer stacks
+in reverse. Gradients never flow into the operators or the input feature
+blocks — those are constants.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __all__ = [
     "LayerCache", "spmm", "relu", "sigmoid", "gcn_layer_forward",
     "softmax_rows", "single_label_loss", "multi_label_loss",
     "single_label_loss_grad", "multi_label_loss_grad",
-    "backward", "backward_stack",
+    "forward_stack", "backward", "backward_stack",
 ]
 
 LOG_CLAMP = 1e-12  # fixed probability floor before logs; not configurable
@@ -141,15 +142,32 @@ def multi_label_loss_grad(o: np.ndarray, targets: np.ndarray,
     return g
 
 
+def forward_stack(layers: list[tuple[SparseMatrix, str]], h: np.ndarray,
+                  weights: dict[str, np.ndarray], dropout: float,
+                  training: bool, rng: np.random.Generator | None
+                  ) -> tuple[np.ndarray, list[LayerCache]]:
+    """Walk one layer stack, given as (operator, weight key) per layer.
+
+    Every layer but the last is rectified; dropout is drawn layer by layer
+    in stack order. Returns the output and the caches `backward_stack` needs.
+    """
+    caches = []
+    for idx, (op, key) in enumerate(layers):
+        activation = "identity" if idx == len(layers) - 1 else "relu"
+        h, cache = gcn_layer_forward(op, h, weights[key], activation=activation,
+                                     dropout=dropout, training=training,
+                                     rng=rng, weight_key=key)
+        caches.append(cache)
+    return h, caches
+
+
 def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
-                   grads: dict[str, np.ndarray],
-                   input_grad: bool = False,
-                   first_op_transpose: SparseMatrix | None = None):
+                   grads: dict[str, np.ndarray]):
     """Reverse through one layer stack, accumulating weight gradients.
 
-    Square operators are assumed symmetric (they are built that way); the
-    first layer's operator is non-square, so its transpose must be supplied
-    when the gradient w.r.t. the input features is requested.
+    No gradient flows into the input features, so the first layer's
+    non-square operator is never transposed; the square operators above it
+    are built symmetric and serve as their own transposes.
     """
     g = d_out
     for idx in range(len(caches) - 1, -1, -1):
@@ -163,46 +181,26 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
             grads[cache.weight_key] += dw
         else:
             grads[cache.weight_key] = dw
-        if idx > 0 or input_grad:
-            d_agg = dz @ cache.weight.T
-            if idx == 0:
-                op_t = first_op_transpose
-                if op_t is None:
-                    if cache.op.rows != cache.op.cols:
-                        raise ValueError("first-layer input grad needs the operator transpose")
-                    op_t = cache.op
-            else:
-                op_t = cache.op
-            d_hd = spmm(op_t, d_agg)
+        if idx > 0:
+            d_hd = spmm(cache.op, dz @ cache.weight.T)
             g = d_hd * cache.mask if cache.mask is not None else d_hd
-    return g if input_grad else None
 
 
 def backward(label_caches: list[LayerCache] | None,
              d_label_logits: np.ndarray | None,
              node_caches: list[LayerCache],
-             d_node_logits: np.ndarray,
-             feature_grads: bool = False,
-             label_op_transpose: SparseMatrix | None = None,
-             node_op_transpose: SparseMatrix | None = None):
+             d_node_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of the collective loss w.r.t. every trainable weight.
 
-    Returns (grads, d_label_features, d_node_features); the feature
-    gradients are None unless requested (they are only needed when the
-    injection projections are being trained).
+    `label_caches` is None when the model has no label stack.
     """
     if node_caches is None or (label_caches is not None and not label_caches):
         raise ValueError("missing forward cache")
     grads: dict[str, np.ndarray] = {}
-    d_label_feats = None
     if label_caches is not None:
-        d_label_feats = backward_stack(label_caches, d_label_logits, grads,
-                                       input_grad=feature_grads,
-                                       first_op_transpose=label_op_transpose)
-    d_node_feats = backward_stack(node_caches, d_node_logits, grads,
-                                  input_grad=feature_grads,
-                                  first_op_transpose=node_op_transpose)
+        backward_stack(label_caches, d_label_logits, grads)
+    backward_stack(node_caches, d_node_logits, grads)
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {key}")
-    return grads, d_label_feats, d_node_feats
+    return grads

@@ -4,36 +4,42 @@ Every epoch runs the label view (single-label classification of the label
 nodes against themselves), the node view (masked multi-label classification
 of the training nodes), injects each view's logits into the other view's
 attribute feature block on its schedule, and takes one optimizer step on the
-summed objective. Injected blocks are constants for backprop; the fixed
-random projections that produce them are frozen unless explicitly enabled.
+summed objective. Injected blocks are constants for backprop, and the fixed
+random projections that produce them are never trained.
+
+`layer_table` is the one place that lays out each variant's layer stacks;
+weight shapes, both forwards and the training loop all derive from it.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .graph import DataSplit, MultiLabelGraph
-from .kernels import (LayerCache, backward, gcn_layer_forward,
-                      multi_label_loss, multi_label_loss_grad, relu,
-                      single_label_loss, single_label_loss_grad, softmax_rows)
+from .kernels import (LayerCache, backward, forward_stack, multi_label_loss,
+                      multi_label_loss_grad, relu, single_label_loss,
+                      single_label_loss_grad, softmax_rows)
+from .matrices import SparseMatrix
 from .metrics import evaluate
 from .operators import GraphOperators, build_operators
 from .rng import rng_stream
 
 __all__ = [
     "VARIANTS", "TrainConfig", "ModelState", "TrainHistory", "TrainResult",
-    "DivergenceError", "init_model", "forward_label_gcn", "forward_node_gcn",
-    "inject_label_features", "inject_node_features", "sgd_step", "train",
-    "save_checkpoint", "load_checkpoint",
+    "DivergenceError", "CheckpointError", "layer_table", "init_model",
+    "forward_label_gcn", "forward_node_gcn", "inject_label_features",
+    "inject_node_features", "sgd_step", "train", "save_checkpoint",
+    "load_checkpoint",
 ]
 
 VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DivergenceError(RuntimeError):
@@ -42,6 +48,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, epoch: int, message: str = "diverged"):
         super().__init__(f"{message} at epoch {epoch}")
         self.epoch = epoch
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read back into a model."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,6 @@ class TrainConfig:
     seed: int = 0
     optimizer: str = "gd"
     skip_epoch0_injection: bool = False
-    train_projections: bool = False
     binarize_cooccurrence: bool = False
 
     def __post_init__(self):
@@ -83,13 +92,25 @@ class TrainConfig:
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
-    @property
-    def effective_node_layers(self) -> int:
-        return 1 if self.variant == "1n" else self.node_gcn_layers
 
-    @property
-    def effective_label_layers(self) -> int:
-        return 2 if self.variant == "2l" else self.label_gcn_layers
+def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
+    """The layer layout of each view's stack: per layer, first to last, the
+    name of the view's operator it applies and the key of its weight.
+
+    The stacks start with the truncated operator and continue with the
+    intra-view one; `1n` and `2l` override the node and label layer counts.
+    The plain-GCN baseline has no label stack, and its node stack applies
+    the intra-node operator `node_gcn_layers` times.
+    """
+    if config.variant == "gcn_baseline":
+        names = {"label": [], "node": ["intra"] * config.node_gcn_layers}
+    else:
+        label = 2 if config.variant == "2l" else config.label_gcn_layers
+        node = 1 if config.variant == "1n" else config.node_gcn_layers
+        names = {"label": ["truncated", "intra"][:label],
+                 "node": ["truncated", "intra"][:node]}
+    return {view: [(name, f"w{i}_{view}") for i, name in enumerate(ops)]
+            for view, ops in names.items()}
 
 
 @dataclass
@@ -102,23 +123,6 @@ class ModelState:
     node_block: np.ndarray   # attribute features of the label view (starts as raw X)
     label_block: np.ndarray  # attribute features of the node view (starts as raw Y)
     dropout_rng: np.random.Generator
-    node_logits_snapshot: np.ndarray | None = None
-    label_logits_snapshot: np.ndarray | None = None
-
-    def trainable_keys(self, include_projections: bool = False) -> list[str]:
-        keys = list(self.weights)
-        if include_projections:
-            keys += list(self.projections)
-        return keys
-
-    def get_param(self, key: str) -> np.ndarray:
-        return self.weights[key] if key in self.weights else self.projections[key]
-
-    def set_param(self, key: str, value: np.ndarray):
-        if key in self.weights:
-            self.weights[key] = value
-        else:
-            self.projections[key] = value
 
 
 @dataclass
@@ -147,25 +151,19 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
     """Glorot-uniform weights and projections from the seed's init stream;
-    injected blocks start as the raw feature matrices."""
+    injected blocks start as the raw feature matrices. Each stack's widths
+    run d -> hidden -> ... -> m, label stack first."""
     d, m = graph.feature_dim, graph.label_count
-    dh = config.hidden_dim
     rng = rng_stream(config.seed, "init")
 
     weights: dict[str, np.ndarray] = {}
     projections: dict[str, np.ndarray] = {}
-    if config.variant != "gcn_baseline":
-        if config.effective_label_layers == 1:
-            weights["w0_label"] = _glorot(rng, d, m)
-        else:
-            weights["w0_label"] = _glorot(rng, d, dh)
-            weights["w1_label"] = _glorot(rng, dh, m)
-    if config.effective_node_layers == 1:
-        weights["w0_node"] = _glorot(rng, d, m)
-    else:
-        weights["w0_node"] = _glorot(rng, d, dh)
-        weights["w1_node"] = _glorot(rng, dh, m)
-    if config.variant != "gcn_baseline":
+    table = layer_table(config)
+    for layers in table.values():
+        widths = [d] + [config.hidden_dim] * (len(layers) - 1) + [m]
+        for (_, key), fan_in, fan_out in zip(layers, widths, widths[1:]):
+            weights[key] = _glorot(rng, fan_in, fan_out)
+    if table["label"]:
         projections["proj_node"] = _glorot(rng, m, d)   # maps node logits to features
         projections["proj_label"] = _glorot(rng, m, d)  # maps label logits to features
 
@@ -186,84 +184,49 @@ def node_feature_stack(graph: MultiLabelGraph, model: ModelState) -> np.ndarray:
     return np.vstack([graph.node_features, model.label_block])
 
 
+def _stack(operators: GraphOperators, config: TrainConfig,
+           view: str) -> list[tuple[SparseMatrix, str]]:
+    """(operator, weight key) per layer of one view's stack."""
+    view_ops = getattr(operators, view)
+    return [(getattr(view_ops, name), key)
+            for name, key in layer_table(config)[view]]
+
+
 def forward_label_gcn(graph: MultiLabelGraph, operators: GraphOperators,
                       model: ModelState, config: TrainConfig,
                       training: bool = False
                       ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Label-view logits (m x m). One layer by default; the two-layer form
-    stacks the intra-label operator on top."""
-    h = label_feature_stack(graph, model)
-    rng = model.dropout_rng
-    if config.effective_label_layers == 1:
-        out, cache = gcn_layer_forward(
-            operators.label.truncated, h, model.weights["w0_label"],
-            activation="identity", dropout=config.dropout, training=training,
-            rng=rng, weight_key="w0_label")
-        return out, [cache]
-    hidden, c0 = gcn_layer_forward(
-        operators.label.truncated, h, model.weights["w0_label"],
-        activation="relu", dropout=config.dropout, training=training,
-        rng=rng, weight_key="w0_label")
-    out, c1 = gcn_layer_forward(
-        operators.label.intra, hidden, model.weights["w1_label"],
-        activation="identity", dropout=config.dropout, training=training,
-        rng=rng, weight_key="w1_label")
-    return out, [c0, c1]
+    """Label-view logits (m x m) from the raw label features over the
+    injected node block."""
+    return forward_stack(_stack(operators, config, "label"),
+                         label_feature_stack(graph, model), model.weights,
+                         config.dropout, training, model.dropout_rng)
 
 
 def forward_node_gcn(graph: MultiLabelGraph, operators: GraphOperators,
                      model: ModelState, config: TrainConfig,
                      training: bool = False
                      ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Node-view logits (n x m).
-
-    Default: two layers, composite operator then intra-node operator. The
-    one-layer form keeps just the composite aggregation. The plain-GCN
-    baseline ignores the composite view entirely: both layers use the
-    intra-node operator on the raw node features.
-    """
-    rng = model.dropout_rng
-    if config.variant == "gcn_baseline":
+    """Node-view logits (n x m): from the raw node features over the
+    injected label block, or, for a model without a label stack (the
+    plain-GCN baseline), from the raw node features alone."""
+    if layer_table(config)["label"]:
+        h = node_feature_stack(graph, model)
+    else:
         h = np.asarray(graph.node_features, dtype=np.float64)
-        hidden, c0 = gcn_layer_forward(
-            operators.node.intra, h, model.weights["w0_node"],
-            activation="relu", dropout=config.dropout, training=training,
-            rng=rng, weight_key="w0_node")
-        out, c1 = gcn_layer_forward(
-            operators.node.intra, hidden, model.weights["w1_node"],
-            activation="identity", dropout=config.dropout, training=training,
-            rng=rng, weight_key="w1_node")
-        return out, [c0, c1]
-
-    h = node_feature_stack(graph, model)
-    if config.effective_node_layers == 1:
-        out, cache = gcn_layer_forward(
-            operators.node.truncated, h, model.weights["w0_node"],
-            activation="identity", dropout=config.dropout, training=training,
-            rng=rng, weight_key="w0_node")
-        return out, [cache]
-    hidden, c0 = gcn_layer_forward(
-        operators.node.truncated, h, model.weights["w0_node"],
-        activation="relu", dropout=config.dropout, training=training,
-        rng=rng, weight_key="w0_node")
-    out, c1 = gcn_layer_forward(
-        operators.node.intra, hidden, model.weights["w1_node"],
-        activation="identity", dropout=config.dropout, training=training,
-        rng=rng, weight_key="w1_node")
-    return out, [c0, c1]
+    return forward_stack(_stack(operators, config, "node"), h, model.weights,
+                         config.dropout, training, model.dropout_rng)
 
 
 def inject_node_features(model: ModelState, node_logits: np.ndarray) -> np.ndarray:
     """Replace the label view's attribute block with projected node logits."""
     model.node_block = relu(node_logits @ model.projections["proj_node"])
-    model.node_logits_snapshot = node_logits
     return model.node_block
 
 
 def inject_label_features(model: ModelState, label_logits: np.ndarray) -> np.ndarray:
     """Replace the node view's attribute block with projected label logits."""
     model.label_block = relu(label_logits @ model.projections["proj_label"])
-    model.label_logits_snapshot = label_logits
     return model.label_block
 
 
@@ -282,10 +245,10 @@ class _Optimizer:
         for key, g in grads.items():
             if np.any(np.isnan(g)):
                 raise ValueError(f"diverged: NaN gradient for {key}")
-            w = model.get_param(key)
+            w = model.weights[key]
             g = g + cfg.weight_decay * w
             if cfg.optimizer == "gd":
-                model.set_param(key, w - cfg.learning_rate * g)
+                model.weights[key] = w - cfg.learning_rate * g
             else:
                 b1, b2, eps = 0.9, 0.999, 1e-8
                 m = self.m.setdefault(key, np.zeros_like(w))
@@ -294,7 +257,7 @@ class _Optimizer:
                 v[:] = b2 * v + (1 - b2) * g * g
                 mhat = m / (1 - b1 ** self.step_count)
                 vhat = v / (1 - b2 ** self.step_count)
-                model.set_param(key, w - cfg.learning_rate * mhat / (np.sqrt(vhat) + eps))
+                model.weights[key] = w - cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
 
 
 def sgd_step(model: ModelState, grads: dict[str, np.ndarray],
@@ -304,56 +267,34 @@ def sgd_step(model: ModelState, grads: dict[str, np.ndarray],
     return model
 
 
-def _projection_grads(model: ModelState, grads: dict[str, np.ndarray],
-                      d_label_feats: np.ndarray | None,
-                      d_node_feats: np.ndarray | None, m: int, n: int):
-    """Gradients for the injection projections, differentiating the current
-    blocks with the recorded logits snapshots held constant."""
-    if d_label_feats is not None and model.node_logits_snapshot is not None:
-        d_block = d_label_feats[m:] * (model.node_block > 0.0)
-        grads["proj_node"] = model.node_logits_snapshot.T @ d_block
-    if d_node_feats is not None and model.label_logits_snapshot is not None:
-        d_block = d_node_feats[n:] * (model.label_block > 0.0)
-        grads["proj_label"] = model.label_logits_snapshot.T @ d_block
-
-
 def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
           rule: str = "top_k_true", threshold: float = 0.5) -> TrainResult:
     """Run the full alternating schedule for `config.epochs` epochs.
 
-    Per epoch: label forward (skipped for the plain-GCN baseline, where the
-    label loss is identically zero), node forward with the masked
-    multi-label loss, scheduled cross-injections, one optimizer step on the
-    summed loss, and an eval-mode validation Micro-F1. Deterministic for a
-    fixed (seed, config).
+    Per epoch: label forward (skipped when there is no label stack, as in
+    the plain-GCN baseline, where the label loss is identically zero), node
+    forward with the masked multi-label loss, scheduled cross-injections,
+    one optimizer step on the summed loss, and an eval-mode validation
+    Micro-F1. Deterministic for a fixed (seed, config).
     """
     if split.train_nodes.size == 0:
         raise ValueError("no labeled nodes")
-    variant = config.variant
-    operators = build_operators(graph, variant, config.binarize_cooccurrence)
+    coupled = bool(layer_table(config)["label"])
+    operators = build_operators(graph, config.variant,
+                                config.binarize_cooccurrence)
     model = init_model(graph, config)
     optimizer = _Optimizer(config)
     history = TrainHistory()
 
-    n, m = graph.node_count, graph.label_count
     node_targets = graph.label_assignments.to_dense()
-    label_targets = np.eye(m)
+    label_targets = np.eye(graph.label_count)
     train_mask = split.train_nodes
-
-    label_op_t = node_op_t = None
-    if config.train_projections and variant != "gcn_baseline":
-        label_op_t = operators.label.truncated.transpose()
-        node_op_t = operators.node.truncated.transpose()
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
 
-        if variant == "gcn_baseline":
-            label_loss = 0.0
-            label_caches = None
-            d_label = None
-            label_logits = None
-        else:
+        label_loss, label_caches, d_label = 0.0, None, None
+        if coupled:
             label_logits, label_caches = forward_label_gcn(
                 graph, operators, model, config, training=True)
             z = softmax_rows(label_logits)
@@ -367,7 +308,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
         if not np.isfinite(total):
             raise DivergenceError(epoch)
 
-        if variant != "gcn_baseline":
+        if coupled:
             skip = config.skip_epoch0_injection and epoch == 0
             if epoch % config.update_freq_nodes == 0 and not skip:
                 inject_node_features(model, node_logits)
@@ -375,14 +316,8 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
                 inject_label_features(model, label_logits)
 
         d_node = multi_label_loss_grad(node_logits, node_targets, train_mask)
-        want_feature_grads = config.train_projections and variant != "gcn_baseline"
         try:
-            grads, d_label_feats, d_node_feats = backward(
-                label_caches, d_label, node_caches, d_node,
-                feature_grads=want_feature_grads,
-                label_op_transpose=label_op_t, node_op_transpose=node_op_t)
-            if want_feature_grads:
-                _projection_grads(model, grads, d_label_feats, d_node_feats, m, n)
+            grads = backward(label_caches, d_label, node_caches, d_node)
             sgd_step(model, grads, config, optimizer)
         except (FloatingPointError, ValueError) as exc:
             raise DivergenceError(epoch, str(exc)) from exc
@@ -441,17 +376,31 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns (model, config, epoch, fingerprint)."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        config = TrainConfig(**meta["config"])
-        weights = {k: data[f"weight__{k}"] for k in meta["weight_keys"]}
-        projections = {k: data[f"projection__{k}"] for k in meta["projection_keys"]}
-        model = ModelState(
-            weights=weights, projections=projections,
-            node_block=data["node_block"], label_block=data["label_block"],
-            dropout_rng=rng_stream(config.seed, "dropout"))
-        model.dropout_rng.bit_generator.state = meta["dropout_rng_state"]
-    return model, config, meta["epoch"], meta["fingerprint"]
+    """Load a checkpoint; returns (model, config, epoch, fingerprint).
+
+    Raises CheckpointError for a file that is not a complete checkpoint
+    archive, lacks an entry, carries an unknown config field, or has
+    another version than this build writes.
+    """
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"unsupported checkpoint version {meta['version']} "
+                    f"(this build reads version {CHECKPOINT_VERSION})")
+            config = TrainConfig(**meta["config"])
+            weights = {k: data[f"weight__{k}"] for k in meta["weight_keys"]}
+            projections = {k: data[f"projection__{k}"]
+                           for k in meta["projection_keys"]}
+            model = ModelState(
+                weights=weights, projections=projections,
+                node_block=data["node_block"], label_block=data["label_block"],
+                dropout_rng=rng_stream(config.seed, "dropout"))
+            model.dropout_rng.bit_generator.state = meta["dropout_rng_state"]
+            return model, config, meta["epoch"], meta["fingerprint"]
+    except CheckpointError:
+        raise
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: not a readable checkpoint "
+                              f"({type(exc).__name__}: {exc})") from exc

@@ -78,7 +78,7 @@ def test_criterion_1_gradient_correctness():
         d_label = single_label_loss_grad(softmax_rows(label_logits), label_targets)
         node_logits, node_caches = forward_node_gcn(graph, ops, model, config)
         d_node = multi_label_loss_grad(node_logits, node_targets, mask)
-        grads, _, _ = backward(label_caches, d_label, node_caches, d_node)
+        grads = backward(label_caches, d_label, node_caches, d_node)
 
         for key, analytic in grads.items():
             w = model.weights[key]

@@ -5,6 +5,7 @@ import pytest
 
 from mlgcn.cli import (EXIT_BAD_REF, EXIT_FINGERPRINT, EXIT_IO, EXIT_OK,
                        EXIT_USAGE, main, parse_rule, parse_synthetic_spec)
+from mlgcn.training import CheckpointError, load_checkpoint
 
 EASY = "k=2,size=15,p-intra=0.5,p-inter=0.02,rho=1"
 EASY_TRAIN = ["--synthetic", EASY, "--epochs", "150", "--hidden", "32",
@@ -100,6 +101,14 @@ class TestTrain:
         for line in lines[1:]:
             assert line.split(",")[1] == "0"
 
+    def test_baseline_with_one_node_layer(self, tmp_path):
+        code = run(["train", "--synthetic", "k=2,size=10", "--epochs", "2",
+                    "--variant", "gcn_baseline", "--node-layers", "1",
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        lines = (tmp_path / "o" / "history.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["0", "0"]
+
     def test_manifest_contents_and_artifacts(self, tmp_path):
         out = tmp_path / "o"
         run(["train", "--synthetic", "k=2,size=10", "--epochs", "3",
@@ -182,6 +191,62 @@ class TestEval:
                     "--synthetic", "k=2,size=14,p-intra=0.5,rho=1",
                     "--metrics", str(tmp_path / "m.json")])
         assert code == EXIT_FINGERPRINT
+
+
+def _rewrite_checkpoint(src, dst, edit):
+    with np.load(src) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    edit(meta, arrays)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                       dtype=np.uint8)
+    np.savez(dst, **arrays)
+
+
+def _truncated(src, dst):
+    data = src.read_bytes()
+    dst.write_bytes(data[:len(data) // 2])
+
+
+def _version_1(meta, arrays):
+    # version-1 checkpoints also carried the removed train_projections field
+    meta["version"] = 1
+    meta["config"]["train_projections"] = False
+
+
+# case -> (writer of a broken checkpoint from a good one, text the message
+# must contain)
+BROKEN_CHECKPOINTS = {
+    "truncated": (_truncated, "BadZipFile"),
+    "not_a_zip": (lambda src, dst: dst.write_bytes(b"not a checkpoint\n"),
+                  "not a readable checkpoint"),
+    "missing_meta_key": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: meta.pop("weight_keys")),
+        "weight_keys"),
+    "missing_array": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: arrays.pop("node_block")),
+        "node_block"),
+    "unknown_config_field": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: meta["config"].update(bogus=1)),
+        "bogus"),
+    "version_1": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_1),
+                  "unsupported checkpoint version 1"),
+}
+
+
+class TestBrokenCheckpoint:
+    @pytest.mark.parametrize("case", sorted(BROKEN_CHECKPOINTS))
+    def test_one_line_error_exit_2(self, easy_run, tmp_path, capsys, case):
+        write, expected = BROKEN_CHECKPOINTS[case]
+        path = tmp_path / "broken.npz"
+        write(easy_run / "checkpoint.npz", path)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        code = run(["eval", "--checkpoint", str(path), "--synthetic", EASY,
+                    "--metrics", str(tmp_path / "m.json")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and expected in err
 
 
 class TestSweep:

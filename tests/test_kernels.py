@@ -215,8 +215,8 @@ class TestBackward:
             op_node, op_node_sq, op_label, op_label_sq, feats, weights, y,
             mask, two_label_layers)
         m = ol.shape[0]
-        grads, _, _ = backward(lc, single_label_loss_grad(z, np.eye(m)), nc,
-                               multi_label_loss_grad(ov, y, mask))
+        grads = backward(lc, single_label_loss_grad(z, np.eye(m)), nc,
+                         multi_label_loss_grad(ov, y, mask))
         eps = 1e-6
         for key, analytic in grads.items():
             w = weights[key]
@@ -251,8 +251,8 @@ class TestBackward:
         weights["w1_node"] = np.zeros_like(weights["w1_node"])
         loss, z, ol, ov, lc, nc = run_forward(
             op_node, op_node_sq, op_label, op_label_sq, feats, weights, y, mask)
-        grads, _, _ = backward(lc, single_label_loss_grad(z, np.eye(ol.shape[0])),
-                               nc, multi_label_loss_grad(ov, y, mask))
+        grads = backward(lc, single_label_loss_grad(z, np.eye(ol.shape[0])),
+                         nc, multi_label_loss_grad(ov, y, mask))
         assert np.all(grads["w0_node"] == 0.0)
         assert not np.all(grads["w1_node"] == 0.0)
 
@@ -263,8 +263,8 @@ class TestBackward:
             op_node, op_node_sq, op_label, op_label_sq, feats, weights, y, mask)
         dl = single_label_loss_grad(z, np.eye(ol.shape[0]))
         dn = multi_label_loss_grad(ov, y, mask)
-        g1, _, _ = backward(lc, dl, nc, dn)
-        g2, _, _ = backward(lc, 2.0 * dl, nc, 2.0 * dn)
+        g1 = backward(lc, dl, nc, dn)
+        g2 = backward(lc, 2.0 * dl, nc, 2.0 * dn)
         for key in g1:
             assert np.allclose(2.0 * g1[key], g2[key], atol=1e-12)
 

@@ -6,11 +6,11 @@ from mlgcn.kernels import (multi_label_loss, single_label_loss,
                            single_label_loss_grad, softmax_rows)
 from mlgcn.metrics import split_dataset
 from mlgcn.operators import build_operators
-from mlgcn.training import (DivergenceError, ModelState, TrainConfig,
-                            forward_label_gcn, forward_node_gcn, init_model,
-                            inject_label_features, inject_node_features,
-                            label_feature_stack, node_feature_stack,
-                            sgd_step, train)
+from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
+                            TrainConfig, forward_label_gcn, forward_node_gcn,
+                            init_model, inject_label_features,
+                            inject_node_features, label_feature_stack,
+                            layer_table, node_feature_stack, sgd_step, train)
 from mlgcn.rng import rng_stream
 
 
@@ -43,10 +43,23 @@ class TestTrainConfig:
         assert cfg.optimizer == "gd"
 
     def test_variant_presets_override_layer_counts(self):
-        assert TrainConfig(variant="1n").effective_node_layers == 1
-        assert TrainConfig(variant="2l").effective_label_layers == 2
-        assert TrainConfig().effective_node_layers == 2
-        assert TrainConfig().effective_label_layers == 1
+        def ops(**kw):
+            return {view: [name for name, _ in layers]
+                    for view, layers in layer_table(TrainConfig(**kw)).items()}
+        full = {"label": ["truncated"], "node": ["truncated", "intra"]}
+        assert ops() == ops(variant="node") == full
+        assert ops(variant="1n", node_gcn_layers=2) == {
+            "label": ["truncated"], "node": ["truncated"]}
+        assert ops(variant="2l", label_gcn_layers=1) == {
+            "label": ["truncated", "intra"], "node": ["truncated", "intra"]}
+        assert ops(label_gcn_layers=2, node_gcn_layers=1) == {
+            "label": ["truncated", "intra"], "node": ["truncated"]}
+        assert ops(variant="gcn_baseline") == {
+            "label": [], "node": ["intra", "intra"]}
+        assert ops(variant="gcn_baseline", node_gcn_layers=1) == {
+            "label": [], "node": ["intra"]}
+        assert layer_table(TrainConfig(variant="2l"))["label"] == [
+            ("truncated", "w0_label"), ("intra", "w1_label")]
 
     @pytest.mark.parametrize("kw", [
         dict(learning_rate=-0.1), dict(epochs=0), dict(train_ratio=0.0),
@@ -99,6 +112,24 @@ class TestInitModel:
         result = train(g, split, cfg)
         for key, value in before.items():
             assert np.array_equal(result.model.projections[key], value)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("node_layers", [1, 2])
+@pytest.mark.parametrize("label_layers", [1, 2])
+def test_init_weights_are_the_weights_the_forwards_read(variant, node_layers,
+                                                       label_layers):
+    g = small_graph()
+    cfg = small_config(variant=variant, node_gcn_layers=node_layers,
+                       label_gcn_layers=label_layers, epochs=2)
+    result = train(g, split_dataset(g, 0.25, seed=0), cfg)
+    assert len(result.history) == 2
+    ops = build_operators(g, variant)
+    model = init_model(g, cfg)
+    _, label_caches = forward_label_gcn(g, ops, model, cfg)
+    _, node_caches = forward_node_gcn(g, ops, model, cfg)
+    assert set(model.weights) == {c.weight_key
+                                  for c in label_caches + node_caches}
 
 
 class TestForwardLabelGcn:
@@ -335,9 +366,9 @@ class TestTrain:
                 inject_node_features(model, node_logits)
             if epoch % 3 == 0:
                 inject_label_features(model, label_logits)
-            grads, _, _ = backward(lc, single_label_loss_grad(z, eye), nc,
-                                   multi_label_loss_grad(node_logits, targets,
-                                                         split.train_nodes))
+            grads = backward(lc, single_label_loss_grad(z, eye), nc,
+                             multi_label_loss_grad(node_logits, targets,
+                                                   split.train_nodes))
             sgd_step(model, grads, cfg)
         assert losses == result.history.total_loss
         assert np.array_equal(model.node_block, result.model.node_block)
@@ -422,63 +453,6 @@ class TestTrain:
                            seed=11)
         h = train(g, split, cfg).history
         assert h.total_loss[-1] < h.total_loss[0]
-
-
-class TestTrainableProjections:
-    def test_projection_gradient_matches_finite_differences(self):
-        g = small_graph(seed=12, size=5)
-        cfg = small_config(train_projections=True, seed=12)
-        ops = build_operators(g)
-        model = init_model(g, cfg)
-        rng = np.random.default_rng(0)
-        snapshot = rng.standard_normal((g.node_count, g.label_count))
-        label_targets = np.eye(g.label_count)
-
-        def label_loss_for(proj):
-            model.projections["proj_node"] = proj
-            inject_node_features(model, snapshot)
-            logits, _ = forward_label_gcn(g, ops, model, cfg, training=False)
-            return single_label_loss(softmax_rows(logits), label_targets)
-
-        proj = model.projections["proj_node"].copy()
-        base = label_loss_for(proj.copy())
-
-        # analytic gradient through the stale snapshot
-        from mlgcn.kernels import backward
-        model.projections["proj_node"] = proj.copy()
-        inject_node_features(model, snapshot)
-        logits, caches = forward_label_gcn(g, ops, model, cfg, training=False)
-        d_logits = single_label_loss_grad(softmax_rows(logits), label_targets)
-        grads = {}
-        from mlgcn.kernels import backward_stack
-        d_feats = backward_stack(caches, d_logits, grads, input_grad=True,
-                                 first_op_transpose=ops.label.truncated.transpose())
-        d_block = d_feats[g.label_count:] * (model.node_block > 0.0)
-        analytic = snapshot.T @ d_block
-
-        eps = 1e-6
-        it = np.nditer(proj, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            p = proj.copy()
-            p[idx] += eps
-            lp = label_loss_for(p)
-            p[idx] -= 2 * eps
-            lm = label_loss_for(p)
-            fd = (lp - lm) / (2 * eps)
-            diff = abs(analytic[idx] - fd)
-            assert diff <= 1e-8 or diff <= 1e-4 * max(abs(analytic[idx]), abs(fd))
-
-    def test_projections_move_when_enabled(self):
-        g = small_graph(seed=13)
-        split = split_dataset(g, 0.25, seed=13)
-        cfg = small_config(train_projections=True, epochs=6, seed=13)
-        init = init_model(g, cfg)
-        result = train(g, split, cfg)
-        changed = any(
-            not np.array_equal(result.model.projections[k], init.projections[k])
-            for k in init.projections)
-        assert changed
 
 
 class TestCheckpoint:
