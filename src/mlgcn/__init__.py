@@ -9,14 +9,14 @@ from .datasets import (DatasetStats, FeatureConfig, ParseError,
                        SyntheticConfig, dataset_stats, generate_synthetic,
                        load_dataset, parse_edge_list, parse_label_assignments)
 from .graph import DataSplit, MultiLabelGraph, one_hot_features, validate_graph
-from .matrices import SparseMatrix, dense_matrix
+from .matrices import SparseMatrix
 from .metrics import (EvaluationReport, LabelScore, compute_f1, evaluate,
                       label_correlation_matrix, per_label_breakdown,
                       predict_labels, split_dataset)
-from .operators import (CompositeAdjacency, GraphOperators,
-                        NormalizedOperator, build_label_cooccurrence,
-                        build_label_label_node_adj, build_node_node_label_adj,
-                        build_operators, normalize_symmetric, truncate_rows)
+from .operators import (GraphOperators, NormalizedOperator,
+                        build_label_cooccurrence, build_label_label_node_adj,
+                        build_node_node_label_adj, build_operators,
+                        normalize_symmetric)
 from .training import (DivergenceError, ModelState, TrainConfig, TrainHistory,
                        TrainResult, forward_label_gcn, forward_node_gcn,
                        init_model, inject_label_features,
@@ -26,14 +26,14 @@ from .training import (DivergenceError, ModelState, TrainConfig, TrainHistory,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SparseMatrix", "dense_matrix", "MultiLabelGraph", "DataSplit",
+    "SparseMatrix", "MultiLabelGraph", "DataSplit",
     "one_hot_features", "validate_graph", "DatasetStats", "FeatureConfig",
     "SyntheticConfig", "ParseError", "parse_edge_list",
     "parse_label_assignments", "load_dataset", "dataset_stats",
-    "generate_synthetic", "CompositeAdjacency", "NormalizedOperator",
+    "generate_synthetic", "NormalizedOperator",
     "GraphOperators", "build_label_cooccurrence", "build_node_node_label_adj",
     "build_label_label_node_adj", "build_operators", "normalize_symmetric",
-    "truncate_rows", "TrainConfig", "ModelState", "TrainHistory",
+    "TrainConfig", "ModelState", "TrainHistory",
     "TrainResult", "DivergenceError", "init_model", "forward_label_gcn",
     "forward_node_gcn", "inject_label_features", "inject_node_features",
     "sgd_step", "train", "save_checkpoint", "load_checkpoint",

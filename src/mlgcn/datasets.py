@@ -232,7 +232,7 @@ def dataset_stats(g: MultiLabelGraph) -> DatasetStats:
     # B is nonnegative, so no entry of the co-occurrence counts B^T B
     # cancels to zero: each co-occurring pair is one nonzero on each side
     # of the diagonal
-    b = g.label_assignments.csr_view()
+    b = g.label_assignments
     cooc = b.T @ b
     pairs = (cooc.nnz - np.count_nonzero(cooc.diagonal())) // 2
     return DatasetStats(g.node_count, edge_count, g.label_count, int(pairs))

@@ -77,26 +77,24 @@ def validate_graph(g: MultiLabelGraph) -> list[str]:
         report.append(f"label matrix shape {b.shape} != ({g.node_count}, {g.label_count})")
         return report
 
-    rows = a.row_ids()
-    diag = rows == a.indices
-    for i in rows[diag]:
+    entries = a.tocoo()
+    for i in entries.row[entries.row == entries.col]:
         report.append(f"self-loop at node {i}")
-    for k in np.flatnonzero(a.values <= 0):
-        report.append(f"nonpositive weight at ({rows[k]}, {a.indices[k]})")
+    for k in np.flatnonzero(entries.data <= 0):
+        report.append(f"nonpositive weight at ({entries.row[k]}, {entries.col[k]})")
 
-    entries = {(int(i), int(j)): v for i, j, v in zip(rows, a.indices, a.values)}
-    for (i, j), v in entries.items():
-        if i < j and entries.get((j, i)) != v:
-            report.append(f"asymmetric edge ({i},{j})")
-        elif i > j and (j, i) not in entries:
-            report.append(f"asymmetric edge ({j},{i})")
+    # a pair is asymmetric if its weights differ or only one side is stored
+    stored = SparseMatrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    asymmetric = ((a != a.T) + (stored != stored.T)).tocoo()
+    upper = asymmetric.row < asymmetric.col
+    for i, j in zip(asymmetric.row[upper], asymmetric.col[upper]):
+        report.append(f"asymmetric edge ({i},{j})")
 
-    b_rows = b.row_ids()
-    bad = (b.values != 1.0) & (b.values != 0.0)
+    labels = b.tocoo()
+    bad = (labels.data != 1.0) & (labels.data != 0.0)
     for k in np.flatnonzero(bad):
-        report.append(f"non-binary label entry ({b_rows[k]}, {b.indices[k]})")
-    members = np.zeros(g.label_count, dtype=np.int64)
-    np.add.at(members, b.indices[b.values == 1.0], 1)
+        report.append(f"non-binary label entry ({labels.row[k]}, {labels.col[k]})")
+    members = np.bincount(labels.col[labels.data == 1.0], minlength=g.label_count)
     for r in np.flatnonzero(members == 0):
         report.append(f"orphan label {r}")
 

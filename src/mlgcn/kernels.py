@@ -30,11 +30,9 @@ LOG_CLAMP = 1e-12  # fixed probability floor before logs; not configurable
 def spmm(s: SparseMatrix, d: np.ndarray) -> np.ndarray:
     """Exact product of a CSR matrix with a dense matrix."""
     d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 2 or s.cols != d.shape[0]:
+    if d.ndim != 2 or s.shape[1] != d.shape[0]:
         raise ValueError(f"cannot multiply {s.shape} by {d.shape}")
-    if s.nnz == 0:
-        return np.zeros((s.rows, d.shape[1]))
-    return np.asarray(s.csr_view() @ d)
+    return s @ d
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -76,7 +74,7 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
     """
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
-    if h.shape[0] != op.cols or h.shape[1] != w.shape[0]:
+    if h.shape[0] != op.shape[1] or h.shape[1] != w.shape[0]:
         raise ValueError(
             f"shape mismatch: op {op.shape} @ H {h.shape} @ W {w.shape}")
     if activation not in ("relu", "identity"):

@@ -1,192 +1,42 @@
 """CSR sparse matrices and dense-matrix conventions.
 
 Dense matrices throughout the package are plain 2-D float64 numpy arrays in
-row-major (C) order. Sparse matrices are immutable CSR triplets carried by
-:class:`SparseMatrix`. Everything downstream (operators, kernels, training)
-moves data through these two representations only.
+row-major (C) order. Sparse matrices are :class:`SparseMatrix`, a
+``scipy.sparse.csr_array`` whose one validating factory is
+:meth:`SparseMatrix.from_coo`. Scipy results are wrapped with
+``SparseMatrix(x)``, which shares their buffers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as _sp
+import scipy.sparse as sp
 
-__all__ = ["SparseMatrix", "dense_matrix"]
-
-
-def dense_matrix(rows: int, cols: int, values) -> np.ndarray:
-    """Build a validated row-major dense matrix from a flat value buffer."""
-    buf = np.asarray(values, dtype=np.float64).ravel()
-    if buf.size != rows * cols:
-        raise ValueError(f"buffer of length {buf.size} cannot fill {rows}x{cols}")
-    if not np.all(np.isfinite(buf)):
-        raise ValueError("dense matrix values must be finite")
-    return np.ascontiguousarray(buf.reshape(rows, cols))
+__all__ = ["SparseMatrix"]
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable CSR matrix: `indptr` row offsets, `indices` column ids, `values`.
-
-    Invariants enforced at construction: offsets monotone, column indices
-    strictly increasing within each row, values finite.
-    """
-
-    rows: int
-    cols: int
-    indptr: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if indptr.shape != (self.rows + 1,):
-            raise ValueError("indptr must have rows+1 entries")
-        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
-            raise ValueError("row offsets must be monotone and span the value buffer")
-        if indices.size != values.size:
-            raise ValueError("indices and values length mismatch")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= self.cols:
-                raise ValueError("column index out of range")
-            # strictly increasing within each row
-            interior = np.diff(indices) <= 0
-            row_breaks = np.zeros(max(indices.size - 1, 0), dtype=bool)
-            row_breaks[indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < indices.size)] - 1] = True
-            if np.any(interior & ~row_breaks):
-                raise ValueError("column indices must be strictly increasing within each row")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sparse matrix values must be finite")
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        values.setflags(write=False)
-
-    # -- constructors ------------------------------------------------------
+class SparseMatrix(sp.csr_array):
+    """A scipy CSR array with a validating coordinate factory."""
 
     @classmethod
     def from_coo(cls, rows: int, cols: int, row_idx, col_idx, vals) -> "SparseMatrix":
         """Build from coordinate triplets; duplicate coordinates are summed,
-        entries that sum to exactly zero are dropped."""
+        entries that sum to exactly zero are dropped, and column indices are
+        sorted within each row."""
         r = np.asarray(row_idx, dtype=np.int64)
         c = np.asarray(col_idx, dtype=np.int64)
         v = np.asarray(vals, dtype=np.float64)
         if not (r.size == c.size == v.size):
             raise ValueError("coordinate arrays must have equal length")
-        if r.size:
-            if r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols:
-                raise ValueError("coordinate out of range")
-            order = np.lexsort((c, r))
-            r, c, v = r[order], c[order], v[order]
-            new_group = np.empty(r.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            starts = np.flatnonzero(new_group)
-            v = np.add.reduceat(v, starts)
-            r, c = r[starts], c[starts]
-            keep = v != 0.0
-            r, c, v = r[keep], c[keep], v[keep]
-        counts = np.bincount(r, minlength=rows)
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(rows, cols, indptr, c, v)
-
-    @classmethod
-    def from_dense(cls, arr) -> "SparseMatrix":
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        r, c = np.nonzero(a)
-        return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c])
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols, np.zeros(rows + 1, dtype=np.int64),
-                   np.empty(0, dtype=np.int64), np.empty(0))
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def row_ids(self) -> np.ndarray:
-        """Row id of every stored entry (COO row vector)."""
-        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+        if r.size and (r.min() < 0 or r.max() >= rows
+                       or c.min() < 0 or c.max() >= cols):
+            raise ValueError("coordinate out of range")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("sparse matrix values must be finite")
+        # converting to CSR sums duplicates and sorts each row's columns
+        out = cls(sp.coo_array((v, (r, c)), shape=(rows, cols)))
+        out.eliminate_zeros()
+        return out
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        out[self.row_ids(), self.indices] = self.values
-        return out
-
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.rows)
-        np.add.at(out, self.row_ids(), self.values)
-        return out
-
-    def csr_view(self) -> "_sp.csr_matrix":
-        """Zero-copy scipy view of the same CSR buffers (cached)."""
-        view = getattr(self, "_csr_view_cache", None)
-        if view is None:
-            view = _sp.csr_matrix((self.values, self.indices, self.indptr),
-                                  shape=self.shape, copy=False)
-            object.__setattr__(self, "_csr_view_cache", view)
-        return view
-
-    # -- transforms --------------------------------------------------------
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_coo(self.cols, self.rows, self.indices,
-                                     self.row_ids(), self.values)
-
-    def add_identity(self) -> "SparseMatrix":
-        """Return self + I (square matrices only)."""
-        if self.rows != self.cols:
-            raise ValueError("add_identity requires a square matrix")
-        diag = np.arange(self.rows, dtype=np.int64)
-        return SparseMatrix.from_coo(
-            self.rows, self.cols,
-            np.concatenate([self.row_ids(), diag]),
-            np.concatenate([self.indices, diag]),
-            np.concatenate([self.values, np.ones(self.rows)]),
-        )
-
-    def scale_symmetric(self, row_scale: np.ndarray, col_scale: np.ndarray) -> "SparseMatrix":
-        """Entrywise rescale: out[i,j] = self[i,j] * (row_scale[i] * col_scale[j]).
-
-        The scale product is formed first so that symmetric inputs with
-        row_scale == col_scale stay bitwise symmetric.
-        """
-        vals = self.values * (row_scale[self.row_ids()] * col_scale[self.indices])
-        return SparseMatrix(self.rows, self.cols, self.indptr, self.indices, vals)
-
-    def take_rows(self, keep: int) -> "SparseMatrix":
-        """First `keep` rows, all columns, values unchanged."""
-        if keep > self.rows:
-            raise ValueError(f"cannot keep {keep} rows of a {self.rows}-row matrix")
-        end = int(self.indptr[keep])
-        return SparseMatrix(keep, self.cols, self.indptr[: keep + 1].copy(),
-                            self.indices[:end].copy(), self.values[:end].copy())
-
-    def equal(self, other: "SparseMatrix") -> bool:
-        return (self.shape == other.shape
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.values, other.values))
+        return self.toarray()

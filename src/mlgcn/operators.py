@@ -17,25 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import MultiLabelGraph
 from .matrices import SparseMatrix
 
 __all__ = [
-    "CompositeAdjacency", "NormalizedOperator", "GraphOperators",
-    "build_label_cooccurrence", "build_node_node_label_adj",
-    "build_label_label_node_adj", "normalize_symmetric", "truncate_rows",
-    "build_operators",
+    "NormalizedOperator", "GraphOperators", "build_label_cooccurrence",
+    "build_node_node_label_adj", "build_label_label_node_adj",
+    "normalize_symmetric", "build_operators",
 ]
-
-
-@dataclass(frozen=True)
-class CompositeAdjacency:
-    """Symmetric (n+m) x (n+m) adjacency of one stratified view."""
-
-    full: SparseMatrix
-    primary_count: int
-    layout: str  # "nodes-first" | "labels-first"
 
 
 @dataclass(frozen=True)
@@ -60,72 +51,45 @@ class GraphOperators:
 def build_label_cooccurrence(b: SparseMatrix, binarize: bool = False) -> SparseMatrix:
     """Co-occurrence counts C[r,s] = #nodes carrying both labels r and s.
 
-    Equals B^T B with the diagonal zeroed; symmetric by construction. With
+    Equals B^T B with the diagonal removed; symmetric by construction. With
     `binarize`, counts collapse to 0/1 indicators.
     """
-    bd = b.to_dense()
-    c = bd.T @ bd
-    np.fill_diagonal(c, 0.0)
+    c = b.T @ b
+    c = SparseMatrix(c - sp.diags(c.diagonal()))
     if binarize:
-        c = (c > 0).astype(np.float64)
-    return SparseMatrix.from_dense(c)
+        c.data[:] = 1.0
+    return c
 
 
-def _composite(primary: SparseMatrix, cross: SparseMatrix | None,
-               primary_count: int, attr_count: int) -> SparseMatrix:
-    """Assemble [[primary, cross], [cross^T, 0]] in COO form.
-
-    `cross` is primary_count x attr_count; None leaves the off-diagonal
-    blocks empty.
-    """
-    total = primary_count + attr_count
-    rows = [primary.row_ids()]
-    cols = [primary.indices]
-    vals = [primary.values]
-    if cross is not None:
-        cr = cross.row_ids()
-        cc = cross.indices
-        rows.append(cr)
-        cols.append(cc + primary_count)
-        vals.append(cross.values)
-        rows.append(cc + primary_count)
-        cols.append(cr)
-        vals.append(cross.values)
-    return SparseMatrix.from_coo(total, total, np.concatenate(rows),
-                                 np.concatenate(cols), np.concatenate(vals))
-
-
-def build_node_node_label_adj(a: SparseMatrix, b: SparseMatrix) -> CompositeAdjacency:
-    """Nodes-first composite: node block A, cross blocks B / B^T, zero label block."""
-    n, m = b.shape
-    return CompositeAdjacency(_composite(a, b, n, m), n, "nodes-first")
+def build_node_node_label_adj(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Nodes-first (n+m) x (n+m) composite [[A, B], [B^T, 0]]."""
+    return SparseMatrix(sp.bmat([[a, b], [b.T, None]], format="csr"))
 
 
 def build_label_label_node_adj(c: SparseMatrix, b: SparseMatrix,
-                               include_node_attrs: bool = True) -> CompositeAdjacency:
-    """Labels-first composite: label block C, cross blocks B^T / B, zero node block.
+                               include_node_attrs: bool = True) -> SparseMatrix:
+    """Labels-first (m+n) x (m+n) composite [[C, B^T], [B, 0]].
 
-    `include_node_attrs=False` strips the member-node attachments, leaving
-    labels connected through co-occurrence alone.
+    `include_node_attrs=False` empties the cross blocks, leaving labels
+    connected through co-occurrence alone.
     """
-    n, m = b.shape
-    cross = b.transpose() if include_node_attrs else None
-    return CompositeAdjacency(_composite(c, cross, m, n), m, "labels-first")
+    cross = b.T if include_node_attrs else SparseMatrix(b.T.shape)
+    return SparseMatrix(sp.bmat([[c, cross], [cross.T, None]], format="csr"))
 
 
 def normalize_symmetric(m: SparseMatrix) -> SparseMatrix:
     """D^{-1/2} (M + I) D^{-1/2} with D the degree matrix of M + I.
 
     Self-loops guarantee every degree is at least 1, so no division by zero.
+    Each entry is scaled by the product of its two factors, formed first,
+    so symmetric inputs stay bitwise symmetric.
     """
-    with_loops = m.add_identity()
-    inv_sqrt = 1.0 / np.sqrt(with_loops.row_sums())
-    return with_loops.scale_symmetric(inv_sqrt, inv_sqrt)
-
-
-def truncate_rows(m: SparseMatrix, keep: int) -> SparseMatrix:
-    """First `keep` rows of a sparse matrix, all columns, values unchanged."""
-    return m.take_rows(keep)
+    out = SparseMatrix(m + sp.identity(m.shape[0], format="csr"))
+    degree = out @ np.ones(out.shape[1])
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    row_scale = np.repeat(inv_sqrt, np.diff(out.indptr))
+    out.data = out.data * (row_scale * inv_sqrt[out.indices])
+    return out
 
 
 def build_operators(g: MultiLabelGraph, variant: str = "full",
@@ -139,11 +103,11 @@ def build_operators(g: MultiLabelGraph, variant: str = "full",
     c = build_label_cooccurrence(b, binarize_cooccurrence)
 
     e = build_node_node_label_adj(a, b)
-    node_trunc = truncate_rows(normalize_symmetric(e.full), g.node_count)
+    node_trunc = SparseMatrix(normalize_symmetric(e)[:g.node_count])
     node_intra = normalize_symmetric(a)
 
     f = build_label_label_node_adj(c, b, include_node_attrs=(variant != "node"))
-    label_trunc = truncate_rows(normalize_symmetric(f.full), g.label_count)
+    label_trunc = SparseMatrix(normalize_symmetric(f)[:g.label_count])
     label_intra = normalize_symmetric(c)
 
     return GraphOperators(

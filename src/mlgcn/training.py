@@ -289,6 +289,8 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     node_targets = graph.label_assignments.to_dense()
     label_targets = np.eye(graph.label_count)
     train_mask = split.train_nodes
+    # the last epoch's eval-mode validation forward doubles as the final one
+    embeddings = None
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -323,9 +325,9 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
             raise DivergenceError(epoch, str(exc)) from exc
 
         if split.val_nodes.size:
-            val_logits, _ = forward_node_gcn(graph, operators, model, config,
+            embeddings, _ = forward_node_gcn(graph, operators, model, config,
                                              training=False)
-            val_f1 = evaluate(val_logits, node_targets, split.val_nodes,
+            val_f1 = evaluate(embeddings, node_targets, split.val_nodes,
                               rule=rule, threshold=threshold).micro_f1
         else:
             val_f1 = float("nan")
@@ -336,8 +338,9 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
         history.val_micro_f1.append(val_f1)
         history.epoch_seconds.append(time.perf_counter() - t0)
 
-    embeddings, _ = forward_node_gcn(graph, operators, model, config,
-                                     training=False)
+    if embeddings is None:
+        embeddings, _ = forward_node_gcn(graph, operators, model, config,
+                                         training=False)
     return TrainResult(model=model, history=history, embeddings=embeddings)
 
 

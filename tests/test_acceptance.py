@@ -21,7 +21,7 @@ from mlgcn.metrics import compute_f1, evaluate, split_dataset
 from mlgcn.operators import (build_label_cooccurrence,
                              build_label_label_node_adj,
                              build_node_node_label_adj, build_operators,
-                             normalize_symmetric, truncate_rows)
+                             normalize_symmetric)
 from mlgcn.training import (TrainConfig, forward_label_gcn, forward_node_gcn,
                             init_model, train)
 
@@ -44,8 +44,8 @@ def _random_tiny_graph(rng, n=6, m=3):
         if (b.sum(axis=0) > 0).all():
             break
     d = n + m
-    return MultiLabelGraph(n, m, SparseMatrix.from_dense(a),
-                           SparseMatrix.from_dense(b),
+    return MultiLabelGraph(n, m, SparseMatrix(a),
+                           SparseMatrix(b),
                            one_hot_features(n, d, 0), one_hot_features(m, d, n),
                            tuple(str(i) for i in range(n)),
                            tuple(f"L{r}" for r in range(m)))
@@ -124,18 +124,18 @@ def test_criterion_2_operator_oracle():
         a = a + a.T
         b = (rng.random((n, m)) < 0.45).astype(float)
 
-        e = build_node_node_label_adj(SparseMatrix.from_dense(a),
-                                      SparseMatrix.from_dense(b))
-        got = truncate_rows(normalize_symmetric(e.full), n).to_dense()
+        e = build_node_node_label_adj(SparseMatrix(a),
+                                      SparseMatrix(b))
+        got = normalize_symmetric(e)[:n].toarray()
         e_dense = np.zeros((n + m, n + m))
         e_dense[:n, :n] = a
         e_dense[:n, n:] = b
         e_dense[n:, :n] = b.T
         worst = max(worst, np.abs(got - _dense_normalize(e_dense)[:n]).max())
 
-        c = build_label_cooccurrence(SparseMatrix.from_dense(b))
-        f = build_label_label_node_adj(c, SparseMatrix.from_dense(b))
-        got_f = truncate_rows(normalize_symmetric(f.full), m).to_dense()
+        c = build_label_cooccurrence(SparseMatrix(b))
+        f = build_label_label_node_adj(c, SparseMatrix(b))
+        got_f = normalize_symmetric(f)[:m].toarray()
         f_dense = np.zeros((n + m, n + m))
         f_dense[:m, :m] = c.to_dense()
         f_dense[:m, m:] = b.T

@@ -11,11 +11,11 @@ class TestSpmm:
     def test_identity_times_dense(self):
         rng = np.random.default_rng(0)
         d = rng.random((4, 3))
-        assert np.array_equal(spmm(SparseMatrix.identity(4), d), d)
+        assert np.array_equal(spmm(SparseMatrix(np.eye(4)), d), d)
 
     def test_zero_times_dense(self):
         d = np.ones((4, 3))
-        assert np.array_equal(spmm(SparseMatrix.zeros(2, 4), d), np.zeros((2, 3)))
+        assert np.array_equal(spmm(SparseMatrix((2, 4)), d), np.zeros((2, 3)))
 
     def test_random_against_dense_oracle(self):
         rng = np.random.default_rng(1)
@@ -23,33 +23,33 @@ class TestSpmm:
             r, k, c = (int(x) for x in rng.integers(1, 9, size=3))
             dense = rng.random((r, k))
             dense[rng.random((r, k)) < 0.5] = 0.0
-            s = SparseMatrix.from_dense(dense)
+            s = SparseMatrix(dense)
             d = rng.standard_normal((k, c))
             assert np.abs(spmm(s, d) - dense @ d).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            spmm(SparseMatrix.identity(3), np.ones((4, 2)))
+            spmm(SparseMatrix(np.eye(3)), np.ones((4, 2)))
 
 
 class TestLayerForward:
     def test_identity_layer_passes_through(self):
         h = np.arange(6, dtype=float).reshape(3, 2)
-        out, cache = gcn_layer_forward(SparseMatrix.identity(3), h, np.eye(2),
+        out, cache = gcn_layer_forward(SparseMatrix(np.eye(3)), h, np.eye(2),
                                        activation="identity", dropout=0.0)
         assert np.array_equal(out, h)
         assert cache.mask is None
 
     def test_relu_clamps(self):
         h = np.array([[-1.0, 2.0]])
-        out, _ = gcn_layer_forward(SparseMatrix.identity(1), h, np.eye(2),
+        out, _ = gcn_layer_forward(SparseMatrix(np.eye(1)), h, np.eye(2),
                                    activation="relu", dropout=0.0)
         assert np.array_equal(out, [[0.0, 2.0]])
 
     def test_dropout_zeroes_and_rescales(self):
         rng = np.random.default_rng(42)
         h = np.ones((20, 10))
-        out, cache = gcn_layer_forward(SparseMatrix.identity(20), h, np.eye(10),
+        out, cache = gcn_layer_forward(SparseMatrix(np.eye(20)), h, np.eye(10),
                                        activation="identity", dropout=0.5,
                                        training=True, rng=rng)
         values = np.unique(out)
@@ -60,7 +60,7 @@ class TestLayerForward:
 
     def test_eval_mode_ignores_dropout(self):
         h = np.ones((5, 4))
-        out, cache = gcn_layer_forward(SparseMatrix.identity(5), h, np.eye(4),
+        out, cache = gcn_layer_forward(SparseMatrix(np.eye(5)), h, np.eye(4),
                                        activation="identity", dropout=0.5,
                                        training=False)
         assert np.array_equal(out, h)
@@ -68,7 +68,7 @@ class TestLayerForward:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            gcn_layer_forward(SparseMatrix.identity(3), np.ones((3, 2)),
+            gcn_layer_forward(SparseMatrix(np.eye(3)), np.ones((3, 2)),
                               np.ones((3, 2)))
 
 
@@ -161,14 +161,14 @@ def tiny_instance(seed, n=5, m=3, dh=4, two_label_layers=False):
     """Random two-stack setup mirroring the trained architectures."""
     rng = np.random.default_rng(seed)
     d = n + m
-    op_node = SparseMatrix.from_dense(np.abs(rng.random((n, d))) * (rng.random((n, d)) < 0.5))
+    op_node = SparseMatrix(np.abs(rng.random((n, d))) * (rng.random((n, d)) < 0.5))
     op_node_sq_dense = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
     op_node_sq_dense = (op_node_sq_dense + op_node_sq_dense.T) / 2
-    op_node_sq = SparseMatrix.from_dense(op_node_sq_dense)
-    op_label = SparseMatrix.from_dense(np.abs(rng.random((m, d))) * (rng.random((m, d)) < 0.7))
+    op_node_sq = SparseMatrix(op_node_sq_dense)
+    op_label = SparseMatrix(np.abs(rng.random((m, d))) * (rng.random((m, d)) < 0.7))
     op_label_sq_dense = rng.random((m, m)) * (rng.random((m, m)) < 0.7)
     op_label_sq_dense = (op_label_sq_dense + op_label_sq_dense.T) / 2
-    op_label_sq = SparseMatrix.from_dense(op_label_sq_dense)
+    op_label_sq = SparseMatrix(op_label_sq_dense)
     feats = rng.standard_normal((d, d))
     weights = {
         "w0_node": rng.standard_normal((d, dh)) * 0.5,
@@ -272,7 +272,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         h = rng.standard_normal((6, 5))
         w = rng.standard_normal((5, 3))
-        out, cache = gcn_layer_forward(SparseMatrix.identity(6), h, w,
+        out, cache = gcn_layer_forward(SparseMatrix(np.eye(6)), h, w,
                                        activation="identity", dropout=0.4,
                                        training=True, rng=rng)
         assert np.array_equal((h * cache.mask) @ w, out)

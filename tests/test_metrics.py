@@ -195,20 +195,20 @@ class TestPerLabelBreakdown:
 
 class TestLabelCorrelationMatrix:
     def test_single_pair_normalizes_to_one(self):
-        b = SparseMatrix.from_dense(np.array([[1., 1., 0.]] * 5))
+        b = SparseMatrix(np.array([[1., 1., 0.]] * 5))
         corr = label_correlation_matrix(b)
         assert corr[0, 1] == 1.0 and corr[1, 0] == 1.0
         assert corr[0, 2] == 0.0
         assert np.array_equal(np.diag(corr), np.ones(3))
 
     def test_no_cooccurrence_keeps_zeros(self):
-        b = SparseMatrix.from_dense(np.eye(3))
+        b = SparseMatrix(np.eye(3))
         corr = label_correlation_matrix(b)
         assert np.array_equal(corr, np.eye(3))
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(6)
-        b = SparseMatrix.from_dense((rng.random((30, 5)) < 0.5).astype(float))
+        b = SparseMatrix((rng.random((30, 5)) < 0.5).astype(float))
         corr = label_correlation_matrix(b)
         assert np.array_equal(corr, corr.T)
         assert corr.min() >= 0.0 and corr.max() <= 1.0

@@ -1,12 +1,11 @@
 import numpy as np
-import pytest
 
 from mlgcn.datasets import SyntheticConfig, dataset_stats, generate_synthetic
 from mlgcn.matrices import SparseMatrix
 from mlgcn.operators import (build_label_cooccurrence,
                              build_label_label_node_adj,
                              build_node_node_label_adj, build_operators,
-                             normalize_symmetric, truncate_rows)
+                             normalize_symmetric)
 
 
 def dense_normalize_oracle(m_dense):
@@ -35,20 +34,20 @@ def random_binary(rng, n, m, density=0.4, no_orphans=True):
 class TestLabelCooccurrence:
     def test_two_nodes_shared_label(self):
         # label sets {0,1} and {1,2}
-        b = SparseMatrix.from_dense(np.array([[1., 1., 0.], [0., 1., 1.]]))
+        b = SparseMatrix(np.array([[1., 1., 0.], [0., 1., 1.]]))
         c = build_label_cooccurrence(b).to_dense()
         assert c[0, 1] == 1 and c[1, 2] == 1 and c[0, 2] == 0
         assert np.array_equal(c, c.T)
         assert np.all(np.diag(c) == 0)
 
     def test_triple_label_node(self):
-        b = SparseMatrix.from_dense(np.array([[1., 1., 1.]]))
+        b = SparseMatrix(np.array([[1., 1., 1.]]))
         c = build_label_cooccurrence(b).to_dense()
         for r, s in [(0, 1), (0, 2), (1, 2)]:
             assert c[r, s] == 1
 
     def test_single_labeled_nodes_give_zero(self):
-        b = SparseMatrix.from_dense(np.eye(4))
+        b = SparseMatrix(np.eye(4))
         assert build_label_cooccurrence(b).nnz == 0
 
     def test_counts_match_pair_enumeration(self):
@@ -57,7 +56,7 @@ class TestLabelCooccurrence:
             n = int(rng.integers(2, 200))
             m = int(rng.integers(2, 8))
             b = random_binary(rng, n, m, no_orphans=False)
-            c = build_label_cooccurrence(SparseMatrix.from_dense(b)).to_dense()
+            c = build_label_cooccurrence(SparseMatrix(b)).to_dense()
             oracle = np.zeros((m, m))
             for i in range(n):
                 labels = np.flatnonzero(b[i])
@@ -68,7 +67,7 @@ class TestLabelCooccurrence:
             assert np.array_equal(c, oracle)
 
     def test_binarize_flag(self):
-        b = SparseMatrix.from_dense(np.array([[1., 1.], [1., 1.], [1., 1.]]))
+        b = SparseMatrix(np.array([[1., 1.], [1., 1.], [1., 1.]]))
         counts = build_label_cooccurrence(b).to_dense()
         flags = build_label_cooccurrence(b, binarize=True).to_dense()
         assert counts[0, 1] == 3 and flags[0, 1] == 1
@@ -76,26 +75,26 @@ class TestLabelCooccurrence:
 
 class TestCompositeAdjacencies:
     def test_node_view_block_assembly(self):
-        a = SparseMatrix.from_dense(np.array([[0., 1.], [1., 0.]]))
-        b = SparseMatrix.from_dense(np.array([[1.], [0.]]))
+        a = SparseMatrix(np.array([[0., 1.], [1., 0.]]))
+        b = SparseMatrix(np.array([[1.], [0.]]))
         e = build_node_node_label_adj(a, b)
-        assert e.layout == "nodes-first" and e.primary_count == 2
+        assert isinstance(e, SparseMatrix) and e.shape == (3, 3)
         expected = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
-        assert np.array_equal(e.full.to_dense(), expected)
+        assert np.array_equal(e.to_dense(), expected)
 
     def test_label_view_block_assembly(self):
-        c = SparseMatrix.from_dense(np.array([[0., 1.], [1., 0.]]))
-        b = SparseMatrix.from_dense(np.array([[1., 1.]]))  # one node, both labels
+        c = SparseMatrix(np.array([[0., 1.], [1., 0.]]))
+        b = SparseMatrix(np.array([[1., 1.]]))  # one node, both labels
         f = build_label_label_node_adj(c, b)
-        assert f.layout == "labels-first" and f.primary_count == 2
+        assert isinstance(f, SparseMatrix) and f.shape == (3, 3)
         expected = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
-        assert np.array_equal(f.full.to_dense(), expected)
+        assert np.array_equal(f.to_dense(), expected)
 
     def test_empty_assignments_pad_with_zeros(self):
-        a = SparseMatrix.from_dense(np.array([[0., 2.], [2., 0.]]))
-        b = SparseMatrix.zeros(2, 1)
+        a = SparseMatrix(np.array([[0., 2.], [2., 0.]]))
+        b = SparseMatrix((2, 1))
         e = build_node_node_label_adj(a, b)
-        dense = e.full.to_dense()
+        dense = e.to_dense()
         assert np.array_equal(dense[:2, :2], a.to_dense())
         assert dense[2].sum() == 0 and dense[:, 2].sum() == 0
 
@@ -104,43 +103,43 @@ class TestCompositeAdjacencies:
         for _ in range(15):
             n = int(rng.integers(2, 10))
             m = int(rng.integers(1, 6))
-            a = SparseMatrix.from_dense(random_symmetric(rng, n, weighted=True))
+            a = SparseMatrix(random_symmetric(rng, n, weighted=True))
             b_dense = random_binary(rng, n, m, no_orphans=False)
-            b = SparseMatrix.from_dense(b_dense)
-            e = build_node_node_label_adj(a, b).full.to_dense()
+            b = SparseMatrix(b_dense)
+            e = build_node_node_label_adj(a, b).to_dense()
             assert np.array_equal(e, e.T)
             assert np.array_equal(e[:n, n:], b_dense)
             assert np.array_equal(e[n:, :n], b_dense.T)
             assert e[n:, n:].sum() == 0
 
             c = build_label_cooccurrence(b)
-            f = build_label_label_node_adj(c, b).full.to_dense()
+            f = build_label_label_node_adj(c, b).to_dense()
             assert np.array_equal(f, f.T)
             assert np.array_equal(f[:m, m:], b_dense.T)
             assert np.array_equal(f[m:, :m], b_dense)
             assert f[m:, m:].sum() == 0
 
     def test_label_view_without_node_attributes(self):
-        b = SparseMatrix.from_dense(np.array([[1., 1.], [0., 1.]]))
+        b = SparseMatrix(np.array([[1., 1.], [0., 1.]]))
         c = build_label_cooccurrence(b)
         f = build_label_label_node_adj(c, b, include_node_attrs=False)
-        dense = f.full.to_dense()
+        dense = f.to_dense()
         assert dense[:2, 2:].sum() == 0 and dense[2:, :2].sum() == 0
         assert np.array_equal(dense[:2, :2], c.to_dense())
 
 
 class TestNormalizeSymmetric:
     def test_single_edge_pair(self):
-        m = SparseMatrix.from_dense(np.array([[0., 1.], [1., 0.]]))
+        m = SparseMatrix(np.array([[0., 1.], [1., 0.]]))
         assert np.allclose(normalize_symmetric(m).to_dense(),
                            [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_isolated_node(self):
-        m = SparseMatrix.from_dense(np.array([[0.]]))
+        m = SparseMatrix(np.array([[0.]]))
         assert np.allclose(normalize_symmetric(m).to_dense(), [[1.0]], atol=1e-15)
 
     def test_three_node_path_entry(self):
-        m = SparseMatrix.from_dense(np.array([[0., 1., 0.],
+        m = SparseMatrix(np.array([[0., 1., 0.],
                                               [1., 0., 1.],
                                               [0., 1., 0.]]))
         out = normalize_symmetric(m).to_dense()
@@ -153,27 +152,23 @@ class TestNormalizeSymmetric:
         for _ in range(40):
             n = int(rng.integers(1, 21))
             dense = random_symmetric(rng, n, weighted=True)
-            out = normalize_symmetric(SparseMatrix.from_dense(dense)).to_dense()
+            out = normalize_symmetric(SparseMatrix(dense)).to_dense()
             assert np.abs(out - dense_normalize_oracle(dense)).max() <= 1e-12
             assert np.array_equal(out, out.T)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(7)
         dense = random_symmetric(rng, 8)
-        out = normalize_symmetric(SparseMatrix.from_dense(dense)).to_dense()
+        out = normalize_symmetric(SparseMatrix(dense)).to_dense()
         assert out.min() >= 0
 
 
 class TestTruncateRows:
     def test_identity_truncation_examples(self):
-        eye = SparseMatrix.identity(3)
-        assert np.array_equal(truncate_rows(eye, 2).to_dense(),
+        eye = SparseMatrix(np.eye(3))
+        assert np.array_equal(eye[:2].toarray(),
                               [[1, 0, 0], [0, 1, 0]])
-        assert truncate_rows(eye, 3).equal(eye)
-
-    def test_keep_too_many(self):
-        with pytest.raises(ValueError):
-            truncate_rows(SparseMatrix.identity(3), 4)
+        assert (eye[:3] != eye).nnz == 0
 
 
 class TestBuildOperators:
@@ -227,3 +222,14 @@ class TestBuildOperators:
         c = ops.cooccurrence.to_dense()
         pairs = np.count_nonzero(np.triu(c, 1))
         assert pairs == dataset_stats(g).cooccurrence_count
+
+    def test_every_output_is_a_sparse_matrix(self):
+        g = generate_synthetic(SyntheticConfig(community_size=6, seed=4))
+        for variant in ("full", "node"):
+            for binarize in (False, True):
+                ops = build_operators(g, variant, binarize)
+                for op in (ops.label.truncated, ops.label.intra,
+                           ops.node.truncated, ops.node.intra,
+                           ops.cooccurrence):
+                    assert type(op) is SparseMatrix
+                    assert op.has_canonical_format

@@ -4,6 +4,7 @@ import pytest
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
 from mlgcn.kernels import (multi_label_loss, single_label_loss,
                            single_label_loss_grad, softmax_rows)
+from mlgcn.graph import DataSplit
 from mlgcn.metrics import split_dataset
 from mlgcn.operators import build_operators
 from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
@@ -375,6 +376,33 @@ class TestTrain:
         assert np.array_equal(model.label_block, result.model.label_block)
         for key in model.weights:
             assert np.array_equal(model.weights[key], result.model.weights[key])
+
+    def test_one_eval_forward_per_epoch(self, monkeypatch):
+        # the last epoch's validation forward is the embedding forward; only
+        # a split without validation nodes needs a separate final one
+        import mlgcn.training as training_module
+        eval_logits = []
+
+        def recording(*args, **kwargs):
+            logits, caches = forward_node_gcn(*args, **kwargs)
+            if not kwargs.get("training", False):
+                eval_logits.append(logits)
+            return logits, caches
+
+        monkeypatch.setattr(training_module, "forward_node_gcn", recording)
+        g = small_graph(seed=8)
+        split = split_dataset(g, 0.25, seed=8)
+        assert split.val_nodes.size
+        result = train(g, split, small_config(epochs=5, dropout=0.5))
+        assert len(eval_logits) == 5
+        assert result.embeddings is eval_logits[-1]
+
+        eval_logits.clear()
+        no_val = DataSplit(split.train_nodes, np.array([], dtype=np.int64),
+                           split.test_nodes)
+        result = train(g, no_val, small_config(epochs=5, dropout=0.5))
+        assert len(eval_logits) == 1
+        assert result.embeddings is eval_logits[-1]
 
     def test_large_frequencies_with_skip_keep_features_static(self):
         g = small_graph(seed=5)
