@@ -274,7 +274,7 @@ def cmd_train(args) -> int:
         "manifest": os.path.join(args.out, "manifest.json"),
     }
     save_checkpoint(paths["checkpoint"], result.model, config,
-                    config.epochs, fingerprint)
+                    config.epochs, fingerprint, result.optimizer)
     write_history_csv(paths["history"], result.history)
     write_embeddings_tsv(paths["embeddings"], graph.node_ids, result.embeddings)
 

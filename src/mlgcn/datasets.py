@@ -9,6 +9,7 @@ comma, tab and whitespace unless forced.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -133,7 +134,7 @@ def parse_edge_list(stream, delimiter: str | None = None):
                 raise ParseError(no, f"bad weight {fields[2]!r}") from None
         else:
             w = 1.0
-        if not np.isfinite(w) or w <= 0:
+        if not math.isfinite(w) or w <= 0:
             raise ParseError(no, "nonpositive edge weight")
         if src == dst:
             self_loops += 1

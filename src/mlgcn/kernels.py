@@ -2,11 +2,15 @@
 and hand-derived reverse-mode gradients.
 
 A convolution layer computes ``act(op @ dropout(H) @ W)`` where `op` is a
-fixed sparse propagation operator. `forward_stack` walks a stack of such
-layers and records everything the backward pass needs (aggregated inputs,
-pre-activations, dropout masks); `backward` then walks the two layer stacks
-in reverse. Gradients never flow into the operators or the input feature
-blocks — those are constants.
+fixed sparse propagation operator. Each layer picks the cheaper association
+of that product from the shapes alone (`propagates_first`): ``(op @ H) @ W``
+when W widens its input, ``op @ (H @ W)`` when W narrows it, so the sparse
+product runs over the narrower side. `forward_stack` walks a stack of such
+layers and records everything the backward pass needs (the matrix W
+multiplies, pre-activations, dropout masks); `backward` then walks the two
+layer stacks in reverse, in the order each layer's forward used. Gradients
+never flow into the operators or the input feature blocks — those are
+constants.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 from .matrices import SparseMatrix
 
 __all__ = [
-    "LayerCache", "spmm", "relu", "sigmoid", "gcn_layer_forward",
+    "LayerCache", "spmm", "relu", "sigmoid", "propagates_first",
+    "gcn_layer_forward",
     "softmax_rows", "single_label_loss", "multi_label_loss",
     "single_label_loss_grad", "multi_label_loss_grad",
     "forward_stack", "backward", "backward_stack",
@@ -54,12 +59,26 @@ class LayerCache:
 
     op: SparseMatrix
     weight: np.ndarray
-    aggregated: np.ndarray        # op @ dropout(H), feeds dW
+    weight_input: np.ndarray      # what W multiplies, feeds dW: op @ dropout(H)
+                                  # when propagated first, else dropout(H)
     pre_activation: np.ndarray
     post_activation: np.ndarray
     mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)), None in eval
     activation: str
     weight_key: str
+    propagated_first: bool        # (op @ dropout(H)) @ W rather than op @ (dropout(H) @ W)
+
+
+def propagates_first(op_shape: tuple[int, int], op_nnz: int,
+                     w_shape: tuple[int, int]) -> bool:
+    """Whether ``(op @ H) @ W`` costs no more flops than ``op @ (H @ W)``.
+
+    With `op` rows x cols holding nnz entries and `W` d x h, the first
+    order costs rows*d*h + nnz*d and the second cols*d*h + nnz*h; ties
+    propagate first.
+    """
+    (rows, cols), (d, h) = op_shape, w_shape
+    return rows * d * h + op_nnz * d <= cols * d * h + op_nnz * h
 
 
 def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
@@ -67,7 +86,8 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
                       training: bool = False,
                       rng: np.random.Generator | None = None,
                       weight_key: str = "") -> tuple[np.ndarray, LayerCache]:
-    """One convolution layer: act(op @ drop(H) @ W).
+    """One convolution layer: act(op @ drop(H) @ W), associated in the
+    order `propagates_first` picks from the operator and weight shapes.
 
     In training mode dropout zeroes input entries with probability p and
     scales survivors by 1/(1-p); in eval mode it is the identity.
@@ -87,12 +107,18 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
             raise ValueError("training dropout needs an rng")
         mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
         hd = h * mask
-    aggregated = spmm(op, hd)
-    z = aggregated @ w
+    first = propagates_first(op.shape, op.nnz, w.shape)
+    if first:
+        weight_input = spmm(op, hd)
+        z = weight_input @ w
+    else:
+        weight_input = hd
+        z = spmm(op, hd @ w)
     out = relu(z) if activation == "relu" else z
-    cache = LayerCache(op=op, weight=w, aggregated=aggregated,
+    cache = LayerCache(op=op, weight=w, weight_input=weight_input,
                        pre_activation=z, post_activation=out, mask=mask,
-                       activation=activation, weight_key=weight_key)
+                       activation=activation, weight_key=weight_key,
+                       propagated_first=first)
     return out, cache
 
 
@@ -163,9 +189,13 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
                    grads: dict[str, np.ndarray]):
     """Reverse through one layer stack, accumulating weight gradients.
 
-    No gradient flows into the input features, so the first layer's
-    non-square operator is never transposed; the square operators above it
-    are built symmetric and serve as their own transposes.
+    Each layer follows its forward order. A layer that propagated first
+    takes dW from its cached op @ dropout(H) and, above the first layer,
+    sends opᵀ @ (dZ @ Wᵀ) down. A layer that multiplied W first forms
+    opᵀ @ dZ once, over W's fan-out columns, and takes both dW and the
+    input gradient from it. That needs the transpose of the first layer's
+    non-square operator too; scipy's ``.T`` view multiplies as fast as a
+    built transpose. No gradient flows into the input features.
     """
     g = d_out
     for idx in range(len(caches) - 1, -1, -1):
@@ -174,13 +204,17 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
             dz = g * (cache.pre_activation > 0.0)
         else:
             dz = g
-        dw = cache.aggregated.T @ dz
+        # gradient w.r.t. the product weight_input @ W
+        d_prod = dz if cache.propagated_first else spmm(cache.op.T, dz)
+        dw = cache.weight_input.T @ d_prod
         if cache.weight_key in grads:
             grads[cache.weight_key] += dw
         else:
             grads[cache.weight_key] = dw
         if idx > 0:
-            d_hd = spmm(cache.op, dz @ cache.weight.T)
+            d_hd = d_prod @ cache.weight.T
+            if cache.propagated_first:
+                d_hd = spmm(cache.op.T, d_hd)
             g = d_hd * cache.mask if cache.mask is not None else d_hd
 
 

@@ -142,6 +142,7 @@ class TrainResult:
     model: ModelState
     history: TrainHistory
     embeddings: np.ndarray  # final eval-mode node logits, n x m
+    optimizer: _Optimizer   # its step count and Adam moments go into checkpoints
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -341,7 +342,8 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     if embeddings is None:
         embeddings, _ = forward_node_gcn(graph, operators, model, config,
                                          training=False)
-    return TrainResult(model=model, history=history, embeddings=embeddings)
+    return TrainResult(model=model, history=history, embeddings=embeddings,
+                       optimizer=optimizer)
 
 
 # -- checkpointing ----------------------------------------------------------

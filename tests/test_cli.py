@@ -122,6 +122,22 @@ class TestTrain:
         for key in ("checkpoint", "history", "embeddings", "manifest"):
             assert (out / manifest["artifacts"][key].split("/")[-1]).exists()
 
+    def test_adam_checkpoint_keeps_optimizer_state(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["train", "--synthetic", "k=2,size=10", "--epochs", "3",
+                    "--hidden", "8", "--optimizer", "adam",
+                    "--out", str(out)]) == EXIT_OK
+        with np.load(out / "checkpoint.npz") as data:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+            names = set(data.files)
+            assert meta["optimizer_steps"] == 3
+            assert meta["weight_keys"]
+            for key in meta["weight_keys"]:
+                for moment in ("adam_m", "adam_v"):
+                    assert f"{moment}__{key}" in names
+                    assert (data[f"{moment}__{key}"].shape
+                            == data[f"weight__{key}"].shape)
+
     def test_manifest_reproduces_run(self, tmp_path):
         out1 = tmp_path / "o1"
         run(["train", "--synthetic", "k=2,size=12,rho=0.7", "--epochs", "6",

@@ -28,6 +28,14 @@ class TestParseEdgeList:
         with pytest.raises(ParseError, match="nonpositive edge weight"):
             parse_edge_list("1,2,1\n3,4,-2")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400", "0",
+                                        "-1"])
+    def test_non_finite_or_nonpositive_weight_rejected(self, weight):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(f"1,2\n2,3,1.5\n3,4,{weight}\n4,5")
+        assert str(info.value) == "line 3: nonpositive edge weight"
+        assert info.value.line_no == 3
+
     def test_malformed_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_edge_list("1,2\n5\n3,4")

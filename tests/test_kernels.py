@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from mlgcn.kernels import (backward, gcn_layer_forward, multi_label_loss,
-                           multi_label_loss_grad, single_label_loss,
-                           single_label_loss_grad, softmax_rows, spmm)
+from mlgcn.kernels import (backward, backward_stack, forward_stack,
+                           gcn_layer_forward, multi_label_loss,
+                           multi_label_loss_grad, propagates_first,
+                           single_label_loss, single_label_loss_grad,
+                           softmax_rows, spmm)
 from mlgcn.matrices import SparseMatrix
 
 
@@ -70,6 +72,97 @@ class TestLayerForward:
         with pytest.raises(ValueError):
             gcn_layer_forward(SparseMatrix(np.eye(3)), np.ones((3, 2)),
                               np.ones((3, 2)))
+
+
+def random_op(rng, rows, cols, density=0.4):
+    dense = rng.random((rows, cols)) * (rng.random((rows, cols)) < density)
+    return SparseMatrix(dense)
+
+
+class TestAssociationOrder:
+    # (op rows, op cols, fan-in, fan-out, order that should be chosen)
+    BRANCHES = [
+        (6, 9, 12, 2, False),   # W narrows: H @ W first, non-square op
+        (6, 9, 2, 12, True),    # W widens: op @ H first, non-square op
+        (7, 7, 10, 3, False),
+        (7, 7, 3, 10, True),
+    ]
+
+    def test_choice_for_benchmark_shapes(self):
+        # BlogCatalog-shaped graph: 10312 nodes, 39 labels, 128-d features
+        assert not propagates_first((10312, 10312), 678278, (400, 39))
+        assert propagates_first((10312, 10351), 692756, (128, 400))
+        assert propagates_first((39, 10351), 15131, (128, 400))
+        # planted partition of 600 nodes with one-hot features, d = 608
+        assert not propagates_first((600, 600), 6262, (400, 8))
+        assert propagates_first((600, 608), 7337, (608, 400))
+        assert propagates_first((8, 608), 1091, (608, 400))
+
+    def test_tie_propagates_first(self):
+        assert propagates_first((5, 5), 10, (4, 4))
+
+    @pytest.mark.parametrize("rows,cols,d,h,first", BRANCHES)
+    def test_forward_matches_dense_oracle(self, rows, cols, d, h, first):
+        rng = np.random.default_rng(rows * 100 + d)
+        op = random_op(rng, rows, cols)
+        x = rng.standard_normal((cols, d))
+        w = rng.standard_normal((d, h))
+        assert propagates_first(op.shape, op.nnz, w.shape) == first
+        out, cache = gcn_layer_forward(op, x, w, activation="relu",
+                                       dropout=0.3, training=True,
+                                       rng=np.random.default_rng(4))
+        assert cache.propagated_first == first
+        assert cache.mask is not None and (cache.mask == 0).any()
+        want = np.maximum(op.toarray() @ (x * cache.mask) @ w, 0.0)
+        assert np.abs(out - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("widths,first", [
+        # non-square first layer W-first, then op-first, then W-first
+        ((12, 3, 10, 2), [False, True, False]),
+        # non-square first layer op-first, then W-first
+        ((2, 12, 3), [True, False]),
+    ])
+    def test_stack_gradients_match_finite_differences(self, widths, first):
+        rng = np.random.default_rng(len(widths))
+        n, cols = 7, 9
+        ops = [random_op(rng, n, cols)] + [random_op(rng, n, n)
+                                           for _ in widths[2:]]
+        keys = [f"w{i}" for i in range(len(ops))]
+        weights = {k: rng.standard_normal((a, b)) * 0.5
+                   for k, a, b in zip(keys, widths, widths[1:])}
+        x = rng.standard_normal((cols, widths[0]))
+        upstream = rng.standard_normal((n, widths[-1]))
+        layers = list(zip(ops, keys))
+
+        def forward():
+            # a fresh stream per call replays the same dropout masks
+            return forward_stack(layers, x, weights, dropout=0.2,
+                                 training=True, rng=np.random.default_rng(8))
+
+        def loss():
+            return float((forward()[0] * upstream).sum())
+
+        _, caches = forward()
+        assert [c.propagated_first for c in caches] == first
+        grads = {}
+        backward_stack(caches, upstream, grads)
+        assert set(grads) == set(keys)
+        eps = 1e-6
+        for key, analytic in grads.items():
+            w = weights[key]
+            it = np.nditer(w, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                orig = w[idx]
+                w[idx] = orig + eps
+                lp = loss()
+                w[idx] = orig - eps
+                lm = loss()
+                w[idx] = orig
+                fd = (lp - lm) / (2 * eps)
+                diff = abs(analytic[idx] - fd)
+                assert diff <= 1e-8 or diff <= 1e-5 * max(abs(analytic[idx]), abs(fd)), \
+                    f"{key}{idx}: analytic={analytic[idx]} fd={fd}"
 
 
 class TestSoftmaxRows:
