@@ -72,8 +72,12 @@ def parse_synthetic_spec(spec: str, seed: int) -> SyntheticConfig:
         field = _SYNTH_KEYS.get(key.strip())
         if field is None:
             raise UsageError(f"unknown synthetic parameter {key!r}")
-        kwargs[field] = (int(value) if field in ("communities", "community_size")
-                         else float(value))
+        cast = int if field in ("communities", "community_size") else float
+        try:
+            kwargs[field] = cast(value)
+        except ValueError:
+            raise UsageError(f"bad synthetic parameter {key}={value!r} "
+                             f"(expected {cast.__name__})") from None
     try:
         return SyntheticConfig(**kwargs)
     except ValueError as exc:
@@ -132,6 +136,9 @@ def _check_dataset_flags(args):
         raise UsageError("provide --edges and --labels, or --synthetic")
     if args.synthetic is not None and (args.edges or args.labels):
         raise UsageError("--synthetic excludes --edges/--labels")
+    if args.feature_dim < 0:
+        raise UsageError(f"--feature-dim must be >= 0 (0 selects one-hot "
+                         f"features), got {args.feature_dim}")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -214,9 +221,10 @@ def write_history_csv(path: str, history):
 
 
 def write_embeddings_tsv(path: str, node_ids, embeddings: np.ndarray):
-    lines = []
-    for i, node in enumerate(node_ids):
-        lines.append("\t".join([str(node)] + [_fmt(v) for v in embeddings[i]]))
+    # "%.17g" renders a float exactly as _fmt does
+    row = "\t".join(["%.17g"] * embeddings.shape[1])
+    lines = [f"{node}\t{row % tuple(values)}"
+             for node, values in zip(node_ids, embeddings.tolist())]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -391,7 +399,10 @@ def parse_grid(specs: list[str]) -> list[tuple[str, list]]:
         if name not in _GRID_FIELDS:
             raise UsageError(f"unknown grid parameter {name!r}")
         _, cast = _GRID_FIELDS[name]
-        parsed = [cast(v) for v in values.split(",") if v != ""]
+        try:
+            parsed = [cast(v) for v in values.split(",") if v != ""]
+        except ValueError as exc:
+            raise UsageError(f"bad grid value for {name!r}: {exc}") from None
         if not parsed:
             raise UsageError(f"empty grid for {name!r}")
         grid.append((name, parsed))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -90,82 +90,73 @@ class SyntheticConfig:
                 f"rho={self.rho!r},seed={self.seed}")
 
 
-def _lines(stream: TextIO | Iterable[str]) -> Iterable[tuple[int, str]]:
-    for no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line
-
-
-def _split(line: str, delimiter: str | None) -> list[str]:
-    if delimiter is not None:
-        return [f for f in line.split(delimiter) if f != ""]
-    if "\t" in line:
-        return [f for f in line.split("\t") if f != ""]
-    if "," in line:
-        return [f for f in line.split(",") if f != ""]
-    return line.split()
-
-
-def parse_edge_list(stream, delimiter: str | None = None):
-    """Parse an edge file into undirected weighted records.
-
-    Returns (edges, merged_duplicates, self_loops_dropped) where edges is a
-    list of (src, dst, weight) with string ids. A missing weight defaults to
-    1.0; duplicate undirected pairs are merged by summing weights; self-loops
-    are dropped and counted.
-    """
+def _records(stream: TextIO | Iterable[str] | str, delimiter: str | None,
+             arity: tuple[int, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based line number, fields) for every record line: lines are
+    stripped, blank and '#' lines skipped, and the field count checked."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    order: list[tuple[str, str]] = []
-    weight: dict[tuple[str, str], float] = {}
-    merged = 0
-    self_loops = 0
-    for no, line in _lines(stream):
-        fields = _split(line, delimiter)
-        if len(fields) not in (2, 3):
-            raise ParseError(no, f"expected 2 or 3 fields, got {len(fields)}")
-        src, dst = fields[0], fields[1]
+    expected = " or ".join(map(str, arity))
+    for no, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        sep = delimiter
+        if sep is None:
+            sep = "\t" if "\t" in line else "," if "," in line else None
+        fields = line.split(sep)
+        if "" in fields:
+            fields = [f for f in fields if f]
+        if len(fields) not in arity:
+            raise ParseError(no, f"expected {expected} fields, got {len(fields)}")
+        yield no, fields
+
+
+def parse_edge_list(stream, node_index: dict[str, int],
+                    delimiter: str | None = None):
+    """Parse an edge file into undirected weighted records.
+
+    Node ids get indices through `node_index`, new ids appended in order of
+    first appearance. Returns (src, dst, weight) arrays, one entry per line
+    that is not a self-loop; a missing weight defaults to 1.0. Repeated
+    pairs stay repeated here: `_assemble_graph` sums them.
+    """
+    src: list[int] = []
+    dst: list[int] = []
+    weight: list[float] = []
+    index = node_index.setdefault
+    for no, fields in _records(stream, delimiter, (2, 3)):
+        w = 1.0
         if len(fields) == 3:
             try:
                 w = float(fields[2])
             except ValueError:
                 raise ParseError(no, f"bad weight {fields[2]!r}") from None
-        else:
-            w = 1.0
-        if not math.isfinite(w) or w <= 0:
-            raise ParseError(no, "nonpositive edge weight")
-        if src == dst:
-            self_loops += 1
+            if not math.isfinite(w) or w <= 0:
+                raise ParseError(no, "nonpositive edge weight")
+        a, b = fields[0], fields[1]
+        if a == b:
             continue
-        key = (src, dst) if (src, dst) in weight else (dst, src)
-        if key in weight:
-            weight[key] += w
-            merged += 1
-        else:
-            key = (src, dst)
-            weight[key] = w
-            order.append(key)
-    edges = [(s, d, weight[(s, d)]) for s, d in order]
-    return edges, merged, self_loops
+        src.append(index(a, len(node_index)))
+        dst.append(index(b, len(node_index)))
+        weight.append(w)
+    return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            np.array(weight, dtype=np.float64))
 
 
-def parse_label_assignments(stream, delimiter: str | None = None):
-    """Parse a label file into distinct (node id, label id) pairs."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    seen: set[tuple[str, str]] = set()
-    pairs: list[tuple[str, str]] = []
-    for no, line in _lines(stream):
-        fields = _split(line, delimiter)
-        if len(fields) != 2:
-            raise ParseError(no, f"expected 2 fields, got {len(fields)}")
-        pair = (fields[0], fields[1])
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-    return pairs
+def parse_label_assignments(stream, node_index: dict[str, int],
+                            label_index: dict[str, int],
+                            delimiter: str | None = None):
+    """Parse a label file into (node, label) index arrays, one entry per
+    line, with ids indexed through `node_index` and `label_index` as in
+    `parse_edge_list`."""
+    nodes: list[int] = []
+    labels: list[int] = []
+    node, label = node_index.setdefault, label_index.setdefault
+    for _, (v, lab) in _records(stream, delimiter, (2,)):
+        nodes.append(node(v, len(node_index)))
+        labels.append(label(lab, len(label_index)))
+    return np.array(nodes, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
 def _build_features(n: int, m: int, config: FeatureConfig):
@@ -179,36 +170,28 @@ def _build_features(n: int, m: int, config: FeatureConfig):
     return x, y
 
 
-def _assemble_graph(edges, pairs, features: FeatureConfig) -> MultiLabelGraph:
-    node_index: dict[str, int] = {}
-    for s, d, _ in edges:
-        for v in (s, d):
-            if v not in node_index:
-                node_index[v] = len(node_index)
-    label_index: dict[str, int] = {}
-    for v, lab in pairs:
-        if v not in node_index:
-            node_index[v] = len(node_index)
-        if lab not in label_index:
-            label_index[lab] = len(label_index)
-    n, m = len(node_index), len(label_index)
-
-    ei = np.array([node_index[s] for s, _, _ in edges], dtype=np.int64)
-    ej = np.array([node_index[d] for _, d, _ in edges], dtype=np.int64)
-    ew = np.array([w for _, _, w in edges])
-    adjacency = SparseMatrix.from_coo(
-        n, n, np.concatenate([ei, ej]), np.concatenate([ej, ei]),
-        np.concatenate([ew, ew]))
-
-    bi = np.array([node_index[v] for v, _ in pairs], dtype=np.int64)
-    bj = np.array([label_index[lab] for _, lab in pairs], dtype=np.int64)
-    assignments = SparseMatrix.from_coo(n, m, bi, bj, np.ones(len(pairs)))
+def _assemble_graph(node_ids, label_ids, edges, pairs,
+                    features: FeatureConfig) -> MultiLabelGraph:
+    """Build the graph from index arrays: `edges` is (src, dst, weight) with
+    repeated pairs summed here, `pairs` is (node, label) with repeats
+    counted once."""
+    n, m = len(node_ids), len(label_ids)
+    src, dst, weight = edges
+    # summing each pair once, in the upper triangle, puts the very same
+    # float on both sides of the diagonal
+    upper = SparseMatrix.from_coo(n, n, np.minimum(src, dst),
+                                  np.maximum(src, dst), weight)
+    adjacency = SparseMatrix(upper + upper.T)
+    members, labels = pairs
+    assignments = SparseMatrix.from_coo(n, m, members, labels,
+                                        np.ones(members.size))
+    assignments.data[:] = 1.0
 
     x, y = _build_features(n, m, features)
     return MultiLabelGraph(
         node_count=n, label_count=m, adjacency=adjacency,
         label_assignments=assignments, node_features=x, label_features=y,
-        node_ids=tuple(node_index), label_ids=tuple(label_index))
+        node_ids=tuple(node_ids), label_ids=tuple(label_ids))
 
 
 def load_dataset(edge_path, label_path, features: FeatureConfig | None = None,
@@ -218,13 +201,16 @@ def load_dataset(edge_path, label_path, features: FeatureConfig | None = None,
     External ids map to dense indices in first-appearance order (edge file
     first); nodes present only in the label file become isolated nodes.
     """
+    node_index: dict[str, int] = {}
+    label_index: dict[str, int] = {}
     with open(edge_path, "r", encoding="utf-8") as fh:
-        edges, _, _ = parse_edge_list(fh, delimiter)
+        edges = parse_edge_list(fh, node_index, delimiter)
     with open(label_path, "r", encoding="utf-8") as fh:
-        pairs = parse_label_assignments(fh, delimiter)
-    if not pairs:
+        pairs = parse_label_assignments(fh, node_index, label_index, delimiter)
+    if not label_index:
         raise ValueError("no labels")
-    return _assemble_graph(edges, pairs, features or FeatureConfig())
+    return _assemble_graph(list(node_index), list(label_index), edges, pairs,
+                           features or FeatureConfig())
 
 
 def dataset_stats(g: MultiLabelGraph) -> DatasetStats:
@@ -261,18 +247,20 @@ def generate_synthetic(config: SyntheticConfig,
 
     extra = rng.random(n) < config.rho
 
-    node_ids = [str(i) for i in range(n)]
-    edges = [(node_ids[i], node_ids[j], 1.0) for i, j in zip(ei, ej)]
-    pairs: list[tuple[str, str]] = []
-    for i in range(n):
-        pairs.append((node_ids[i], f"home{comm[i]}"))
-    for i in range(n):
-        if extra[i]:
-            pairs.append((node_ids[i], f"corr{comm[i]}"))
+    # node order as if read from files: first appearance among the kept
+    # edges, then the nodes no edge touches (sorted last), in index order
+    ends = np.column_stack([ei, ej]).ravel()
+    first = np.full(n, ends.size)
+    np.minimum.at(first, ends, np.arange(ends.size))
+    order = np.argsort(first, kind="stable")
+    index = np.argsort(order)
+    # labels as if read from files: every home label, then the correlated
+    # labels that have members, by community
+    corr = np.unique(comm[extra])
+    members = np.concatenate([np.arange(n), np.flatnonzero(extra)])
+    labels = np.concatenate([comm, k + np.searchsorted(corr, comm[extra])])
+    label_ids = [f"home{c}" for c in range(k)] + [f"corr{c}" for c in corr]
 
-    if features is None:
-        features = FeatureConfig()
-    g = _assemble_graph(edges, pairs, features)
-    # _assemble_graph appends label-file-only nodes; the home-label pass
-    # covers every node, so node order stays 0..n-1 even for isolated nodes.
-    return g
+    edges = (index[ei], index[ej], np.ones(ei.size))
+    return _assemble_graph([str(i) for i in order], label_ids, edges,
+                           (index[members], labels), features or FeatureConfig())

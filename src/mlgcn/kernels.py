@@ -62,7 +62,6 @@ class LayerCache:
     weight_input: np.ndarray      # what W multiplies, feeds dW: op @ dropout(H)
                                   # when propagated first, else dropout(H)
     pre_activation: np.ndarray
-    post_activation: np.ndarray
     mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)), None in eval
     activation: str
     weight_key: str
@@ -116,9 +115,8 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
         z = spmm(op, hd @ w)
     out = relu(z) if activation == "relu" else z
     cache = LayerCache(op=op, weight=w, weight_input=weight_input,
-                       pre_activation=z, post_activation=out, mask=mask,
-                       activation=activation, weight_key=weight_key,
-                       propagated_first=first)
+                       pre_activation=z, mask=mask, activation=activation,
+                       weight_key=weight_key, propagated_first=first)
     return out, cache
 
 

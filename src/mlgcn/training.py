@@ -31,10 +31,10 @@ from .rng import rng_stream
 
 __all__ = [
     "VARIANTS", "TrainConfig", "ModelState", "TrainHistory", "TrainResult",
-    "DivergenceError", "CheckpointError", "layer_table", "init_model",
-    "forward_label_gcn", "forward_node_gcn", "inject_label_features",
-    "inject_node_features", "sgd_step", "train", "save_checkpoint",
-    "load_checkpoint",
+    "DivergenceError", "CheckpointError", "layer_table", "weight_shapes",
+    "init_model", "forward_label_gcn", "forward_node_gcn",
+    "inject_label_features", "inject_node_features", "sgd_step", "train",
+    "save_checkpoint", "load_checkpoint",
 ]
 
 VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
@@ -150,21 +150,29 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def weight_shapes(config: TrainConfig, d: int,
+                  m: int) -> dict[str, tuple[int, int]]:
+    """Each weight's (fan-in, fan-out) for feature width d and m labels, in
+    `layer_table` order: each stack's widths run d -> hidden -> ... -> m."""
+    shapes: dict[str, tuple[int, int]] = {}
+    for layers in layer_table(config).values():
+        widths = [d] + [config.hidden_dim] * (len(layers) - 1) + [m]
+        for (_, key), fan_in, fan_out in zip(layers, widths, widths[1:]):
+            shapes[key] = (fan_in, fan_out)
+    return shapes
+
+
 def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
-    """Glorot-uniform weights and projections from the seed's init stream;
-    injected blocks start as the raw feature matrices. Each stack's widths
-    run d -> hidden -> ... -> m, label stack first."""
+    """Glorot-uniform weights and projections from the seed's init stream,
+    drawn in `weight_shapes` order; injected blocks start as the raw
+    feature matrices."""
     d, m = graph.feature_dim, graph.label_count
     rng = rng_stream(config.seed, "init")
 
-    weights: dict[str, np.ndarray] = {}
+    weights = {key: _glorot(rng, *shape)
+               for key, shape in weight_shapes(config, d, m).items()}
     projections: dict[str, np.ndarray] = {}
-    table = layer_table(config)
-    for layers in table.values():
-        widths = [d] + [config.hidden_dim] * (len(layers) - 1) + [m]
-        for (_, key), fan_in, fan_out in zip(layers, widths, widths[1:]):
-            weights[key] = _glorot(rng, fan_in, fan_out)
-    if table["label"]:
+    if layer_table(config)["label"]:
         projections["proj_node"] = _glorot(rng, m, d)   # maps node logits to features
         projections["proj_label"] = _glorot(rng, m, d)  # maps label logits to features
 
@@ -384,8 +392,9 @@ def load_checkpoint(path):
     """Load a checkpoint; returns (model, config, epoch, fingerprint).
 
     Raises CheckpointError for a file that is not a complete checkpoint
-    archive, lacks an entry, carries an unknown config field, or has
-    another version than this build writes.
+    archive, lacks an entry, carries an unknown config field, has another
+    version than this build writes, or holds other weights than
+    `weight_shapes` lays out for its config and stored label block.
     """
     try:
         with np.load(path) as data:
@@ -396,6 +405,13 @@ def load_checkpoint(path):
                     f"(this build reads version {CHECKPOINT_VERSION})")
             config = TrainConfig(**meta["config"])
             weights = {k: data[f"weight__{k}"] for k in meta["weight_keys"]}
+            m, d = data["label_block"].shape
+            shapes = weight_shapes(config, d, m)
+            stored = {k: w.shape for k, w in weights.items()}
+            if stored != shapes:
+                raise CheckpointError(
+                    f"{path}: weight shapes {stored} do not match the "
+                    f"{config.variant} layout {shapes}")
             projections = {k: data[f"projection__{k}"]
                            for k in meta["projection_keys"]}
             model = ModelState(

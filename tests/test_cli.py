@@ -73,6 +73,29 @@ class TestStats:
         assert run(["stats"]) == EXIT_USAGE
 
 
+# flags whose values fail to parse -> text the one-line usage error names
+BAD_VALUES = {
+    "synthetic_not_a_number": (["train", "--synthetic", "k=abc,size=10",
+                                "--out", "o"], "k='abc'"),
+    "grid_not_a_number": (["sweep", "--synthetic", "k=2,size=10",
+                           "--grid", "epochs=x", "--out", "o"], "'epochs'"),
+    "negative_feature_dim": (["train", "--synthetic", "k=2,size=10",
+                              "--feature-dim", "-3", "--out", "o"],
+                             "--feature-dim"),
+    "negative_feature_dim_stats": (["stats", "--synthetic", "k=2,size=10",
+                                    "--feature-dim", "-3"], "--feature-dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_is_usage_error(tmp_path, monkeypatch, capsys, case):
+    argv, named = BAD_VALUES[case]
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err
+
+
 class TestTrain:
     def test_deterministic_artifacts(self, tmp_path, capsys):
         argv = ["train", "--synthetic", "k=2,size=12,rho=0.8", "--seed", "7",
@@ -247,6 +270,13 @@ BROKEN_CHECKPOINTS = {
         "bogus"),
     "version_1": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_1),
                   "unsupported checkpoint version 1"),
+    "missing_weight_key": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: meta["weight_keys"].remove("w1_node")),
+        "w1_node"),
+    "narrowed_weight": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: arrays.update(
+            weight__w1_node=arrays["weight__w1_node"][:, :-1])),
+        "'w1_node': (32, 3)"),
 }
 
 

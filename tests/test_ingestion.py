@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -9,74 +10,104 @@ from mlgcn.datasets import (FeatureConfig, ParseError, SyntheticConfig,
 from mlgcn.graph import validate_graph
 
 
+def parse_edges(text, delimiter=None):
+    """parse_edge_list's node ids, then its src, dst and weight as lists."""
+    nodes = {}
+    src, dst, weight = parse_edge_list(text, nodes, delimiter)
+    return list(nodes), src.tolist(), dst.tolist(), weight.tolist()
+
+
+def load_text(tmp_path, edges, labels):
+    (tmp_path / "e").write_text(edges)
+    (tmp_path / "l").write_text(labels)
+    return load_dataset(tmp_path / "e", tmp_path / "l")
+
+
 class TestParseEdgeList:
     def test_two_edges_default_weight(self):
-        edges, merged, loops = parse_edge_list("1,2\n2,3")
-        assert edges == [("1", "2", 1.0), ("2", "3", 1.0)]
-        assert merged == 0 and loops == 0
+        assert parse_edges("1,2\n2,3") == (["1", "2", "3"], [0, 1], [1, 2],
+                                           [1.0, 1.0])
 
-    def test_symmetric_duplicate_merged(self):
-        edges, merged, _ = parse_edge_list("1,2\n2,1")
-        assert edges == [("1", "2", 2.0)]
-        assert merged == 1
+    def test_symmetric_duplicate_merged(self, tmp_path):
+        # the parser keeps both lines; the assembled graph holds one edge
+        assert parse_edges("1,2\n2,1") == (["1", "2"], [0, 1], [1, 0],
+                                           [1.0, 1.0])
+        g = load_text(tmp_path, "1,2\n2,1", "1,a\n")
+        assert np.array_equal(g.adjacency.to_dense(), [[0, 2], [2, 0]])
+        assert dataset_stats(g).edge_count == 1
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ParseError, match="line 1.*nonpositive edge weight"):
-            parse_edge_list("1,2,0")
+            parse_edge_list("1,2,0", {})
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ParseError, match="nonpositive edge weight"):
-            parse_edge_list("1,2,1\n3,4,-2")
+            parse_edge_list("1,2,1\n3,4,-2", {})
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400", "0",
                                         "-1"])
     def test_non_finite_or_nonpositive_weight_rejected(self, weight):
         with pytest.raises(ParseError) as info:
-            parse_edge_list(f"1,2\n2,3,1.5\n3,4,{weight}\n4,5")
+            parse_edge_list(f"1,2\n2,3,1.5\n3,4,{weight}\n4,5", {})
         assert str(info.value) == "line 3: nonpositive edge weight"
         assert info.value.line_no == 3
 
     def test_malformed_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_edge_list("1,2\n5\n3,4")
+            parse_edge_list("1,2\n5\n3,4", {})
 
-    def test_self_loops_dropped_and_counted(self):
-        edges, _, loops = parse_edge_list("1,1\n1,2\n2,2")
-        assert edges == [("1", "2", 1.0)]
-        assert loops == 2
+    def test_self_loops_dropped(self):
+        assert parse_edges("1,1\n1,2\n2,2") == (["1", "2"], [0], [1], [1.0])
+        # a node seen only in self-loops gets no index
+        assert parse_edges("3,3\n1,2")[0] == ["1", "2"]
 
-    def test_explicit_weights_summed(self):
-        edges, merged, _ = parse_edge_list("a,b,2.5\nb,a,0.5")
-        assert edges == [("a", "b", 3.0)]
-        assert merged == 1
+    def test_explicit_weights_summed(self, tmp_path):
+        assert parse_edges("a,b,2.5\nb,a,0.5")[3] == [2.5, 0.5]
+        g = load_text(tmp_path, "a,b,2.5\nb,a,0.5", "a,x\n")
+        assert np.array_equal(g.adjacency.to_dense(), [[0, 3.0], [3.0, 0]])
 
     def test_comments_and_blanks_skipped(self):
-        edges, _, _ = parse_edge_list("# header\n\n1,2\n")
-        assert edges == [("1", "2", 1.0)]
+        assert parse_edges("# header\n\n1,2\n") == (["1", "2"], [0], [1], [1.0])
+        with pytest.raises(ParseError, match="line 4"):
+            parse_edge_list("# header\n\n1,2\nbroken\n", {})
 
     def test_tab_and_space_delimiters_autodetected(self):
-        assert parse_edge_list("1\t2")[0] == [("1", "2", 1.0)]
-        assert parse_edge_list("1 2 4.0")[0] == [("1", "2", 4.0)]
+        assert parse_edges("1\t2") == (["1", "2"], [0], [1], [1.0])
+        assert parse_edges("1 2 4.0") == (["1", "2"], [0], [1], [4.0])
 
     def test_forced_delimiter(self):
-        edges, _, _ = parse_edge_list(io.StringIO("a|b"), delimiter="|")
-        assert edges == [("a", "b", 1.0)]
+        assert parse_edges(io.StringIO("a|b"), delimiter="|") == (
+            ["a", "b"], [0], [1], [1.0])
+
+    def test_ids_continue_the_callers_index(self):
+        nodes = {"x": 0}
+        src, dst, _ = parse_edge_list("y,x", nodes)
+        assert nodes == {"x": 0, "y": 1}
+        assert (src.tolist(), dst.tolist()) == ([1], [0])
 
 
 class TestParseLabelAssignments:
     def test_multi_label_node(self):
-        assert parse_label_assignments("1,10\n1,11") == [("1", "10"), ("1", "11")]
+        nodes, labels = {}, {}
+        members, groups = parse_label_assignments("1,10\n1,11", nodes, labels)
+        assert (members.tolist(), groups.tolist()) == ([0, 0], [0, 1])
+        assert (list(nodes), list(labels)) == (["1"], ["10", "11"])
 
-    def test_duplicates_removed(self):
-        assert parse_label_assignments("1,10\n1,10") == [("1", "10")]
+    def test_duplicates_removed(self, tmp_path):
+        # the parser keeps both lines; the assembled graph holds one entry
+        members, groups = parse_label_assignments("1,10\n1,10", {}, {})
+        assert (members.tolist(), groups.tolist()) == ([0, 0], [0, 0])
+        g = load_text(tmp_path, "1,2\n", "1,10\n1,10\n2,10\n")
+        assert g.label_assignments.nnz == 2
+        assert np.array_equal(g.label_assignments.to_dense(), [[1], [1]])
 
     def test_arity_error(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_label_assignments("1")
+            parse_label_assignments("1", {}, {})
 
     def test_three_fields_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_label_assignments("1,2,3")
+            parse_label_assignments("1,2,3", {}, {})
 
 
 class TestLoadDataset:
@@ -118,6 +149,87 @@ class TestLoadDataset:
         again = load_dataset(tmp_path / "e", tmp_path / "l",
                              FeatureConfig(kind="gaussian", dim=8, seed=3))
         assert np.array_equal(g.node_features, again.node_features)
+
+
+def _random_files(seed):
+    """Edge and label text with duplicate pairs in both orientations (some
+    repeated 3+ times), self-loops, comments and mixed delimiters, plus the
+    first-appearance id orders, the summed adjacency and the membership set
+    that loading them must give. Weights are dyadic, so every sum is exact
+    in any order."""
+    rng = np.random.default_rng(seed)
+    ids = [f"v{i}" for i in rng.permutation(40)]
+    seps = ["\t", ",", " "]
+    lines, nodes, summed, orientations = ["# edges"], {}, {}, {}
+    pairs = [tuple(rng.choice(ids, 2, replace=False)) for _ in range(60)]
+    for _ in range(300):
+        if rng.random() < 0.05:
+            a = b = ids[rng.integers(len(ids))]
+        else:
+            a, b = pairs[rng.integers(len(pairs))]
+            if rng.random() < 0.5:
+                a, b = b, a
+        sep = seps[rng.integers(3)]
+        if rng.random() < 0.3:
+            w = 1.0
+            lines.append(f"{a}{sep}{b}")
+        else:
+            w = int(rng.integers(1, 17)) / 8
+            lines.append(f"{a}{sep}{b}{sep}{w}")
+        if rng.random() < 0.05:
+            lines.append("# a comment")
+        if a != b:
+            nodes.setdefault(a, len(nodes))
+            nodes.setdefault(b, len(nodes))
+            key = frozenset((a, b))
+            summed[key] = summed.get(key, 0.0) + w
+            orientations.setdefault(key, []).append((a, b))
+    label_lines, labels, members = [], {}, set()
+    for k in range(80):
+        # the last lines add a label-only node and repeat its pair
+        v = ids[rng.integers(len(ids))] if k < 78 else "only"
+        lab = f"g{rng.integers(6)}" if k < 78 else "g0"
+        label_lines.append(f"{v}{seps[rng.integers(3)]}{lab}")
+        nodes.setdefault(v, len(nodes))
+        labels.setdefault(lab, len(labels))
+        members.add((v, lab))
+    adjacency = np.zeros((len(nodes), len(nodes)))
+    for key, w in summed.items():
+        i, j = (nodes[v] for v in key)
+        adjacency[i, j] = adjacency[j, i] = w
+    assert any(len(seen) >= 3 and len(set(seen)) == 2
+               for seen in orientations.values())
+    return ("\n".join(lines) + "\n", "\n".join(label_lines) + "\n",
+            list(nodes), list(labels), adjacency, members)
+
+
+class TestIngestionOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_load_matches_dict_oracle(self, tmp_path, seed):
+        edges, labels, node_ids, label_ids, a, members = _random_files(seed)
+        g = load_text(tmp_path, edges, labels)
+        assert list(g.node_ids) == node_ids
+        assert list(g.label_ids) == label_ids
+        assert np.array_equal(g.adjacency.to_dense(), a)
+        assert (g.adjacency != g.adjacency.T).nnz == 0
+        b = g.label_assignments.tocoo()
+        assert set(zip((g.node_ids[i] for i in b.row),
+                       (g.label_ids[j] for j in b.col))) == members
+        assert np.all(b.data == 1.0)
+        assert validate_graph(g) == []
+
+    def test_inexact_repeated_weights_stay_bitwise_symmetric(self, tmp_path):
+        # the sum of 0.1, 0.2 and 0.7 depends on the order it is taken in;
+        # in every order of the lines both triangles of A hold the same float
+        lines = [f"{a},{b},{w}" for w in (0.1, 0.2, 0.7)
+                 for a, b in (("a", "b"), ("b", "a"))]
+        for order in itertools.permutations(lines):
+            g = load_text(tmp_path, "\n".join(order), "a,x\n")
+            dense = g.adjacency.to_dense()
+            assert dense[0, 1] == dense[1, 0]
+            assert abs(dense[0, 1] - 2.0) < 1e-12
+            assert (g.adjacency != g.adjacency.T).nnz == 0
+            assert validate_graph(g) == []
 
 
 class TestDatasetStats:
@@ -190,6 +302,23 @@ class TestGenerateSynthetic:
                                                    community_size=8,
                                                    rho=0.5, seed=seed))
             assert validate_graph(g) == []
+
+    def test_node_order_as_if_read_from_files(self):
+        # first appearance among the edges in generation order (i < j,
+        # row-major by original index), then untouched nodes by index
+        g = generate_synthetic(SyntheticConfig(communities=3, community_size=20,
+                                               p_intra=0.05, p_inter=0.0,
+                                               seed=4))
+        original = np.array([int(v) for v in g.node_ids])
+        a = g.adjacency.tocoo()
+        edges = sorted((original[i], original[j])
+                       for i, j in zip(a.row, a.col)
+                       if original[i] < original[j])
+        order = list(dict.fromkeys(v for edge in edges for v in edge))
+        isolated = sorted(set(range(g.node_count)) - set(order))
+        assert isolated  # the check covers untouched nodes
+        assert original.tolist() == order + isolated
+        assert g.label_ids[:3] == ("home0", "home1", "home2")
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
