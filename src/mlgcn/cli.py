@@ -23,8 +23,8 @@ import time
 
 import numpy as np
 
-from .datasets import (FeatureConfig, ParseError, SyntheticConfig,
-                       dataset_stats, generate_synthetic, load_dataset)
+from .datasets import (ParseError, SyntheticConfig, dataset_stats,
+                       generate_synthetic, load_dataset)
 from .metrics import (evaluate, label_correlation_matrix, per_label_breakdown,
                       split_dataset)
 from .operators import build_operators
@@ -84,12 +84,6 @@ def parse_synthetic_spec(spec: str, seed: int) -> SyntheticConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _feature_config(args, seed: int) -> FeatureConfig:
-    if getattr(args, "feature_dim", None):
-        return FeatureConfig(kind="gaussian", dim=args.feature_dim, seed=seed)
-    return FeatureConfig()
-
-
 def _file_fingerprint(h: "hashlib._Hash", path: str):
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -106,16 +100,15 @@ def dataset_fingerprint(args, seed: int) -> str:
         _file_fingerprint(h, args.edges)
         h.update(b"labels:")
         _file_fingerprint(h, args.labels)
-    feats = _feature_config(args, seed)
-    h.update(f"features:{feats.kind}:{feats.dim}".encode())
+    kind = "gaussian" if args.feature_dim else "one_hot"
+    h.update(f"features:{kind}:{args.feature_dim}".encode())
     return h.hexdigest()
 
 
 def build_graph(args, seed: int):
-    feats = _feature_config(args, seed)
     if args.synthetic is not None:
-        return generate_synthetic(parse_synthetic_spec(args.synthetic, seed), feats)
-    return load_dataset(args.edges, args.labels, feats, delimiter=args.delimiter)
+        return generate_synthetic(parse_synthetic_spec(args.synthetic, seed))
+    return load_dataset(args.edges, args.labels, delimiter=args.delimiter)
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser):
@@ -136,6 +129,9 @@ def _check_dataset_flags(args):
         raise UsageError("provide --edges and --labels, or --synthetic")
     if args.synthetic is not None and (args.edges or args.labels):
         raise UsageError("--synthetic excludes --edges/--labels")
+    if args.delimiter == "":
+        raise UsageError("--delimiter must not be empty (omit it to "
+                         "auto-detect)")
     if args.feature_dim < 0:
         raise UsageError(f"--feature-dim must be >= 0 (0 selects one-hot "
                          f"features), got {args.feature_dim}")
@@ -175,7 +171,8 @@ def train_config_from_args(args) -> TrainConfig:
             label_gcn_layers=args.label_layers, variant=args.variant,
             seed=args.seed, optimizer=args.optimizer,
             skip_epoch0_injection=args.skip_epoch0_injection,
-            binarize_cooccurrence=args.binarize_cooc)
+            binarize_cooccurrence=args.binarize_cooc,
+            feature_dim=args.feature_dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -242,13 +239,7 @@ def _report_dict(report) -> dict:
 
 def cmd_stats(args) -> int:
     _check_dataset_flags(args)
-    # stats never touch features; a width-1 placeholder keeps memory O(n)
-    feats = FeatureConfig(kind="gaussian", dim=1, seed=0)
-    if args.synthetic is not None:
-        g = generate_synthetic(parse_synthetic_spec(args.synthetic, args.seed), feats)
-    else:
-        g = load_dataset(args.edges, args.labels, feats, delimiter=args.delimiter)
-    s = dataset_stats(g)
+    s = dataset_stats(build_graph(args, args.seed))
     print(f"{s.node_count} {s.edge_count} {s.label_count} {s.cooccurrence_count}")
     return EXIT_OK
 
@@ -331,8 +322,7 @@ class FingerprintMismatch(Exception):
 def _final_scores(model, config, graph) -> np.ndarray:
     operators = build_operators(graph, config.variant,
                                 config.binarize_cooccurrence)
-    scores, _ = forward_node_gcn(graph, operators, model, config,
-                                 training=False)
+    scores, _ = forward_node_gcn(operators, model, config, training=False)
     return scores
 
 

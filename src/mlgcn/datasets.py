@@ -1,5 +1,8 @@
 """Dataset ingestion: edge/label file parsing, statistics, synthetic graphs.
 
+Both sources give the network alone (a `MultiLabelGraph`); the model's
+input features are built from the train config by `training`.
+
 File formats are one record per line. Edge files carry ``src<delim>dst``
 with an optional third weight field; label files carry ``node<delim>label``.
 Lines starting with '#' are comments; the delimiter is auto-detected among
@@ -15,23 +18,25 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .graph import MultiLabelGraph, one_hot_features
+from .graph import MultiLabelGraph
 from .matrices import SparseMatrix
 from .rng import rng_stream
 
 __all__ = [
-    "DatasetStats", "FeatureConfig", "SyntheticConfig", "ParseError",
+    "DatasetStats", "SyntheticConfig", "ParseError",
     "parse_edge_list", "parse_label_assignments", "load_dataset",
     "dataset_stats", "generate_synthetic",
 ]
 
 
 class ParseError(ValueError):
-    """Malformed input line; carries the 1-based line number."""
+    """Malformed input line; carries the 1-based line number and, once
+    `load_dataset` re-raises it, the path of the file it is in."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, line_no: int, message: str, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
+        self.line_no, self.message = line_no, message
 
 
 @dataclass(frozen=True)
@@ -40,26 +45,6 @@ class DatasetStats:
     edge_count: int
     label_count: int
     cooccurrence_count: int
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Initial feature choice: combined one-hot (default) or seeded Gaussian.
-
-    One-hot uses the joint node+label index space (d = n + m, nodes on the
-    leading columns). Gaussian draws n x dim and m x dim blocks from the
-    'features' stream of `seed`, for bounding memory on large graphs.
-    """
-
-    kind: str = "one_hot"
-    dim: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("one_hot", "gaussian"):
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.kind == "gaussian" and self.dim < 1:
-            raise ValueError("gaussian features need dim >= 1")
 
 
 @dataclass(frozen=True)
@@ -159,19 +144,7 @@ def parse_label_assignments(stream, node_index: dict[str, int],
     return np.array(nodes, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
-def _build_features(n: int, m: int, config: FeatureConfig):
-    if config.kind == "one_hot":
-        d = n + m
-        return one_hot_features(n, d, 0), one_hot_features(m, d, n)
-    rng = rng_stream(config.seed, "features")
-    scale = 1.0 / np.sqrt(config.dim)
-    x = rng.normal(0.0, scale, size=(n, config.dim))
-    y = rng.normal(0.0, scale, size=(m, config.dim))
-    return x, y
-
-
-def _assemble_graph(node_ids, label_ids, edges, pairs,
-                    features: FeatureConfig) -> MultiLabelGraph:
+def _assemble_graph(node_ids, label_ids, edges, pairs) -> MultiLabelGraph:
     """Build the graph from index arrays: `edges` is (src, dst, weight) with
     repeated pairs summed here, `pairs` is (node, label) with repeats
     counted once."""
@@ -186,15 +159,23 @@ def _assemble_graph(node_ids, label_ids, edges, pairs,
     assignments = SparseMatrix.from_coo(n, m, members, labels,
                                         np.ones(members.size))
     assignments.data[:] = 1.0
-
-    x, y = _build_features(n, m, features)
     return MultiLabelGraph(
         node_count=n, label_count=m, adjacency=adjacency,
-        label_assignments=assignments, node_features=x, label_features=y,
-        node_ids=tuple(node_ids), label_ids=tuple(label_ids))
+        label_assignments=assignments, node_ids=tuple(node_ids),
+        label_ids=tuple(label_ids))
 
 
-def load_dataset(edge_path, label_path, features: FeatureConfig | None = None,
+def _parse_file(path, parse, *args):
+    """`parse(stream, *args)` over the file at `path`; a ParseError is
+    re-raised naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh, *args)
+        except ParseError as exc:
+            raise ParseError(exc.line_no, exc.message, path) from None
+
+
+def load_dataset(edge_path, label_path,
                  delimiter: str | None = None) -> MultiLabelGraph:
     """Load a graph from an edge file plus a label file.
 
@@ -203,14 +184,12 @@ def load_dataset(edge_path, label_path, features: FeatureConfig | None = None,
     """
     node_index: dict[str, int] = {}
     label_index: dict[str, int] = {}
-    with open(edge_path, "r", encoding="utf-8") as fh:
-        edges = parse_edge_list(fh, node_index, delimiter)
-    with open(label_path, "r", encoding="utf-8") as fh:
-        pairs = parse_label_assignments(fh, node_index, label_index, delimiter)
+    edges = _parse_file(edge_path, parse_edge_list, node_index, delimiter)
+    pairs = _parse_file(label_path, parse_label_assignments, node_index,
+                        label_index, delimiter)
     if not label_index:
         raise ValueError("no labels")
-    return _assemble_graph(list(node_index), list(label_index), edges, pairs,
-                           features or FeatureConfig())
+    return _assemble_graph(list(node_index), list(label_index), edges, pairs)
 
 
 def dataset_stats(g: MultiLabelGraph) -> DatasetStats:
@@ -225,8 +204,7 @@ def dataset_stats(g: MultiLabelGraph) -> DatasetStats:
     return DatasetStats(g.node_count, edge_count, g.label_count, int(pairs))
 
 
-def generate_synthetic(config: SyntheticConfig,
-                       features: FeatureConfig | None = None) -> MultiLabelGraph:
+def generate_synthetic(config: SyntheticConfig) -> MultiLabelGraph:
     """Generate a planted-partition multi-label graph.
 
     Community c's members all carry home label c and, with probability
@@ -263,4 +241,4 @@ def generate_synthetic(config: SyntheticConfig,
 
     edges = (index[ei], index[ej], np.ones(ei.size))
     return _assemble_graph([str(i) for i in order], label_ids, edges,
-                           (index[members], labels), features or FeatureConfig())
+                           (index[members], labels))

@@ -1,4 +1,9 @@
-"""Multi-label graph container, split container, and structural validation."""
+"""The multi-label network, the split container, and structural validation.
+
+A `MultiLabelGraph` holds what the input files describe: adjacency, label
+assignments and ids. Input features are a modelling choice and belong to
+the model (`training.input_features`).
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ import numpy as np
 
 from .matrices import SparseMatrix
 
-__all__ = ["MultiLabelGraph", "DataSplit", "validate_graph", "one_hot_features"]
+__all__ = ["MultiLabelGraph", "DataSplit", "validate_graph"]
 
 
 @dataclass(frozen=True)
@@ -16,23 +21,17 @@ class MultiLabelGraph:
     """A weighted undirected graph whose nodes carry label sets.
 
     `adjacency` is the n x n symmetric weight matrix with zero diagonal,
-    `label_assignments` the n x m binary membership matrix, and
-    `node_features` / `label_features` share one feature dimension so the
-    two stacked feature matrices used downstream type-check.
+    `label_assignments` the n x m binary membership matrix, and the ids map
+    indices back to the input's node and label names. The graph is the
+    network only: the model's input features are built by `training`.
     """
 
     node_count: int
     label_count: int
     adjacency: SparseMatrix
     label_assignments: SparseMatrix
-    node_features: np.ndarray = field(repr=False)
-    label_features: np.ndarray = field(repr=False)
     node_ids: tuple[str, ...] = field(repr=False)
     label_ids: tuple[str, ...] = field(repr=False)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.node_features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -46,19 +45,6 @@ class DataSplit:
     def sizes(self) -> dict[str, int]:
         return {"train": self.train_nodes.size, "val": self.val_nodes.size,
                 "test": self.test_nodes.size}
-
-
-def one_hot_features(total: int, dim: int, offset: int) -> np.ndarray:
-    """One-hot feature rows occupying a contiguous column slice.
-
-    Row r gets a single 1.0 at column offset+r, so nodes and labels can share
-    one combined identity space while staying on disjoint slices.
-    """
-    if offset + total > dim:
-        raise ValueError("feature offset out of range")
-    out = np.zeros((total, dim))
-    out[np.arange(total), offset + np.arange(total)] = 1.0
-    return out
 
 
 def validate_graph(g: MultiLabelGraph) -> list[str]:
@@ -97,18 +83,6 @@ def validate_graph(g: MultiLabelGraph) -> list[str]:
     members = np.bincount(labels.col[labels.data == 1.0], minlength=g.label_count)
     for r in np.flatnonzero(members == 0):
         report.append(f"orphan label {r}")
-
-    if g.node_features.shape[0] != g.node_count:
-        report.append(f"node feature rows {g.node_features.shape[0]} != node count {g.node_count}")
-    if g.label_features.shape[0] != g.label_count:
-        report.append(f"label feature rows {g.label_features.shape[0]} != label count {g.label_count}")
-    if g.node_features.shape[1] != g.label_features.shape[1]:
-        report.append(
-            f"feature dimension mismatch: nodes {g.node_features.shape[1]} "
-            f"vs labels {g.label_features.shape[1]}")
-    for name, feats in (("node", g.node_features), ("label", g.label_features)):
-        if not np.all(np.isfinite(feats)):
-            report.append(f"non-finite {name} features")
 
     if len(g.node_ids) != g.node_count:
         report.append("node id count mismatch")

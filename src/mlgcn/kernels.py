@@ -62,7 +62,8 @@ class LayerCache:
     weight_input: np.ndarray      # what W multiplies, feeds dW: op @ dropout(H)
                                   # when propagated first, else dropout(H)
     pre_activation: np.ndarray
-    mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)), None in eval
+    mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)); None in
+                                  # eval and, in a stack, on the first layer
     activation: str
     weight_key: str
     propagated_first: bool        # (op @ dropout(H)) @ W rather than op @ (dropout(H) @ W)
@@ -179,6 +180,10 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h: np.ndarray,
         h, cache = gcn_layer_forward(op, h, weights[key], activation=activation,
                                      dropout=dropout, training=training,
                                      rng=rng, weight_key=key)
+        if idx == 0:
+            # backward_stack reads a mask only to pass the gradient below
+            # its layer, and no gradient goes below the first one
+            cache.mask = None
         caches.append(cache)
     return h, caches
 

@@ -9,6 +9,7 @@ random projections that produce them are never trained.
 
 `layer_table` is the one place that lays out each variant's layer stacks;
 weight shapes, both forwards and the training loop all derive from it.
+`input_features` is the one place that builds the raw input features.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from .rng import rng_stream
 __all__ = [
     "VARIANTS", "TrainConfig", "ModelState", "TrainHistory", "TrainResult",
     "DivergenceError", "CheckpointError", "layer_table", "weight_shapes",
-    "init_model", "forward_label_gcn", "forward_node_gcn",
+    "input_features", "init_model", "forward_label_gcn", "forward_node_gcn",
     "inject_label_features", "inject_node_features", "sgd_step", "train",
     "save_checkpoint", "load_checkpoint",
 ]
 
 VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class DivergenceError(RuntimeError):
@@ -71,6 +72,7 @@ class TrainConfig:
     optimizer: str = "gd"
     skip_epoch0_injection: bool = False
     binarize_cooccurrence: bool = False
+    feature_dim: int = 0  # 0: one-hot over the joint node+label space
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -91,6 +93,9 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.feature_dim < 0:
+            raise ValueError("feature_dim must be >= 0 (0 selects one-hot "
+                             "features)")
 
 
 def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
@@ -115,13 +120,20 @@ def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
 
 @dataclass
 class ModelState:
-    """Trainable weights, frozen projections, current injected feature
-    blocks, and the dropout stream."""
+    """Trainable weights, frozen projections, the raw input features, the
+    current injected feature blocks, and the dropout stream.
+
+    The raw features come from `input_features` and are never stored: a
+    checkpoint rebuilds them from its config. The injected blocks start as
+    the raw features and are replaced, never written in place.
+    """
 
     weights: dict[str, np.ndarray]
     projections: dict[str, np.ndarray]
-    node_block: np.ndarray   # attribute features of the label view (starts as raw X)
-    label_block: np.ndarray  # attribute features of the node view (starts as raw Y)
+    node_features: np.ndarray   # raw X (n x d), the node view's leading rows
+    label_features: np.ndarray  # raw Y (m x d), the label view's leading rows
+    node_block: np.ndarray      # attribute features of the label view (starts as raw X)
+    label_block: np.ndarray     # attribute features of the node view (starts as raw Y)
     dropout_rng: np.random.Generator
 
 
@@ -162,11 +174,32 @@ def weight_shapes(config: TrainConfig, d: int,
     return shapes
 
 
+def input_features(n: int, m: int,
+                   config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Raw node (n x d) and label (m x d) features for `config`.
+
+    With `feature_dim` 0 they are one-hot rows over the joint node+label
+    index space (d = n + m, nodes on the leading columns, labels on the
+    last m). Otherwise they are Gaussian rows of width `feature_dim` and
+    scale 1/sqrt(d), drawn nodes first from the seed's features stream;
+    they bound memory on large graphs.
+    """
+    d = config.feature_dim
+    if d == 0:
+        return np.eye(n, n + m), np.eye(m, n + m, k=n)
+    rng = rng_stream(config.seed, "features")
+    scale = 1.0 / np.sqrt(d)
+    return (rng.normal(0.0, scale, size=(n, d)),
+            rng.normal(0.0, scale, size=(m, d)))
+
+
 def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
     """Glorot-uniform weights and projections from the seed's init stream,
-    drawn in `weight_shapes` order; injected blocks start as the raw
-    feature matrices."""
-    d, m = graph.feature_dim, graph.label_count
+    drawn in `weight_shapes` order; the raw features from `input_features`,
+    which the injected blocks start as."""
+    m = graph.label_count
+    x, y = input_features(graph.node_count, m, config)
+    d = x.shape[1]
     rng = rng_stream(config.seed, "init")
 
     weights = {key: _glorot(rng, *shape)
@@ -177,20 +210,9 @@ def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
         projections["proj_label"] = _glorot(rng, m, d)  # maps label logits to features
 
     return ModelState(
-        weights=weights, projections=projections,
-        node_block=np.array(graph.node_features, dtype=np.float64, copy=True),
-        label_block=np.array(graph.label_features, dtype=np.float64, copy=True),
+        weights=weights, projections=projections, node_features=x,
+        label_features=y, node_block=x, label_block=y,
         dropout_rng=rng_stream(config.seed, "dropout"))
-
-
-def label_feature_stack(graph: MultiLabelGraph, model: ModelState) -> np.ndarray:
-    """Label-view input: raw label features over the injected node block."""
-    return np.vstack([graph.label_features, model.node_block])
-
-
-def node_feature_stack(graph: MultiLabelGraph, model: ModelState) -> np.ndarray:
-    """Node-view input: raw node features over the injected label block."""
-    return np.vstack([graph.node_features, model.label_block])
 
 
 def _stack(operators: GraphOperators, config: TrainConfig,
@@ -201,28 +223,26 @@ def _stack(operators: GraphOperators, config: TrainConfig,
             for name, key in layer_table(config)[view]]
 
 
-def forward_label_gcn(graph: MultiLabelGraph, operators: GraphOperators,
-                      model: ModelState, config: TrainConfig,
-                      training: bool = False
+def forward_label_gcn(operators: GraphOperators, model: ModelState,
+                      config: TrainConfig, training: bool = False
                       ) -> tuple[np.ndarray, list[LayerCache]]:
     """Label-view logits (m x m) from the raw label features over the
     injected node block."""
-    return forward_stack(_stack(operators, config, "label"),
-                         label_feature_stack(graph, model), model.weights,
+    h = np.vstack([model.label_features, model.node_block])
+    return forward_stack(_stack(operators, config, "label"), h, model.weights,
                          config.dropout, training, model.dropout_rng)
 
 
-def forward_node_gcn(graph: MultiLabelGraph, operators: GraphOperators,
-                     model: ModelState, config: TrainConfig,
-                     training: bool = False
+def forward_node_gcn(operators: GraphOperators, model: ModelState,
+                     config: TrainConfig, training: bool = False
                      ) -> tuple[np.ndarray, list[LayerCache]]:
     """Node-view logits (n x m): from the raw node features over the
     injected label block, or, for a model without a label stack (the
     plain-GCN baseline), from the raw node features alone."""
     if layer_table(config)["label"]:
-        h = node_feature_stack(graph, model)
+        h = np.vstack([model.node_features, model.label_block])
     else:
-        h = np.asarray(graph.node_features, dtype=np.float64)
+        h = model.node_features
     return forward_stack(_stack(operators, config, "node"), h, model.weights,
                          config.dropout, training, model.dropout_rng)
 
@@ -307,13 +327,13 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
         label_loss, label_caches, d_label = 0.0, None, None
         if coupled:
             label_logits, label_caches = forward_label_gcn(
-                graph, operators, model, config, training=True)
+                operators, model, config, training=True)
             z = softmax_rows(label_logits)
             label_loss = single_label_loss(z, label_targets)
             d_label = single_label_loss_grad(z, label_targets)
 
         node_logits, node_caches = forward_node_gcn(
-            graph, operators, model, config, training=True)
+            operators, model, config, training=True)
         node_loss = multi_label_loss(node_logits, node_targets, train_mask)
         total = label_loss + node_loss
         if not np.isfinite(total):
@@ -334,7 +354,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
             raise DivergenceError(epoch, str(exc)) from exc
 
         if split.val_nodes.size:
-            embeddings, _ = forward_node_gcn(graph, operators, model, config,
+            embeddings, _ = forward_node_gcn(operators, model, config,
                                              training=False)
             val_f1 = evaluate(embeddings, node_targets, split.val_nodes,
                               rule=rule, threshold=threshold).micro_f1
@@ -348,7 +368,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
         history.epoch_seconds.append(time.perf_counter() - t0)
 
     if embeddings is None:
-        embeddings, _ = forward_node_gcn(graph, operators, model, config,
+        embeddings, _ = forward_node_gcn(operators, model, config,
                                          training=False)
     return TrainResult(model=model, history=history, embeddings=embeddings,
                        optimizer=optimizer)
@@ -391,10 +411,12 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
 def load_checkpoint(path):
     """Load a checkpoint; returns (model, config, epoch, fingerprint).
 
-    Raises CheckpointError for a file that is not a complete checkpoint
-    archive, lacks an entry, carries an unknown config field, has another
-    version than this build writes, or holds other weights than
-    `weight_shapes` lays out for its config and stored label block.
+    The raw features are rebuilt by `input_features` for the n and m rows
+    of the stored injected blocks. Raises CheckpointError for a file that
+    is not a complete checkpoint archive, lacks an entry, carries an
+    unknown config field, has another version than this build writes,
+    holds blocks of another shape than those features, or holds other
+    weights than `weight_shapes` lays out for its config.
     """
     try:
         with np.load(path) as data:
@@ -405,7 +427,14 @@ def load_checkpoint(path):
                     f"(this build reads version {CHECKPOINT_VERSION})")
             config = TrainConfig(**meta["config"])
             weights = {k: data[f"weight__{k}"] for k in meta["weight_keys"]}
-            m, d = data["label_block"].shape
+            node_block, label_block = data["node_block"], data["label_block"]
+            x, y = input_features(len(node_block), len(label_block), config)
+            if (node_block.shape, label_block.shape) != (x.shape, y.shape):
+                raise CheckpointError(
+                    f"{path}: injected blocks node_block {node_block.shape} "
+                    f"and label_block {label_block.shape} do not match the "
+                    f"features its config gives, {x.shape} and {y.shape}")
+            m, d = y.shape
             shapes = weight_shapes(config, d, m)
             stored = {k: w.shape for k, w in weights.items()}
             if stored != shapes:
@@ -415,8 +444,9 @@ def load_checkpoint(path):
             projections = {k: data[f"projection__{k}"]
                            for k in meta["projection_keys"]}
             model = ModelState(
-                weights=weights, projections=projections,
-                node_block=data["node_block"], label_block=data["label_block"],
+                weights=weights, projections=projections, node_features=x,
+                label_features=y, node_block=node_block,
+                label_block=label_block,
                 dropout_rng=rng_stream(config.seed, "dropout"))
             model.dropout_rng.bit_generator.state = meta["dropout_rng_state"]
             return model, config, meta["epoch"], meta["fingerprint"]

@@ -12,7 +12,7 @@ import pytest
 
 from mlgcn.cli import main as cli_main
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
-from mlgcn.graph import MultiLabelGraph, one_hot_features
+from mlgcn.graph import MultiLabelGraph
 from mlgcn.kernels import (backward, multi_label_loss, multi_label_loss_grad,
                            single_label_loss, single_label_loss_grad,
                            softmax_rows)
@@ -43,19 +43,17 @@ def _random_tiny_graph(rng, n=6, m=3):
         b = (rng.random((n, m)) < 0.4).astype(float)
         if (b.sum(axis=0) > 0).all():
             break
-    d = n + m
     return MultiLabelGraph(n, m, SparseMatrix(a),
                            SparseMatrix(b),
-                           one_hot_features(n, d, 0), one_hot_features(m, d, n),
                            tuple(str(i) for i in range(n)),
                            tuple(f"L{r}" for r in range(m)))
 
 
-def _collective_loss(graph, ops, model, config, mask, node_targets,
+def _collective_loss(ops, model, config, mask, node_targets,
                      label_targets):
-    label_logits, _ = forward_label_gcn(graph, ops, model, config)
+    label_logits, _ = forward_label_gcn(ops, model, config)
     l1 = single_label_loss(softmax_rows(label_logits), label_targets)
-    node_logits, _ = forward_node_gcn(graph, ops, model, config)
+    node_logits, _ = forward_node_gcn(ops, model, config)
     return l1 + multi_label_loss(node_logits, node_targets, mask)
 
 
@@ -74,9 +72,9 @@ def test_criterion_1_gradient_correctness():
         node_targets = graph.label_assignments.to_dense()
         label_targets = np.eye(graph.label_count)
 
-        label_logits, label_caches = forward_label_gcn(graph, ops, model, config)
+        label_logits, label_caches = forward_label_gcn(ops, model, config)
         d_label = single_label_loss_grad(softmax_rows(label_logits), label_targets)
-        node_logits, node_caches = forward_node_gcn(graph, ops, model, config)
+        node_logits, node_caches = forward_node_gcn(ops, model, config)
         d_node = multi_label_loss_grad(node_logits, node_targets, mask)
         grads = backward(label_caches, d_label, node_caches, d_node)
 
@@ -87,10 +85,10 @@ def test_criterion_1_gradient_correctness():
                 idx = it.multi_index
                 orig = w[idx]
                 w[idx] = orig + FD_EPS
-                lp = _collective_loss(graph, ops, model, config, mask,
+                lp = _collective_loss(ops, model, config, mask,
                                       node_targets, label_targets)
                 w[idx] = orig - FD_EPS
-                lm = _collective_loss(graph, ops, model, config, mask,
+                lm = _collective_loss(ops, model, config, mask,
                                       node_targets, label_targets)
                 w[idx] = orig
                 fd = (lp - lm) / (2 * FD_EPS)

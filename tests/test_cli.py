@@ -62,12 +62,20 @@ class TestStats:
         assert code == EXIT_IO
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
-        (tmp_path / "e").write_text("1,2\nbroken\n")
-        (tmp_path / "l").write_text("1,a\n")
-        code = run(["stats", "--edges", str(tmp_path / "e"),
-                    "--labels", str(tmp_path / "l")])
-        assert code == EXIT_IO
-        assert "line 2" in capsys.readouterr().err
+        edges, labels = tmp_path / "edges.csv", tmp_path / "labels.csv"
+        good_edges, good_labels = "1,2\n", "1,a\n"
+        for edge_text, label_text, bad, good in [
+                ("1,2\nbroken\n", good_labels, edges, labels),
+                (good_edges, "1,a\nbroken\n", labels, edges)]:
+            edges.write_text(edge_text)
+            labels.write_text(label_text)
+            code = run(["stats", "--edges", str(edges),
+                        "--labels", str(labels)])
+            assert code == EXIT_IO
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert f"{bad}: line 2: expected" in err
+            assert str(good) not in err
 
     def test_no_dataset_is_usage_error(self):
         assert run(["stats"]) == EXIT_USAGE
@@ -84,6 +92,8 @@ BAD_VALUES = {
                              "--feature-dim"),
     "negative_feature_dim_stats": (["stats", "--synthetic", "k=2,size=10",
                                     "--feature-dim", "-3"], "--feature-dim"),
+    "empty_delimiter": (["stats", "--edges", "e", "--labels", "l",
+                         "--delimiter", ""], "--delimiter"),
 }
 
 
@@ -253,6 +263,12 @@ def _version_1(meta, arrays):
     meta["config"]["train_projections"] = False
 
 
+def _version_2(meta, arrays):
+    # version-2 configs had no feature_dim field
+    meta["version"] = 2
+    del meta["config"]["feature_dim"]
+
+
 # case -> (writer of a broken checkpoint from a good one, text the message
 # must contain)
 BROKEN_CHECKPOINTS = {
@@ -270,6 +286,8 @@ BROKEN_CHECKPOINTS = {
         "bogus"),
     "version_1": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_1),
                   "unsupported checkpoint version 1"),
+    "version_2": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_2),
+                  "unsupported checkpoint version 2"),
     "missing_weight_key": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: meta["weight_keys"].remove("w1_node")),
         "w1_node"),
@@ -277,6 +295,11 @@ BROKEN_CHECKPOINTS = {
         src, dst, lambda meta, arrays: arrays.update(
             weight__w1_node=arrays["weight__w1_node"][:, :-1])),
         "'w1_node': (32, 3)"),
+    # EASY has 30 nodes and 4 labels, so one-hot features are 34 wide
+    "narrowed_node_block": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: arrays.update(
+            node_block=arrays["node_block"][:, :-1])),
+        "node_block (30, 33)"),
 }
 
 

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from mlgcn.graph import MultiLabelGraph, one_hot_features, validate_graph
+from mlgcn.graph import MultiLabelGraph, validate_graph
 from mlgcn.matrices import SparseMatrix
 
 
@@ -10,34 +9,12 @@ def make_graph(a, b, n=None, m=None):
     b = np.asarray(b, dtype=float)
     n = n if n is not None else a.shape[0]
     m = m if m is not None else b.shape[1]
-    d = n + m
     return MultiLabelGraph(
         node_count=n, label_count=m,
         adjacency=SparseMatrix(a),
         label_assignments=SparseMatrix(b),
-        node_features=one_hot_features(n, d, 0),
-        label_features=one_hot_features(m, d, n),
         node_ids=tuple(str(i) for i in range(n)),
         label_ids=tuple(f"L{r}" for r in range(m)))
-
-
-class TestOneHotFeatures:
-    def test_identity_slice(self):
-        f = one_hot_features(3, 5, 0)
-        assert np.array_equal(f, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
-
-    def test_shifted_slice(self):
-        f = one_hot_features(2, 5, 3)
-        assert np.array_equal(f, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-
-    def test_overflow(self):
-        with pytest.raises(ValueError, match="feature offset out of range"):
-            one_hot_features(4, 3, 0)
-
-    def test_each_row_single_one(self):
-        f = one_hot_features(7, 10, 2)
-        assert np.array_equal(f.sum(axis=1), np.ones(7))
-        assert set(np.unique(f)) <= {0.0, 1.0}
 
 
 class TestValidateGraph:
@@ -51,7 +28,6 @@ class TestValidateGraph:
         for a in (one_direction, unequal_weights):
             g = MultiLabelGraph(2, 2, a,
                                 SparseMatrix(np.eye(2)),
-                                one_hot_features(2, 4, 0), one_hot_features(2, 4, 2),
                                 ("0", "1"), ("L0", "L1"))
             report = validate_graph(g)
             assert any("asymmetric edge (0,1)" in v for v in report)
@@ -66,8 +42,6 @@ class TestValidateGraph:
             a = SparseMatrix.from_coo(n, n, rows, cols,
                                       rng.integers(1, 3, k).astype(float))
             g = MultiLabelGraph(n, 1, a, SparseMatrix(np.ones((n, 1))),
-                                one_hot_features(n, n + 1, 0),
-                                one_hot_features(1, n + 1, n),
                                 tuple(map(str, range(n))), ("L0",))
             dense = a.to_dense()
             oracle = [f"asymmetric edge ({i},{j})" for i in range(n)
@@ -87,21 +61,11 @@ class TestValidateGraph:
         a = SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [-1.0, -1.0])
         g = MultiLabelGraph(2, 1, a,
                             SparseMatrix(np.ones((2, 1))),
-                            one_hot_features(2, 3, 0), one_hot_features(1, 3, 2),
                             ("0", "1"), ("L0",))
         assert any("nonpositive weight" in v for v in validate_graph(g))
 
     def test_non_binary_label_entries(self):
         b = SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, 0.5])
         g = MultiLabelGraph(2, 2, SparseMatrix(np.array([[0., 1.], [1., 0.]])),
-                            b, one_hot_features(2, 4, 0), one_hot_features(2, 4, 2),
-                            ("0", "1"), ("L0", "L1"))
+                            b, ("0", "1"), ("L0", "L1"))
         assert any("non-binary label entry (1, 1)" in v for v in validate_graph(g))
-
-    def test_feature_dim_mismatch(self):
-        g = MultiLabelGraph(2, 2,
-                            SparseMatrix(np.array([[0., 1.], [1., 0.]])),
-                            SparseMatrix(np.eye(2)),
-                            one_hot_features(2, 4, 0), one_hot_features(2, 5, 2),
-                            ("0", "1"), ("L0", "L1"))
-        assert any("feature dimension mismatch" in v for v in validate_graph(g))

@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mlgcn.datasets import (FeatureConfig, ParseError, SyntheticConfig,
-                            dataset_stats, generate_synthetic, load_dataset,
-                            parse_edge_list, parse_label_assignments)
+from mlgcn.datasets import (ParseError, SyntheticConfig, dataset_stats,
+                            generate_synthetic, load_dataset, parse_edge_list,
+                            parse_label_assignments)
 from mlgcn.graph import validate_graph
 
 
@@ -138,17 +138,6 @@ class TestLoadDataset:
         (tmp_path / "l").write_text("# nothing\n")
         with pytest.raises(ValueError, match="no labels"):
             load_dataset(tmp_path / "e", tmp_path / "l")
-
-    def test_gaussian_features(self, tmp_path):
-        (tmp_path / "e").write_text("1,2\n")
-        (tmp_path / "l").write_text("1,a\n2,a\n")
-        g = load_dataset(tmp_path / "e", tmp_path / "l",
-                         FeatureConfig(kind="gaussian", dim=8, seed=3))
-        assert g.node_features.shape == (2, 8)
-        assert g.label_features.shape == (1, 8)
-        again = load_dataset(tmp_path / "e", tmp_path / "l",
-                             FeatureConfig(kind="gaussian", dim=8, seed=3))
-        assert np.array_equal(g.node_features, again.node_features)
 
 
 def _random_files(seed):
@@ -289,7 +278,7 @@ class TestGenerateSynthetic:
         b = generate_synthetic(SyntheticConfig(seed=9, community_size=12))
         assert (a.adjacency != b.adjacency).nnz == 0
         assert (a.label_assignments != b.label_assignments).nnz == 0
-        assert np.array_equal(a.node_features, b.node_features)
+        assert a.node_ids == b.node_ids and a.label_ids == b.label_ids
 
     def test_different_seed_differs(self):
         a = generate_synthetic(SyntheticConfig(seed=1, community_size=12))

@@ -165,6 +165,39 @@ class TestAssociationOrder:
                     f"{key}{idx}: analytic={analytic[idx]} fd={fd}"
 
 
+    def test_stack_keeps_no_first_layer_mask(self):
+        # backward_stack never sends a gradient below the first layer, so
+        # forward_stack drops that layer's mask; the gradients equal those
+        # of the same layers with every mask kept
+        rng = np.random.default_rng(3)
+        ops = [random_op(rng, 7, 9), random_op(rng, 7, 7)]
+        weights = {"w0": rng.standard_normal((4, 5)),
+                   "w1": rng.standard_normal((5, 3))}
+        x = rng.standard_normal((9, 4))
+        upstream = rng.standard_normal((7, 3))
+        _, caches = forward_stack(list(zip(ops, weights)), x, weights,
+                                  dropout=0.3, training=True,
+                                  rng=np.random.default_rng(6))
+        assert caches[0].mask is None
+        assert caches[1].mask is not None
+
+        kept_rng = np.random.default_rng(6)
+        h, first = gcn_layer_forward(ops[0], x, weights["w0"], dropout=0.3,
+                                     training=True, rng=kept_rng,
+                                     weight_key="w0")
+        _, second = gcn_layer_forward(ops[1], h, weights["w1"],
+                                      activation="identity", dropout=0.3,
+                                      training=True, rng=kept_rng,
+                                      weight_key="w1")
+        assert first.mask is not None
+        grads, kept = {}, {}
+        backward_stack(caches, upstream, grads)
+        backward_stack([first, second], upstream, kept)
+        assert set(grads) == set(kept) == set(weights)
+        for key in kept:
+            assert np.array_equal(grads[key], kept[key])
+
+
 class TestSoftmaxRows:
     def test_symmetry(self):
         assert np.allclose(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]],

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from mlgcn.datasets import FeatureConfig, dataset_stats, load_dataset
+from mlgcn.datasets import dataset_stats, load_dataset
 
 BLOGCATALOG = os.environ.get("MLGCN_BLOGCATALOG_DIR")
 
@@ -20,7 +20,7 @@ pytestmark = pytest.mark.skipif(
 def test_blogcatalog_statistics():
     edges = os.path.join(BLOGCATALOG, "edges.csv")
     labels = os.path.join(BLOGCATALOG, "group-edges.csv")
-    g = load_dataset(edges, labels, FeatureConfig(kind="gaussian", dim=1, seed=0))
+    g = load_dataset(edges, labels)
     s = dataset_stats(g)
     assert s.node_count == 10312
     assert s.edge_count == 333983

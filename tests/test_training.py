@@ -10,8 +10,8 @@ from mlgcn.operators import build_operators
 from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
                             TrainConfig, forward_label_gcn, forward_node_gcn,
                             init_model, inject_label_features,
-                            inject_node_features, label_feature_stack,
-                            layer_table, node_feature_stack, sgd_step, train)
+                            inject_node_features, input_features, layer_table,
+                            sgd_step, train)
 from mlgcn.rng import rng_stream
 
 
@@ -25,6 +25,20 @@ def small_config(**kw):
     defaults = dict(epochs=5, hidden_dim=8, dropout=0.0, seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def label_view_input(model):
+    """Raw label features over the injected node block."""
+    return np.vstack([model.label_features, model.node_block])
+
+
+def node_view_input(model):
+    """Raw node features over the injected label block."""
+    return np.vstack([model.node_features, model.label_block])
+
+
+def raw_features(g, cfg):
+    return input_features(g.node_count, g.label_count, cfg)
 
 
 class TestTrainConfig:
@@ -66,10 +80,40 @@ class TestTrainConfig:
         dict(learning_rate=-0.1), dict(epochs=0), dict(train_ratio=0.0),
         dict(train_ratio=1.0), dict(update_freq_nodes=0), dict(dropout=1.0),
         dict(node_gcn_layers=3), dict(variant="bogus"), dict(optimizer="sgd"),
+        dict(feature_dim=-1),
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+
+class TestInputFeatures:
+    def test_identity_slice(self):
+        x, _ = input_features(3, 2, TrainConfig())
+        assert np.array_equal(x, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                                  [0, 0, 1, 0, 0]])
+
+    def test_shifted_slice(self):
+        _, y = input_features(3, 2, TrainConfig())
+        assert np.array_equal(y, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+
+    def test_each_row_single_one(self):
+        for f in input_features(7, 3, TrainConfig()):
+            assert f.dtype == np.float64 and f.shape[1] == 10
+            assert np.array_equal(f.sum(axis=1), np.ones(len(f)))
+            assert set(np.unique(f)) <= {0.0, 1.0}
+
+    def test_gaussian_features(self):
+        cfg = TrainConfig(feature_dim=8, seed=3)
+        x, y = input_features(2, 1, cfg)
+        assert x.shape == (2, 8)
+        assert y.shape == (1, 8)
+        again_x, again_y = input_features(2, 1, cfg)
+        assert np.array_equal(x, again_x) and np.array_equal(y, again_y)
+        # node rows first, then label rows, from the seed's features stream
+        rng = rng_stream(3, "features")
+        assert np.array_equal(x, rng.normal(0.0, 1 / np.sqrt(8), size=(2, 8)))
+        assert np.array_equal(y, rng.normal(0.0, 1 / np.sqrt(8), size=(1, 8)))
 
 
 class TestInitModel:
@@ -94,9 +138,21 @@ class TestInitModel:
 
     def test_blocks_start_as_raw_features(self):
         g = small_graph()
-        model = init_model(g, small_config())
-        assert np.array_equal(model.node_block, g.node_features)
-        assert np.array_equal(model.label_block, g.label_features)
+        cfg = small_config()
+        model = init_model(g, cfg)
+        x, y = raw_features(g, cfg)
+        assert np.array_equal(model.node_features, x)
+        assert np.array_equal(model.label_features, y)
+        assert np.array_equal(model.node_block, x)
+        assert np.array_equal(model.label_block, y)
+
+    def test_weights_take_the_feature_width(self):
+        g = small_graph()
+        model = init_model(g, small_config(feature_dim=6))
+        assert model.node_features.shape == (g.node_count, 6)
+        assert model.label_features.shape == (g.label_count, 6)
+        assert model.weights["w0_node"].shape == (6, 8)
+        assert model.projections["proj_label"].shape == (g.label_count, 6)
 
     def test_baseline_has_no_label_side(self):
         g = small_graph()
@@ -127,8 +183,8 @@ def test_init_weights_are_the_weights_the_forwards_read(variant, node_layers,
     assert len(result.history) == 2
     ops = build_operators(g, variant)
     model = init_model(g, cfg)
-    _, label_caches = forward_label_gcn(g, ops, model, cfg)
-    _, node_caches = forward_node_gcn(g, ops, model, cfg)
+    _, label_caches = forward_label_gcn(ops, model, cfg)
+    _, node_caches = forward_node_gcn(ops, model, cfg)
     assert set(model.weights) == {c.weight_key
                                   for c in label_caches + node_caches}
 
@@ -139,7 +195,7 @@ class TestForwardLabelGcn:
         cfg = small_config()
         model = init_model(g, cfg)
         model.weights["w0_label"] = np.zeros_like(model.weights["w0_label"])
-        logits, _ = forward_label_gcn(g, build_operators(g), model, cfg)
+        logits, _ = forward_label_gcn(build_operators(g), model, cfg)
         z = softmax_rows(logits)
         m = g.label_count
         assert np.allclose(z, np.full((m, m), 1.0 / m), atol=1e-15)
@@ -149,9 +205,9 @@ class TestForwardLabelGcn:
         cfg = small_config()
         ops = build_operators(g)
         model = init_model(g, cfg)
-        logits, _ = forward_label_gcn(g, ops, model, cfg)
+        logits, _ = forward_label_gcn(ops, model, cfg)
         oracle = (ops.label.truncated.to_dense()
-                  @ label_feature_stack(g, model)
+                  @ label_view_input(model)
                   @ model.weights["w0_label"])
         assert np.abs(logits - oracle).max() <= 1e-12
 
@@ -161,9 +217,9 @@ class TestForwardLabelGcn:
         ops = build_operators(g)
         model = init_model(g, cfg)
         model.weights["w1_label"] = np.eye(cfg.hidden_dim, g.label_count)
-        logits, _ = forward_label_gcn(g, ops, model, cfg)
+        logits, _ = forward_label_gcn(ops, model, cfg)
         hidden_oracle = np.maximum(
-            ops.label.truncated.to_dense() @ label_feature_stack(g, model)
+            ops.label.truncated.to_dense() @ label_view_input(model)
             @ model.weights["w0_label"], 0.0)
         oracle = (ops.label.intra.to_dense() @ hidden_oracle
                   @ model.weights["w1_label"])
@@ -177,7 +233,7 @@ class TestForwardNodeGcn:
         model = init_model(g, cfg)
         model.weights["w0_node"] = np.zeros_like(model.weights["w0_node"])
         model.weights["w1_node"] = np.zeros_like(model.weights["w1_node"])
-        logits, _ = forward_node_gcn(g, build_operators(g), model, cfg)
+        logits, _ = forward_node_gcn(build_operators(g), model, cfg)
         mask = np.arange(5)
         loss = multi_label_loss(logits, g.label_assignments.to_dense(), mask)
         expected = mask.size * g.label_count * np.log(2.0)
@@ -188,9 +244,9 @@ class TestForwardNodeGcn:
         cfg = small_config()
         ops = build_operators(g)
         model = init_model(g, cfg)
-        logits, _ = forward_node_gcn(g, ops, model, cfg)
+        logits, _ = forward_node_gcn(ops, model, cfg)
         hidden = np.maximum(
-            ops.node.truncated.to_dense() @ node_feature_stack(g, model)
+            ops.node.truncated.to_dense() @ node_view_input(model)
             @ model.weights["w0_node"], 0.0)
         oracle = ops.node.intra.to_dense() @ hidden @ model.weights["w1_node"]
         assert np.abs(logits - oracle).max() <= 1e-12
@@ -201,10 +257,10 @@ class TestForwardNodeGcn:
         ops = build_operators(g)
         model = init_model(g, cfg)
         assert set(model.weights) == {"w0_node", "w0_label"}
-        logits, caches = forward_node_gcn(g, ops, model, cfg)
+        logits, caches = forward_node_gcn(ops, model, cfg)
         assert len(caches) == 1
         oracle = (ops.node.truncated.to_dense()
-                  @ node_feature_stack(g, model) @ model.weights["w0_node"])
+                  @ node_view_input(model) @ model.weights["w0_node"])
         assert np.abs(logits - oracle).max() <= 1e-12
         assert logits.min() < 0  # no relu on the output
 
@@ -213,9 +269,10 @@ class TestForwardNodeGcn:
         cfg = small_config(variant="gcn_baseline")
         ops = build_operators(g, "gcn_baseline")
         model = init_model(g, cfg)
-        logits, _ = forward_node_gcn(g, ops, model, cfg)
+        logits, _ = forward_node_gcn(ops, model, cfg)
         a_norm = ops.node.intra.to_dense()
-        hidden = np.maximum(a_norm @ g.node_features @ model.weights["w0_node"], 0.0)
+        x, _ = raw_features(g, cfg)
+        hidden = np.maximum(a_norm @ x @ model.weights["w0_node"], 0.0)
         oracle = a_norm @ hidden @ model.weights["w1_node"]
         assert np.abs(logits - oracle).max() <= 1e-12
 
@@ -239,24 +296,33 @@ class TestInjections:
         assert np.array_equal(model.node_block, oracle)
 
     def test_stacks_keep_raw_primary_blocks(self):
+        # each view's input is the raw features, untouched by injections,
+        # over the other view's injected block
         g = small_graph()
-        model = init_model(g, small_config())
+        cfg = small_config()
+        ops = build_operators(g)
+        model = init_model(g, cfg)
         inject_node_features(model, np.ones((g.node_count, g.label_count)))
         inject_label_features(model, np.ones((g.label_count, g.label_count)))
-        assert np.array_equal(label_feature_stack(g, model)[:g.label_count],
-                              g.label_features)
-        assert np.array_equal(node_feature_stack(g, model)[:g.node_count],
-                              g.node_features)
-        assert np.array_equal(label_feature_stack(g, model)[g.label_count:],
-                              model.node_block)
-        assert np.array_equal(node_feature_stack(g, model)[g.node_count:],
-                              model.label_block)
+        x, y = raw_features(g, cfg)
+        label_logits, _ = forward_label_gcn(ops, model, cfg)
+        oracle = (ops.label.truncated.to_dense()
+                  @ np.vstack([y, model.node_block]) @ model.weights["w0_label"])
+        assert np.abs(label_logits - oracle).max() <= 1e-12
+        node_logits, _ = forward_node_gcn(ops, model, cfg)
+        hidden = np.maximum(ops.node.truncated.to_dense()
+                            @ np.vstack([x, model.label_block])
+                            @ model.weights["w0_node"], 0.0)
+        oracle = ops.node.intra.to_dense() @ hidden @ model.weights["w1_node"]
+        assert np.abs(node_logits - oracle).max() <= 1e-12
 
 
 class TestSgdStep:
     def tiny_model(self, w):
         return ModelState(weights={"w": np.array(w, dtype=float)},
                           projections={},
+                          node_features=np.zeros((1, 1)),
+                          label_features=np.zeros((1, 1)),
                           node_block=np.zeros((1, 1)),
                           label_block=np.zeros((1, 1)),
                           dropout_rng=rng_stream(0, "dropout"))
@@ -357,10 +423,10 @@ class TestTrain:
         eye = np.eye(g.label_count)
         losses = []
         for epoch in range(cfg.epochs):
-            label_logits, lc = forward_label_gcn(g, ops, model, cfg, training=True)
+            label_logits, lc = forward_label_gcn(ops, model, cfg, training=True)
             z = softmax_rows(label_logits)
             l1 = single_label_loss(z, eye)
-            node_logits, nc = forward_node_gcn(g, ops, model, cfg, training=True)
+            node_logits, nc = forward_node_gcn(ops, model, cfg, training=True)
             l2 = multi_label_loss(node_logits, targets, split.train_nodes)
             losses.append(l1 + l2)
             if epoch % 2 == 0:
@@ -410,8 +476,9 @@ class TestTrain:
         cfg = small_config(epochs=4, update_freq_nodes=99,
                            update_freq_labels=99, skip_epoch0_injection=True)
         result = train(g, split, cfg)
-        assert np.array_equal(result.model.node_block, g.node_features)
-        assert np.array_equal(result.model.label_block, g.label_features)
+        x, y = raw_features(g, cfg)
+        assert np.array_equal(result.model.node_block, x)
+        assert np.array_equal(result.model.label_block, y)
 
     def test_large_frequencies_without_skip_fire_only_at_epoch0(self):
         g = small_graph(seed=5)
@@ -422,8 +489,8 @@ class TestTrain:
         # blocks were replaced exactly once, using the initial logits
         model0 = init_model(g, cfg)
         ops = build_operators(g)
-        node_logits, _ = forward_node_gcn(g, ops, model0, cfg, training=False)
-        label_logits, _ = forward_label_gcn(g, ops, model0, cfg, training=False)
+        node_logits, _ = forward_node_gcn(ops, model0, cfg, training=False)
+        label_logits, _ = forward_label_gcn(ops, model0, cfg, training=False)
         assert np.array_equal(
             result.model.node_block,
             np.maximum(node_logits @ model0.projections["proj_node"], 0.0))
@@ -434,10 +501,12 @@ class TestTrain:
     def test_baseline_skips_label_loss_and_injections(self):
         g = small_graph(seed=6)
         split = split_dataset(g, 0.25, seed=6)
-        result = train(g, split, small_config(variant="gcn_baseline", epochs=4))
+        cfg = small_config(variant="gcn_baseline", epochs=4)
+        result = train(g, split, cfg)
         assert result.history.label_loss == [0.0] * 4
-        assert np.array_equal(result.model.node_block, g.node_features)
-        assert np.array_equal(result.model.label_block, g.label_features)
+        x, y = raw_features(g, cfg)
+        assert np.array_equal(result.model.node_block, x)
+        assert np.array_equal(result.model.label_block, y)
 
     def test_node_variant_runs_with_stripped_label_view(self):
         g = small_graph(seed=7)
@@ -503,6 +572,9 @@ class TestCheckpoint:
                                   result.model.projections[key])
         assert np.array_equal(model.node_block, result.model.node_block)
         assert np.array_equal(model.label_block, result.model.label_block)
+        assert np.array_equal(model.node_features, result.model.node_features)
+        assert np.array_equal(model.label_features,
+                              result.model.label_features)
         assert (model.dropout_rng.bit_generator.state
                 == result.model.dropout_rng.bit_generator.state)
 
@@ -516,7 +588,25 @@ class TestCheckpoint:
         save_checkpoint(path, result.model, cfg, cfg.epochs, "fp")
         model, config, _, _ = load_checkpoint(path)
         ops = build_operators(g, config.variant, config.binarize_cooccurrence)
-        logits, _ = forward_node_gcn(g, ops, model, config, training=False)
+        logits, _ = forward_node_gcn(ops, model, config, training=False)
+        assert np.array_equal(logits, result.embeddings)
+
+    def test_gaussian_features_rebuilt_on_load(self, tmp_path):
+        from mlgcn.training import load_checkpoint, save_checkpoint
+        g = small_graph(seed=16)
+        split = split_dataset(g, 0.25, seed=16)
+        cfg = small_config(epochs=3, seed=16, feature_dim=5)
+        result = train(g, split, cfg)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, result.model, cfg, cfg.epochs, "fp")
+        with np.load(path) as data:
+            assert "node_features" not in data.files
+        model, config, _, _ = load_checkpoint(path)
+        assert np.array_equal(model.node_features, result.model.node_features)
+        assert np.array_equal(model.label_features,
+                              result.model.label_features)
+        ops = build_operators(g, config.variant, config.binarize_cooccurrence)
+        logits, _ = forward_node_gcn(ops, model, config, training=False)
         assert np.array_equal(logits, result.embeddings)
 
     def test_version_check(self, tmp_path):
