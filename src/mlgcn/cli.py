@@ -306,6 +306,10 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint_and_graph(args):
     model, config, epoch, fingerprint = load_checkpoint(args.checkpoint)
+    if args.feature_dim != config.feature_dim:
+        raise FingerprintMismatch(
+            f"checkpoint was trained with --feature-dim {config.feature_dim}, "
+            f"this run passes --feature-dim {args.feature_dim}")
     actual = dataset_fingerprint(args, config.seed)
     if actual != fingerprint:
         raise FingerprintMismatch(
@@ -410,6 +414,8 @@ def cmd_sweep(args) -> int:
     rule, threshold = parse_rule(args.rule)
     os.makedirs(args.out, exist_ok=True)
 
+    # only a synthetic graph depends on the seed; a file dataset is read once
+    graph = None if args.synthetic is not None else build_graph(args, args.seed)
     names = [name for name, _ in grid]
     rows = []
     any_failed = False
@@ -421,12 +427,12 @@ def cmd_sweep(args) -> int:
             seed = args.seed + r
             try:
                 config = dataclasses.replace(base_config, seed=seed, **overrides)
-                graph = build_graph(args, seed)
-                split = split_dataset(graph, config.train_ratio, seed)
-                result = train(graph, split, config, rule=rule,
+                run_graph = graph if graph is not None else build_graph(args, seed)
+                split = split_dataset(run_graph, config.train_ratio, seed)
+                result = train(run_graph, split, config, rule=rule,
                                threshold=threshold)
                 rep = evaluate(result.embeddings,
-                               graph.label_assignments.to_dense(),
+                               run_graph.label_assignments.to_dense(),
                                split.test_nodes, rule=rule, threshold=threshold)
                 micro.append(rep.micro_f1)
                 macro.append(rep.macro_f1)

@@ -8,9 +8,10 @@ when W widens its input, ``op @ (H @ W)`` when W narrows it, so the sparse
 product runs over the narrower side. `forward_stack` walks a stack of such
 layers and records everything the backward pass needs (the matrix W
 multiplies, pre-activations, dropout masks); `backward` then walks the two
-layer stacks in reverse, in the order each layer's forward used. Gradients
-never flow into the operators or the input feature blocks — those are
-constants.
+layer stacks in reverse, in the order each layer's forward used. A forward
+that draws no dropout can hand the first layer a precomputed ``op @ H``
+(`propagated`) in place of the sparse product. Gradients never flow into
+the operators or the input feature blocks — those are constants.
 """
 
 from __future__ import annotations
@@ -85,12 +86,19 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
                       activation: str = "relu", dropout: float = 0.0,
                       training: bool = False,
                       rng: np.random.Generator | None = None,
-                      weight_key: str = "") -> tuple[np.ndarray, LayerCache]:
+                      weight_key: str = "",
+                      propagated: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, LayerCache]:
     """One convolution layer: act(op @ drop(H) @ W), associated in the
     order `propagates_first` picks from the operator and weight shapes.
 
     In training mode dropout zeroes input entries with probability p and
     scales survivors by 1/(1-p); in eval mode it is the identity.
+
+    `propagated`, if given, is a precomputed ``op @ h``. It stands in for
+    the sparse product when the layer propagates first; a layer that
+    multiplies W first ignores it. It cannot be combined with a dropout
+    draw, whose mask the product would not carry.
     """
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
@@ -100,16 +108,25 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
     if activation not in ("relu", "identity"):
         raise ValueError(f"unknown activation {activation!r}")
 
+    drawn = training and dropout > 0.0
+    if propagated is not None:
+        if drawn:
+            raise ValueError("a precomputed op @ h cannot stand in for "
+                             "op @ dropout(h)")
+        if propagated.shape != (op.shape[0], h.shape[1]):
+            raise ValueError(f"precomputed product {propagated.shape} is not "
+                             f"op {op.shape} @ H {h.shape}")
+
     mask = None
     hd = h
-    if training and dropout > 0.0:
+    if drawn:
         if rng is None:
             raise ValueError("training dropout needs an rng")
         mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
         hd = h * mask
     first = propagates_first(op.shape, op.nnz, w.shape)
     if first:
-        weight_input = spmm(op, hd)
+        weight_input = spmm(op, hd) if propagated is None else propagated
         z = weight_input @ w
     else:
         weight_input = hd
@@ -167,19 +184,23 @@ def multi_label_loss_grad(o: np.ndarray, targets: np.ndarray,
 
 def forward_stack(layers: list[tuple[SparseMatrix, str]], h: np.ndarray,
                   weights: dict[str, np.ndarray], dropout: float,
-                  training: bool, rng: np.random.Generator | None
+                  training: bool, rng: np.random.Generator | None,
+                  propagated: np.ndarray | None = None
                   ) -> tuple[np.ndarray, list[LayerCache]]:
     """Walk one layer stack, given as (operator, weight key) per layer.
 
     Every layer but the last is rectified; dropout is drawn layer by layer
-    in stack order. Returns the output and the caches `backward_stack` needs.
+    in stack order. `propagated` is the first layer's precomputed
+    ``op @ h`` (see `gcn_layer_forward`). Returns the output and the caches
+    `backward_stack` needs.
     """
     caches = []
     for idx, (op, key) in enumerate(layers):
         activation = "identity" if idx == len(layers) - 1 else "relu"
         h, cache = gcn_layer_forward(op, h, weights[key], activation=activation,
                                      dropout=dropout, training=training,
-                                     rng=rng, weight_key=key)
+                                     rng=rng, weight_key=key,
+                                     propagated=propagated if idx == 0 else None)
         if idx == 0:
             # backward_stack reads a mask only to pass the gradient below
             # its layer, and no gradient goes below the first one

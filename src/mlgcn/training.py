@@ -126,6 +126,10 @@ class ModelState:
     The raw features come from `input_features` and are never stored: a
     checkpoint rebuilds them from its config. The injected blocks start as
     the raw features and are replaced, never written in place.
+
+    `propagated` holds, per view, the first layer's ``op @ H`` together
+    with the operator and the input blocks it was computed from. It is
+    derived from the rest, so checkpoints do not store it.
     """
 
     weights: dict[str, np.ndarray]
@@ -135,6 +139,8 @@ class ModelState:
     node_block: np.ndarray      # attribute features of the label view (starts as raw X)
     label_block: np.ndarray     # attribute features of the node view (starts as raw Y)
     dropout_rng: np.random.Generator
+    propagated: dict[str, tuple[tuple, np.ndarray]] = field(
+        default_factory=dict, repr=False)
 
 
 @dataclass
@@ -223,14 +229,41 @@ def _stack(operators: GraphOperators, config: TrainConfig,
             for name, key in layer_table(config)[view]]
 
 
+def _forward_view(operators: GraphOperators, model: ModelState,
+                  config: TrainConfig, view: str, blocks: list[np.ndarray],
+                  training: bool) -> tuple[np.ndarray, list[LayerCache]]:
+    """Walk one view's stack over its input blocks, stacked row-wise.
+
+    A forward that draws no dropout takes the first layer's ``op @ H`` from
+    `model.propagated` when it was computed from this very operator and
+    these very blocks, and otherwise stores the one it computes. Identity
+    suffices because blocks are replaced, never written in place, so an
+    injection makes the next forward of the other view recompute.
+    """
+    layers = _stack(operators, config, view)
+    h = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
+    drawn = training and config.dropout > 0.0
+    sources = (layers[0][0], *blocks) if layers else ()
+    product = None
+    if not drawn and view in model.propagated:
+        stored_sources, stored = model.propagated[view]
+        # both tuples hold their objects alive, so equal ids mean `is`
+        if list(map(id, stored_sources)) == list(map(id, sources)):
+            product = stored
+    out, caches = forward_stack(layers, h, model.weights, config.dropout,
+                                training, model.dropout_rng, product)
+    if not drawn and product is None and caches and caches[0].propagated_first:
+        model.propagated[view] = (sources, caches[0].weight_input)
+    return out, caches
+
+
 def forward_label_gcn(operators: GraphOperators, model: ModelState,
                       config: TrainConfig, training: bool = False
                       ) -> tuple[np.ndarray, list[LayerCache]]:
     """Label-view logits (m x m) from the raw label features over the
     injected node block."""
-    h = np.vstack([model.label_features, model.node_block])
-    return forward_stack(_stack(operators, config, "label"), h, model.weights,
-                         config.dropout, training, model.dropout_rng)
+    return _forward_view(operators, model, config, "label",
+                         [model.label_features, model.node_block], training)
 
 
 def forward_node_gcn(operators: GraphOperators, model: ModelState,
@@ -239,12 +272,10 @@ def forward_node_gcn(operators: GraphOperators, model: ModelState,
     """Node-view logits (n x m): from the raw node features over the
     injected label block, or, for a model without a label stack (the
     plain-GCN baseline), from the raw node features alone."""
+    blocks = [model.node_features]
     if layer_table(config)["label"]:
-        h = np.vstack([model.node_features, model.label_block])
-    else:
-        h = model.node_features
-    return forward_stack(_stack(operators, config, "node"), h, model.weights,
-                         config.dropout, training, model.dropout_rng)
+        blocks.append(model.label_block)
+    return _forward_view(operators, model, config, "node", blocks, training)
 
 
 def inject_node_features(model: ModelState, node_logits: np.ndarray) -> np.ndarray:
@@ -260,13 +291,20 @@ def inject_label_features(model: ModelState, label_logits: np.ndarray) -> np.nda
 
 
 class _Optimizer:
-    """Plain gradient descent or Adam; weight decay enters as an L2 term."""
+    """Plain gradient descent or Adam; weight decay enters as an L2 term.
+
+    A step updates the weights, and Adam's moments, in place. Its
+    temporaries live in two buffers per weight, allocated on the first
+    step, and every value is computed by the same operations in the same
+    order as the textbook formulas in the comments.
+    """
 
     def __init__(self, config: TrainConfig):
         self.config = config
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.buffers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, model: ModelState, grads: dict[str, np.ndarray]):
         cfg = self.config
@@ -275,18 +313,38 @@ class _Optimizer:
             if np.any(np.isnan(g)):
                 raise ValueError(f"diverged: NaN gradient for {key}")
             w = model.weights[key]
-            g = g + cfg.weight_decay * w
+            if key not in self.buffers:
+                self.buffers[key] = (np.empty_like(w), np.empty_like(w))
+            a, b = self.buffers[key]
+            # a = g + decay * w
+            np.multiply(cfg.weight_decay, w, out=a)
+            np.add(g, a, out=a)
             if cfg.optimizer == "gd":
-                model.weights[key] = w - cfg.learning_rate * g
-            else:
-                b1, b2, eps = 0.9, 0.999, 1e-8
-                m = self.m.setdefault(key, np.zeros_like(w))
-                v = self.v.setdefault(key, np.zeros_like(w))
-                m[:] = b1 * m + (1 - b1) * g
-                v[:] = b2 * v + (1 - b2) * g * g
-                mhat = m / (1 - b1 ** self.step_count)
-                vhat = v / (1 - b2 ** self.step_count)
-                model.weights[key] = w - cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+                # w = w - lr * a
+                np.multiply(cfg.learning_rate, a, out=a)
+                np.subtract(w, a, out=w)
+                continue
+            b1, b2, eps = 0.9, 0.999, 1e-8
+            if key not in self.m:
+                self.m[key], self.v[key] = np.zeros_like(w), np.zeros_like(w)
+            m, v = self.m[key], self.v[key]
+            # m = b1 * m + (1 - b1) * a
+            np.multiply(b1, m, out=m)
+            np.multiply(1 - b1, a, out=b)
+            np.add(m, b, out=m)
+            # v = b2 * v + (1 - b2) * a * a
+            np.multiply(b2, v, out=v)
+            np.multiply(1 - b2, a, out=b)
+            np.multiply(b, a, out=b)
+            np.add(v, b, out=v)
+            # w = w - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+            np.divide(m, 1 - b1 ** self.step_count, out=a)
+            np.multiply(cfg.learning_rate, a, out=a)
+            np.divide(v, 1 - b2 ** self.step_count, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(w, a, out=w)
 
 
 def sgd_step(model: ModelState, grads: dict[str, np.ndarray],
@@ -352,6 +410,9 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
             sgd_step(model, grads, config, optimizer)
         except (FloatingPointError, ValueError) as exc:
             raise DivergenceError(epoch, str(exc)) from exc
+        # spent: freeing them here keeps them out of the validation forward
+        # and out of the next epoch's forwards, where memory peaks
+        del label_caches, node_caches, grads
 
         if split.val_nodes.size:
             embeddings, _ = forward_node_gcn(operators, model, config,

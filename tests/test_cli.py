@@ -69,13 +69,18 @@ class TestStats:
                 (good_edges, "1,a\nbroken\n", labels, edges)]:
             edges.write_text(edge_text)
             labels.write_text(label_text)
-            code = run(["stats", "--edges", str(edges),
-                        "--labels", str(labels)])
-            assert code == EXIT_IO
-            err = capsys.readouterr().err
-            assert len(err.splitlines()) == 1
-            assert f"{bad}: line 2: expected" in err
-            assert str(good) not in err
+            # sweep reads a file dataset once, before its grid, so a parse
+            # error ends it as it ends stats, not as per-row errors
+            for command in (["stats"],
+                            ["sweep", "--grid", "epochs=1",
+                             "--out", str(tmp_path / "sweep")]):
+                code = run([*command, "--edges", str(edges),
+                            "--labels", str(labels)])
+                assert code == EXIT_IO
+                err = capsys.readouterr().err
+                assert len(err.splitlines()) == 1
+                assert f"{bad}: line 2: expected" in err
+                assert str(good) not in err
 
     def test_no_dataset_is_usage_error(self):
         assert run(["stats"]) == EXIT_USAGE
@@ -241,6 +246,24 @@ class TestEval:
                     "--metrics", str(tmp_path / "m.json")])
         assert code == EXIT_FINGERPRINT
 
+    def test_feature_width_mismatch_names_both_widths(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        spec = "k=2,size=8"
+        assert run(["train", "--synthetic", spec, "--epochs", "2",
+                    "--hidden", "8", "--feature-dim", "16",
+                    "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        checkpoint = str(out / "checkpoint.npz")
+        for argv in (["eval", "--metrics", str(tmp_path / "m.json")],
+                     ["case-study", "--labels-list", "0",
+                      "--correlation-out", str(tmp_path / "c.csv")]):
+            code = run([*argv, "--synthetic", spec, "--feature-dim", "8",
+                        "--checkpoint", checkpoint])
+            assert code == EXIT_FINGERPRINT
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert "--feature-dim 16" in err and "--feature-dim 8" in err
+
 
 def _rewrite_checkpoint(src, dst, edit):
     with np.load(src) as data:
@@ -345,6 +368,51 @@ class TestSweep:
         for line in lines[1:]:
             assert float(line.split(",")[2]) >= 0.0
             assert float(line.split(",")[3]) == 0.0
+
+    def test_file_dataset_read_once(self, tmp_path, monkeypatch):
+        # 2 grid points x 2 repeats read the files once, and every row is
+        # what a run on a freshly read graph gives
+        import mlgcn.cli as cli
+        from mlgcn.datasets import load_dataset
+        from mlgcn.metrics import evaluate, split_dataset
+        from mlgcn.training import TrainConfig, train
+        edges, labels = tmp_path / "edges.csv", tmp_path / "labels.csv"
+        edges.write_text("".join(f"{i},{(i + 1) % 12}\n{i},{(i + 5) % 12}\n"
+                                 for i in range(12)))
+        labels.write_text("".join(f"{i},{'ab'[i % 2]}\n" for i in range(12))
+                          + "0,c\n7,c\n")
+        reads = []
+
+        def counting(*args, **kwargs):
+            reads.append(args)
+            return load_dataset(*args, **kwargs)
+        monkeypatch.setattr(cli, "load_dataset", counting)
+        out = tmp_path / "sweep"
+        code = run(["sweep", "--edges", str(edges), "--labels", str(labels),
+                    "--epochs", "3", "--hidden", "8", "--seed", "4",
+                    "--grid", "alpha=0.3,0.5", "--repeats", "2",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(reads) == 1
+
+        expected = ["alpha,metric,mean,std,repeats,error"]
+        for alpha in (0.3, 0.5):
+            scores = []
+            for seed in (4, 5):
+                graph = load_dataset(str(edges), str(labels))
+                split = split_dataset(graph, alpha, seed)
+                config = TrainConfig(epochs=3, hidden_dim=8, seed=seed,
+                                     train_ratio=alpha)
+                result = train(graph, split, config)
+                scores.append(evaluate(result.embeddings,
+                                       graph.label_assignments.to_dense(),
+                                       split.test_nodes))
+            for metric in ("micro_f1", "macro_f1"):
+                values = [getattr(rep, metric) for rep in scores]
+                expected.append(f"{alpha},{metric},"
+                                f"{cli._fmt(np.mean(values))},"
+                                f"{cli._fmt(np.std(values))},2,")
+        assert (out / "sweep.csv").read_text().splitlines() == expected
 
     def test_empty_grid_usage_error(self, tmp_path):
         code = run(["sweep", "--synthetic", "k=2,size=10",

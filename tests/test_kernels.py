@@ -198,6 +198,63 @@ class TestAssociationOrder:
             assert np.array_equal(grads[key], kept[key])
 
 
+class TestPrecomputedProduct:
+    """A first layer handed its ``op @ h`` skips the sparse product."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        # widening weights, so the layer propagates first
+        self.op = random_op(rng, 6, 9)
+        self.h = rng.standard_normal((9, 3))
+        self.w = rng.standard_normal((3, 7))
+        assert propagates_first(self.op.shape, self.op.nnz, self.w.shape)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_same_output_and_cache_without_dropout(self, training):
+        # dropout 0 draws nothing in either mode
+        product = spmm(self.op, self.h)
+        out, cache = gcn_layer_forward(self.op, self.h, self.w,
+                                       training=training, propagated=product)
+        ref, ref_cache = gcn_layer_forward(self.op, self.h, self.w,
+                                           training=training)
+        assert np.array_equal(out, ref)
+        assert cache.weight_input is product
+        assert np.array_equal(ref_cache.weight_input, product)
+
+    def test_rejected_with_a_dropout_draw(self):
+        with pytest.raises(ValueError, match="dropout"):
+            gcn_layer_forward(self.op, self.h, self.w, dropout=0.5,
+                              training=True, rng=np.random.default_rng(0),
+                              propagated=spmm(self.op, self.h))
+
+    def test_eval_mode_with_dropout_accepts_it(self):
+        product = spmm(self.op, self.h)
+        out, _ = gcn_layer_forward(self.op, self.h, self.w, dropout=0.5,
+                                   training=False, propagated=product)
+        ref, _ = gcn_layer_forward(self.op, self.h, self.w, dropout=0.5,
+                                   training=False)
+        assert np.array_equal(out, ref)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="precomputed"):
+            gcn_layer_forward(self.op, self.h, self.w,
+                              propagated=np.zeros((6, 4)))
+
+    def test_stack_passes_it_to_the_first_layer_only(self):
+        rng = np.random.default_rng(12)
+        ops = [self.op, random_op(rng, 6, 6)]
+        weights = {"w0": self.w, "w1": rng.standard_normal((7, 2))}
+        product = spmm(self.op, self.h)
+        out, caches = forward_stack(list(zip(ops, weights)), self.h, weights,
+                                    dropout=0.0, training=True, rng=None,
+                                    propagated=product)
+        ref, _ = forward_stack(list(zip(ops, weights)), self.h, weights,
+                               dropout=0.0, training=True, rng=None)
+        assert np.array_equal(out, ref)
+        assert caches[0].weight_input is product
+        assert caches[1].weight_input is not product
+
+
 class TestSoftmaxRows:
     def test_symmetry(self):
         assert np.allclose(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]],

@@ -11,7 +11,7 @@ from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
                             TrainConfig, forward_label_gcn, forward_node_gcn,
                             init_model, inject_label_features,
                             inject_node_features, input_features, layer_table,
-                            sgd_step, train)
+                            _Optimizer, sgd_step, train)
 from mlgcn.rng import rng_stream
 
 
@@ -356,6 +356,149 @@ class TestSgdStep:
         sgd_step(model, {"w": np.array([[0.5, -0.25]])}, cfg)
         # bias-corrected first step: lr * g / (|g| + eps) ~ lr * sign(g)
         assert np.allclose(model.weights["w"], [[0.9, 1.1]], atol=1e-6)
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    def test_in_place_step_equals_the_formula_bitwise(self, optimizer):
+        # the textbook update, one fresh array per operation, five steps
+        rng = np.random.default_rng(7)
+        cfg = small_config(optimizer=optimizer, learning_rate=0.03,
+                           weight_decay=0.1)
+        start = {"a": rng.standard_normal((4, 3)),
+                 "b": rng.standard_normal((3, 2))}
+        model = self.tiny_model([[0.0]])
+        model.weights = {k: w.copy() for k, w in start.items()}
+        opt = _Optimizer(cfg)
+        ref_w = {k: w.copy() for k, w in start.items()}
+        ref_m = {k: np.zeros_like(w) for k, w in start.items()}
+        ref_v = {k: np.zeros_like(w) for k, w in start.items()}
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(w.shape) for k, w in start.items()}
+            grads["a"][0] = 0.0
+            sgd_step(model, grads, cfg, opt)
+            for k, g in grads.items():
+                w = ref_w[k]
+                g = g + cfg.weight_decay * w
+                if optimizer == "gd":
+                    ref_w[k] = w - lr * g
+                    continue
+                ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
+                mhat = ref_m[k] / (1 - b1 ** t)
+                vhat = ref_v[k] / (1 - b2 ** t)
+                ref_w[k] = w - lr * mhat / (np.sqrt(vhat) + eps)
+        assert opt.step_count == 5
+        for k in start:
+            assert model.weights[k].tobytes() == ref_w[k].tobytes()
+            if optimizer == "adam":
+                assert opt.m[k].tobytes() == ref_m[k].tobytes()
+                assert opt.v[k].tobytes() == ref_v[k].tobytes()
+
+
+class TestFirstLayerReuse:
+    """Forwards that draw no dropout share each view's first-layer op @ H."""
+
+    def setup_method(self):
+        self.g = small_graph(seed=21)
+        self.ops = build_operators(self.g)
+        # narrow features under a wider hidden layer: both first layers
+        # propagate first
+        self.cfg = small_config(feature_dim=3, hidden_dim=8)
+        self.model = init_model(self.g, self.cfg)
+
+    def node_products(self, monkeypatch):
+        """Operators of every spmm shaped like the node-view truncated one."""
+        import mlgcn.kernels as kernels
+        shape = self.ops.node.truncated.shape
+        calls, spmm = [], kernels.spmm
+
+        def counting(s, d):
+            if s.shape == shape:
+                calls.append(s)
+            return spmm(s, d)
+        monkeypatch.setattr(kernels, "spmm", counting)
+        return calls
+
+    def test_reused_product_equals_the_sparse_product(self):
+        from mlgcn.kernels import spmm
+        model, ops, cfg = self.model, self.ops, self.cfg
+        for forward, view_input, op in [
+                (forward_node_gcn, node_view_input, ops.node.truncated),
+                (forward_label_gcn, label_view_input, ops.label.truncated)]:
+            first, c1 = forward(ops, model, cfg)
+            again, c2 = forward(ops, model, cfg)
+            assert c2[0].weight_input is c1[0].weight_input
+            assert np.array_equal(c2[0].weight_input,
+                                  spmm(op, view_input(model)))
+            assert np.array_equal(first, again)
+
+    def test_injection_makes_the_other_view_recompute(self, monkeypatch):
+        from mlgcn.kernels import spmm
+        model, ops, cfg = self.model, self.ops, self.cfg
+        label_logits, lc = forward_label_gcn(ops, model, cfg)
+        node_logits, nc = forward_node_gcn(ops, model, cfg)
+        calls = self.node_products(monkeypatch)
+
+        inject_label_features(model, label_logits)
+        _, nc2 = forward_node_gcn(ops, model, cfg)
+        assert len(calls) == 1
+        assert np.array_equal(nc2[0].weight_input,
+                              spmm(ops.node.truncated, node_view_input(model)))
+        _, lc2 = forward_label_gcn(ops, model, cfg)
+        assert lc2[0].weight_input is lc[0].weight_input
+
+        inject_node_features(model, node_logits)
+        _, lc3 = forward_label_gcn(ops, model, cfg)
+        assert lc3[0].weight_input is not lc[0].weight_input
+        assert np.array_equal(lc3[0].weight_input,
+                              spmm(ops.label.truncated,
+                                   label_view_input(model)))
+
+    def test_other_operators_recompute(self, monkeypatch):
+        model, cfg = self.model, self.cfg
+        logits, caches = forward_node_gcn(self.ops, model, cfg)
+        calls = self.node_products(monkeypatch)
+        other = build_operators(self.g)
+        again, other_caches = forward_node_gcn(other, model, cfg)
+        assert calls == [other.node.truncated]
+        assert other_caches[0].weight_input is not caches[0].weight_input
+        assert np.array_equal(again, logits)
+
+    def test_dropout_training_forward_never_reuses(self, monkeypatch):
+        cfg = small_config(feature_dim=3, hidden_dim=8, dropout=0.5)
+        model, fresh = init_model(self.g, cfg), init_model(self.g, cfg)
+        _, stored = forward_node_gcn(self.ops, model, cfg)
+        calls = self.node_products(monkeypatch)
+        logits, caches = forward_node_gcn(self.ops, model, cfg, training=True)
+        assert len(calls) == 1
+        assert caches[0].weight_input is not stored[0].weight_input
+        # a model with nothing stored gives the same logits and draws
+        ref, _ = forward_node_gcn(self.ops, fresh, cfg, training=True)
+        assert np.array_equal(logits, ref)
+        # one value per entry of each layer's input, as without reuse
+        rng = rng_stream(cfg.seed, "dropout")
+        rng.random(node_view_input(model).shape)
+        rng.random((self.g.node_count, cfg.hidden_dim))
+        for drawn in (model, fresh):
+            assert (drawn.dropout_rng.bit_generator.state
+                    == rng.bit_generator.state)
+        # the masked product is not stored: the next eval forward reuses
+        _, after = forward_node_gcn(self.ops, model, cfg)
+        assert after[0].weight_input is stored[0].weight_input
+
+    def test_dropout_free_run_propagates_once_per_injection(self,
+                                                            monkeypatch):
+        # injections fire at epoch 0 only: the node view's input is
+        # propagated by the epoch-0 training forward and again, over the
+        # new label block, by the epoch-0 validation forward; every later
+        # forward, 2 per epoch, reuses that product
+        calls = self.node_products(monkeypatch)
+        split = split_dataset(self.g, 0.25, seed=21)
+        assert split.val_nodes.size
+        cfg = small_config(feature_dim=3, hidden_dim=8, epochs=5,
+                           update_freq_nodes=10, update_freq_labels=10)
+        train(self.g, split, cfg)
+        assert len(calls) == 2
 
 
 class TestTrain:
