@@ -414,8 +414,12 @@ def cmd_sweep(args) -> int:
     rule, threshold = parse_rule(args.rule)
     os.makedirs(args.out, exist_ok=True)
 
-    # only a synthetic graph depends on the seed; a file dataset is read once
-    graph = None if args.synthetic is not None else build_graph(args, args.seed)
+    # only a synthetic graph depends on the seed; its spec is parsed once,
+    # so a bad one is a usage error, and a file dataset is read once
+    if args.synthetic is not None:
+        spec, graph = parse_synthetic_spec(args.synthetic, args.seed), None
+    else:
+        graph = build_graph(args, args.seed)
     names = [name for name, _ in grid]
     rows = []
     any_failed = False
@@ -427,7 +431,8 @@ def cmd_sweep(args) -> int:
             seed = args.seed + r
             try:
                 config = dataclasses.replace(base_config, seed=seed, **overrides)
-                run_graph = graph if graph is not None else build_graph(args, seed)
+                run_graph = graph if graph is not None else generate_synthetic(
+                    dataclasses.replace(spec, seed=seed))
                 split = split_dataset(run_graph, config.train_ratio, seed)
                 result = train(run_graph, split, config, rule=rule,
                                threshold=threshold)

@@ -5,7 +5,9 @@ A convolution layer computes ``act(op @ dropout(H) @ W)`` where `op` is a
 fixed sparse propagation operator. Each layer picks the cheaper association
 of that product from the shapes alone (`propagates_first`): ``(op @ H) @ W``
 when W widens its input, ``op @ (H @ W)`` when W narrows it, so the sparse
-product runs over the narrower side. `forward_stack` walks a stack of such
+product runs over the narrower side. A sparse H (a `SparseMatrix`, such as
+one-hot input features) always multiplies W first, and its dropout draws
+one value per stored entry. `forward_stack` walks a stack of such
 layers and records everything the backward pass needs (the matrix W
 multiplies, pre-activations, dropout masks); `backward` then walks the two
 layer stacks in reverse, in the order each layer's forward used. A forward
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .matrices import SparseMatrix
 
@@ -60,10 +63,12 @@ class LayerCache:
 
     op: SparseMatrix
     weight: np.ndarray
-    weight_input: np.ndarray      # what W multiplies, feeds dW: op @ dropout(H)
-                                  # when propagated first, else dropout(H)
+    weight_input: np.ndarray | SparseMatrix  # what W multiplies, feeds dW:
+                                  # op @ dropout(H) when propagated first,
+                                  # else dropout(H), sparse when H is
     pre_activation: np.ndarray
-    mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)); None in
+    mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)), one value
+                                  # per stored entry of a sparse H; None in
                                   # eval and, in a stack, on the first layer
     activation: str
     weight_key: str
@@ -82,7 +87,8 @@ def propagates_first(op_shape: tuple[int, int], op_nnz: int,
     return rows * d * h + op_nnz * d <= cols * d * h + op_nnz * h
 
 
-def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
+def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
+                      w: np.ndarray,
                       activation: str = "relu", dropout: float = 0.0,
                       training: bool = False,
                       rng: np.random.Generator | None = None,
@@ -93,7 +99,9 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
     order `propagates_first` picks from the operator and weight shapes.
 
     In training mode dropout zeroes input entries with probability p and
-    scales survivors by 1/(1-p); in eval mode it is the identity.
+    scales survivors by 1/(1-p); in eval mode it is the identity. A sparse
+    `h` draws only over its stored entries, zeroes them in a copy, and
+    always multiplies W first: ``h @ W`` costs nnz(h) per output column.
 
     `propagated`, if given, is a precomputed ``op @ h``. It stands in for
     the sparse product when the layer propagates first; a layer that
@@ -117,14 +125,20 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray, w: np.ndarray,
             raise ValueError(f"precomputed product {propagated.shape} is not "
                              f"op {op.shape} @ H {h.shape}")
 
+    sparse = sp.issparse(h)
     mask = None
     hd = h
     if drawn:
         if rng is None:
             raise ValueError("training dropout needs an rng")
-        mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
-        hd = h * mask
-    first = propagates_first(op.shape, op.nnz, w.shape)
+        values = h.data if sparse else h
+        mask = (rng.random(values.shape) >= dropout) / (1.0 - dropout)
+        if sparse:
+            hd = h.copy()
+            hd.data *= mask
+        else:
+            hd = h * mask
+    first = not sparse and propagates_first(op.shape, op.nnz, w.shape)
     if first:
         weight_input = spmm(op, hd) if propagated is None else propagated
         z = weight_input @ w
@@ -219,7 +233,9 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
     opᵀ @ dZ once, over W's fan-out columns, and takes both dW and the
     input gradient from it. That needs the transpose of the first layer's
     non-square operator too; scipy's ``.T`` view multiplies as fast as a
-    built transpose. No gradient flows into the input features.
+    built transpose. A sparse first-layer input gives dW as
+    dropout(H)ᵀ @ (opᵀ @ dZ) over its stored entries alone. No gradient
+    flows into the input features.
     """
     g = d_out
     for idx in range(len(caches) - 1, -1, -1):

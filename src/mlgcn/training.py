@@ -20,6 +20,7 @@ import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import DataSplit, MultiLabelGraph
 from .kernels import (LayerCache, backward, forward_stack, multi_label_loss,
@@ -134,9 +135,11 @@ class ModelState:
 
     weights: dict[str, np.ndarray]
     projections: dict[str, np.ndarray]
-    node_features: np.ndarray   # raw X (n x d), the node view's leading rows
+    node_features: np.ndarray | SparseMatrix  # raw X (n x d), the node view's
+                                              # leading rows; CSR when one-hot
     label_features: np.ndarray  # raw Y (m x d), the label view's leading rows
-    node_block: np.ndarray      # attribute features of the label view (starts as raw X)
+    node_block: np.ndarray | SparseMatrix  # attribute features of the label
+                                           # view (starts as raw X)
     label_block: np.ndarray     # attribute features of the node view (starts as raw Y)
     dropout_rng: np.random.Generator
     propagated: dict[str, tuple[tuple, np.ndarray]] = field(
@@ -180,19 +183,22 @@ def weight_shapes(config: TrainConfig, d: int,
     return shapes
 
 
-def input_features(n: int, m: int,
-                   config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def input_features(n: int, m: int, config: TrainConfig
+                   ) -> tuple[np.ndarray | SparseMatrix, np.ndarray]:
     """Raw node (n x d) and label (m x d) features for `config`.
 
     With `feature_dim` 0 they are one-hot rows over the joint node+label
     index space (d = n + m, nodes on the leading columns, labels on the
-    last m). Otherwise they are Gaussian rows of width `feature_dim` and
-    scale 1/sqrt(d), drawn nodes first from the seed's features stream;
-    they bound memory on large graphs.
+    last m); X is then a CSR matrix holding its n unit entries, and Y a
+    dense array. Otherwise they are dense Gaussian rows of width
+    `feature_dim` and scale 1/sqrt(d), drawn nodes first from the seed's
+    features stream; they bound memory on large graphs.
     """
     d = config.feature_dim
     if d == 0:
-        return np.eye(n, n + m), np.eye(m, n + m, k=n)
+        diag = np.arange(n)
+        return (SparseMatrix.from_coo(n, n + m, diag, diag, np.ones(n)),
+                np.eye(m, n + m, k=n))
     rng = rng_stream(config.seed, "features")
     scale = 1.0 / np.sqrt(d)
     return (rng.normal(0.0, scale, size=(n, d)),
@@ -230,9 +236,11 @@ def _stack(operators: GraphOperators, config: TrainConfig,
 
 
 def _forward_view(operators: GraphOperators, model: ModelState,
-                  config: TrainConfig, view: str, blocks: list[np.ndarray],
-                  training: bool) -> tuple[np.ndarray, list[LayerCache]]:
-    """Walk one view's stack over its input blocks, stacked row-wise.
+                  config: TrainConfig, view: str,
+                  blocks: list[np.ndarray | SparseMatrix], training: bool) -> tuple[np.ndarray, list[LayerCache]]:
+    """Walk one view's stack over its input blocks, stacked row-wise: as
+    one CSR matrix when any block is sparse (the one-hot X, or the label
+    view's node block before its first injection), else as a dense array.
 
     A forward that draws no dropout takes the first layer's ``op @ H`` from
     `model.propagated` when it was computed from this very operator and
@@ -241,7 +249,12 @@ def _forward_view(operators: GraphOperators, model: ModelState,
     injection makes the next forward of the other view recompute.
     """
     layers = _stack(operators, config, view)
-    h = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
+    if len(blocks) == 1:
+        h = blocks[0]
+    elif any(map(sp.issparse, blocks)):
+        h = SparseMatrix(sp.vstack(blocks, format="csr"))
+    else:
+        h = np.vstack(blocks)
     drawn = training and config.dropout > 0.0
     sources = (layers[0][0], *blocks) if layers else ()
     product = None
@@ -457,7 +470,10 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
         arrays[f"weight__{key}"] = w
     for key, w in model.projections.items():
         arrays[f"projection__{key}"] = w
-    arrays["node_block"] = model.node_block
+    # until its first injection the node block is the sparse raw X
+    node_block = model.node_block
+    arrays["node_block"] = (node_block.toarray() if sp.issparse(node_block)
+                            else node_block)
     arrays["label_block"] = model.label_block
     if optimizer is not None and config.optimizer == "adam":
         for key, a in optimizer.m.items():

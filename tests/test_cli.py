@@ -90,6 +90,9 @@ class TestStats:
 BAD_VALUES = {
     "synthetic_not_a_number": (["train", "--synthetic", "k=abc,size=10",
                                 "--out", "o"], "k='abc'"),
+    "sweep_synthetic_not_a_number": (["sweep", "--synthetic", "k=abc,size=10",
+                                      "--grid", "epochs=1", "--out", "o"],
+                                     "k='abc'"),
     "grid_not_a_number": (["sweep", "--synthetic", "k=2,size=10",
                            "--grid", "epochs=x", "--out", "o"], "'epochs'"),
     "negative_feature_dim": (["train", "--synthetic", "k=2,size=10",
@@ -263,6 +266,34 @@ class TestEval:
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1
             assert "--feature-dim 16" in err and "--feature-dim 8" in err
+
+    def test_uninjected_one_hot_checkpoint(self, tmp_path, monkeypatch):
+        # no injection fires, so the label view's node block is still the
+        # sparse one-hot X when the checkpoint is written
+        import mlgcn.cli as cli
+        captured = {}
+
+        def capture(name, fn):
+            def wrapped(*args, **kwargs):
+                captured[name] = out = fn(*args, **kwargs)
+                return out
+            monkeypatch.setattr(cli, name, wrapped)
+        capture("train", cli.train)
+        capture("_final_scores", cli._final_scores)
+        out, spec = tmp_path / "run", "k=2,size=10"
+        assert run(["train", "--synthetic", spec, "--epochs", "1",
+                    "--skip-epoch0-injection", "--hidden", "8",
+                    "--out", str(out)]) == EXIT_OK
+        checkpoint = out / "checkpoint.npz"
+        x = captured["train"].model.node_block
+        assert x is captured["train"].model.node_features
+        with np.load(checkpoint) as data:  # refuses pickled objects
+            assert np.array_equal(data["node_block"], x.toarray())
+        assert run(["eval", "--synthetic", spec, "--checkpoint",
+                    str(checkpoint), "--metrics",
+                    str(tmp_path / "m.json")]) == EXIT_OK
+        assert np.array_equal(captured["_final_scores"],
+                              captured["train"].embeddings)
 
 
 def _rewrite_checkpoint(src, dst, edit):

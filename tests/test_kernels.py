@@ -255,6 +255,93 @@ class TestPrecomputedProduct:
         assert caches[1].weight_input is not product
 
 
+class TestSparseInput:
+    """A sparse H multiplies W first and drops out only its stored entries."""
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("rows,cols,d,h,first",
+                             TestAssociationOrder.BRANCHES)
+    def test_matches_dense_twin(self, rows, cols, d, h, first, activation):
+        rng = np.random.default_rng(rows * 100 + d + 7)
+        op = random_op(rng, rows, cols)
+        x = random_op(rng, cols, d)
+        w = rng.standard_normal((d, h))
+        upstream = rng.standard_normal((rows, h))
+        for training in (False, True):
+            out, cache = gcn_layer_forward(op, x, w, activation=activation,
+                                           training=training, weight_key="w")
+            ref, ref_cache = gcn_layer_forward(op, x.toarray(), w,
+                                               activation=activation,
+                                               training=training,
+                                               weight_key="w")
+            assert not cache.propagated_first
+            assert ref_cache.propagated_first == first
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0)
+            grads, ref_grads = {}, {}
+            backward_stack([cache], upstream, grads)
+            backward_stack([ref_cache], upstream, ref_grads)
+            assert isinstance(grads["w"], np.ndarray)
+            np.testing.assert_allclose(grads["w"], ref_grads["w"],
+                                       rtol=1e-12, atol=0)
+
+    def test_dropout_draws_once_per_stored_entry(self):
+        rng = np.random.default_rng(5)
+        op = random_op(rng, 6, 9)
+        x = random_op(rng, 9, 4)
+        w = rng.standard_normal((4, 3))
+        before = x.toarray()
+        layer_rng = np.random.default_rng(9)
+        out, cache = gcn_layer_forward(op, x, w, activation="identity",
+                                       dropout=0.5, training=True,
+                                       rng=layer_rng)
+        replay = np.random.default_rng(9)
+        keep = replay.random(x.nnz) >= 0.5
+        assert layer_rng.bit_generator.state == replay.bit_generator.state
+        assert cache.mask.shape == (x.nnz,)
+        dropped = cache.weight_input
+        assert np.array_equal(x.toarray(), before)
+        # the same stored pattern, scaled or zeroed entry by entry
+        assert np.array_equal(dropped.indptr, x.indptr)
+        assert np.array_equal(dropped.indices, x.indices)
+        assert np.array_equal(dropped.data, x.data * keep * 2.0)
+        assert (~keep).any() and keep.any()
+        want = op.toarray() @ dropped.toarray() @ w
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-15)
+
+    def test_stack_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(13)
+        ops = [random_op(rng, 7, 9), random_op(rng, 7, 7)]
+        weights = {"w0": rng.standard_normal((6, 5)) * 0.5,
+                   "w1": rng.standard_normal((5, 3)) * 0.5}
+        x = random_op(rng, 9, 6)
+        upstream = rng.standard_normal((7, 3))
+        layers = list(zip(ops, weights))
+
+        def loss():
+            out, _ = forward_stack(layers, x, weights, dropout=0.2,
+                                   training=True,
+                                   rng=np.random.default_rng(8))
+            return float((out * upstream).sum())
+
+        _, caches = forward_stack(layers, x, weights, dropout=0.2,
+                                  training=True, rng=np.random.default_rng(8))
+        grads = {}
+        backward_stack(caches, upstream, grads)
+        eps = 1e-6
+        for key, analytic in grads.items():
+            w = weights[key]
+            for idx in np.ndindex(w.shape):
+                orig = w[idx]
+                w[idx] = orig + eps
+                lp = loss()
+                w[idx] = orig - eps
+                lm = loss()
+                w[idx] = orig
+                fd = (lp - lm) / (2 * eps)
+                assert abs(analytic[idx] - fd) <= 1e-8 + 1e-5 * abs(fd), \
+                    f"{key}{idx}: analytic={analytic[idx]} fd={fd}"
+
+
 class TestSoftmaxRows:
     def test_symmetry(self):
         assert np.allclose(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]],

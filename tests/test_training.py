@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
 from mlgcn.kernels import (multi_label_loss, single_label_loss,
@@ -12,6 +13,7 @@ from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
                             init_model, inject_label_features,
                             inject_node_features, input_features, layer_table,
                             _Optimizer, sgd_step, train)
+from mlgcn.matrices import SparseMatrix
 from mlgcn.rng import rng_stream
 
 
@@ -27,14 +29,19 @@ def small_config(**kw):
     return TrainConfig(**defaults)
 
 
+def dense(block):
+    """A feature block as a dense array; the one-hot X is stored as CSR."""
+    return block.toarray() if sp.issparse(block) else block
+
+
 def label_view_input(model):
     """Raw label features over the injected node block."""
-    return np.vstack([model.label_features, model.node_block])
+    return np.vstack([model.label_features, dense(model.node_block)])
 
 
 def node_view_input(model):
     """Raw node features over the injected label block."""
-    return np.vstack([model.node_features, model.label_block])
+    return np.vstack([dense(model.node_features), model.label_block])
 
 
 def raw_features(g, cfg):
@@ -90,15 +97,16 @@ class TestTrainConfig:
 class TestInputFeatures:
     def test_identity_slice(self):
         x, _ = input_features(3, 2, TrainConfig())
-        assert np.array_equal(x, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
-                                  [0, 0, 1, 0, 0]])
+        assert np.array_equal(x.toarray(), [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                                            [0, 0, 1, 0, 0]])
 
     def test_shifted_slice(self):
         _, y = input_features(3, 2, TrainConfig())
         assert np.array_equal(y, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
 
     def test_each_row_single_one(self):
-        for f in input_features(7, 3, TrainConfig()):
+        x, y = input_features(7, 3, TrainConfig())
+        for f in (x.toarray(), y):
             assert f.dtype == np.float64 and f.shape[1] == 10
             assert np.array_equal(f.sum(axis=1), np.ones(len(f)))
             assert set(np.unique(f)) <= {0.0, 1.0}
@@ -141,9 +149,9 @@ class TestInitModel:
         cfg = small_config()
         model = init_model(g, cfg)
         x, y = raw_features(g, cfg)
-        assert np.array_equal(model.node_features, x)
+        assert np.array_equal(model.node_features.toarray(), x.toarray())
         assert np.array_equal(model.label_features, y)
-        assert np.array_equal(model.node_block, x)
+        assert np.array_equal(model.node_block.toarray(), x.toarray())
         assert np.array_equal(model.label_block, y)
 
     def test_weights_take_the_feature_width(self):
@@ -311,7 +319,7 @@ class TestInjections:
         assert np.abs(label_logits - oracle).max() <= 1e-12
         node_logits, _ = forward_node_gcn(ops, model, cfg)
         hidden = np.maximum(ops.node.truncated.to_dense()
-                            @ np.vstack([x, model.label_block])
+                            @ np.vstack([x.toarray(), model.label_block])
                             @ model.weights["w0_node"], 0.0)
         oracle = ops.node.intra.to_dense() @ hidden @ model.weights["w1_node"]
         assert np.abs(node_logits - oracle).max() <= 1e-12
@@ -501,6 +509,138 @@ class TestFirstLayerReuse:
         assert len(calls) == 2
 
 
+def densified(model):
+    """The same model with its one-hot X, and any block still equal to it,
+    stored as dense arrays."""
+    return ModelState(
+        weights={k: w.copy() for k, w in model.weights.items()},
+        projections=model.projections, node_features=dense(model.node_features),
+        label_features=model.label_features,
+        node_block=dense(model.node_block), label_block=model.label_block,
+        dropout_rng=rng_stream(0, "dropout"))
+
+
+class TestSparseInput:
+    """One-hot X is stored as CSR; a view stacks sparse while any of its
+    blocks is."""
+
+    def stacked_inputs(self, monkeypatch):
+        """Every layer's input `h`, in call order."""
+        import mlgcn.kernels as kernels
+        seen, layer = [], kernels.gcn_layer_forward
+
+        def recording(op, h, *args, **kwargs):
+            seen.append(h)
+            return layer(op, h, *args, **kwargs)
+        monkeypatch.setattr(kernels, "gcn_layer_forward", recording)
+        return seen
+
+    def test_one_hot_x_is_csr(self):
+        x, y = input_features(5, 2, TrainConfig())
+        assert isinstance(x, SparseMatrix) and x.format == "csr"
+        assert x.nnz == 5 and isinstance(y, np.ndarray)
+        x, _ = input_features(5, 2, TrainConfig(feature_dim=3))
+        assert isinstance(x, np.ndarray)
+
+    def test_view_inputs_stack_sparse_until_injected(self, monkeypatch):
+        g = small_graph(seed=31)
+        n, m = g.node_count, g.label_count
+        cfg = small_config()
+        ops = build_operators(g)
+        model = init_model(g, cfg)
+        seen = self.stacked_inputs(monkeypatch)
+        label_logits, _ = forward_label_gcn(ops, model, cfg, training=True)
+        node_logits, _ = forward_node_gcn(ops, model, cfg, training=True)
+        label_h, node_h = seen[0], seen[1]
+        for h, want, nnz in ((label_h, label_view_input(model), m + n),
+                             (node_h, node_view_input(model), n + m)):
+            assert isinstance(h, SparseMatrix) and h.format == "csr"
+            assert h.nnz == nnz
+            assert np.array_equal(h.toarray(), want)
+
+        inject_label_features(model, label_logits)
+        inject_node_features(model, node_logits)
+        seen.clear()
+        forward_label_gcn(ops, model, cfg, training=True)
+        forward_node_gcn(ops, model, cfg, training=True)
+        label_h, node_h = seen[0], seen[1]
+        assert isinstance(label_h, np.ndarray)
+        assert np.array_equal(label_h, label_view_input(model))
+        # the node view stays sparse: X over the label block's nonzeros
+        assert isinstance(node_h, SparseMatrix) and node_h.format == "csr"
+        assert node_h.nnz == n + np.count_nonzero(model.label_block)
+        assert np.array_equal(node_h.toarray(), node_view_input(model))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_dense_features(self, variant):
+        from mlgcn.kernels import backward
+        g = small_graph(seed=32)
+        cfg = small_config(variant=variant)
+        ops = build_operators(g, variant)
+        model = init_model(g, cfg)
+        coupled = bool(layer_table(cfg)["label"])
+        for injected in (False, True):
+            twin = densified(model)
+            outputs = []
+            for state in (model, twin):
+                label_logits, label_caches, d_label = None, None, None
+                if coupled:
+                    label_logits, label_caches = forward_label_gcn(
+                        ops, state, cfg, training=True)
+                    d_label = single_label_loss_grad(
+                        softmax_rows(label_logits), np.eye(g.label_count))
+                node_logits, node_caches = forward_node_gcn(
+                    ops, state, cfg, training=True)
+                grads = backward(label_caches, d_label, node_caches,
+                                 node_logits - 0.5)
+                outputs.append((label_logits, node_logits, grads))
+            (la, na, ga), (lb, nb, gb) = outputs
+            if coupled:
+                np.testing.assert_allclose(la, lb, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(na, nb, rtol=1e-12, atol=1e-15)
+            assert set(ga) == set(gb)
+            for key in ga:
+                np.testing.assert_allclose(ga[key], gb[key], rtol=1e-12,
+                                           atol=1e-14)
+            if coupled and not injected:
+                inject_label_features(model, la)
+                inject_node_features(model, na)
+
+    def test_dropout_draws_once_per_stored_entry(self):
+        g = small_graph(seed=33)
+        cfg = small_config(dropout=0.5)
+        model = init_model(g, cfg)
+        forward_node_gcn(build_operators(g), model, cfg, training=True)
+        stored = g.node_count + np.count_nonzero(model.label_block)
+        rng = rng_stream(cfg.seed, "dropout")
+        rng.random(stored)
+        rng.random((g.node_count, cfg.hidden_dim))
+        assert model.dropout_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    def test_dropout_free_run_matches_dense_features(self, optimizer,
+                                                     monkeypatch):
+        import mlgcn.training as training
+        g = small_graph(seed=34)
+        split = split_dataset(g, 0.25, seed=34)
+        cfg = small_config(epochs=6, update_freq_nodes=2,
+                           update_freq_labels=3, optimizer=optimizer)
+        result = train(g, split, cfg)
+        features = training.input_features
+
+        def dense_features(n, m, config):
+            x, y = features(n, m, config)
+            return x.toarray(), y
+        monkeypatch.setattr(training, "input_features", dense_features)
+        ref = train(g, split, cfg)
+        for name in ("label_loss", "node_loss", "total_loss"):
+            np.testing.assert_allclose(getattr(result.history, name),
+                                       getattr(ref.history, name),
+                                       rtol=1e-9, atol=0)
+        np.testing.assert_allclose(result.embeddings, ref.embeddings,
+                                   rtol=1e-9, atol=1e-12)
+
+
 class TestTrain:
     def test_history_length_and_additivity(self):
         g = small_graph()
@@ -620,7 +760,7 @@ class TestTrain:
                            update_freq_labels=99, skip_epoch0_injection=True)
         result = train(g, split, cfg)
         x, y = raw_features(g, cfg)
-        assert np.array_equal(result.model.node_block, x)
+        assert np.array_equal(result.model.node_block.toarray(), x.toarray())
         assert np.array_equal(result.model.label_block, y)
 
     def test_large_frequencies_without_skip_fire_only_at_epoch0(self):
@@ -648,7 +788,7 @@ class TestTrain:
         result = train(g, split, cfg)
         assert result.history.label_loss == [0.0] * 4
         x, y = raw_features(g, cfg)
-        assert np.array_equal(result.model.node_block, x)
+        assert np.array_equal(result.model.node_block.toarray(), x.toarray())
         assert np.array_equal(result.model.label_block, y)
 
     def test_node_variant_runs_with_stripped_label_view(self):
@@ -715,7 +855,8 @@ class TestCheckpoint:
                                   result.model.projections[key])
         assert np.array_equal(model.node_block, result.model.node_block)
         assert np.array_equal(model.label_block, result.model.label_block)
-        assert np.array_equal(model.node_features, result.model.node_features)
+        assert np.array_equal(model.node_features.toarray(),
+                              result.model.node_features.toarray())
         assert np.array_equal(model.label_features,
                               result.model.label_features)
         assert (model.dropout_rng.bit_generator.state
