@@ -6,8 +6,8 @@ fixed sparse propagation operator. Each layer picks the cheaper association
 of that product from the shapes alone (`propagates_first`): ``(op @ H) @ W``
 when W widens its input, ``op @ (H @ W)`` when W narrows it, so the sparse
 product runs over the narrower side. A sparse H (a `SparseMatrix`, such as
-one-hot input features) always multiplies W first, and its dropout draws
-one value per stored entry. `forward_stack` walks a stack of such
+one-hot input features) always multiplies W first, and its dropout scales
+only its stored entries. `forward_stack` walks a stack of such
 layers and records everything the backward pass needs (the matrix W
 multiplies, pre-activations, dropout masks); `backward` then walks the two
 layer stacks in reverse, in the order each layer's forward used. A forward
@@ -67,9 +67,10 @@ class LayerCache:
                                   # op @ dropout(H) when propagated first,
                                   # else dropout(H), sparse when H is
     pre_activation: np.ndarray
-    mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)), one value
-                                  # per stored entry of a sparse H; None in
-                                  # eval and, in a stack, on the first layer
+    mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)), one
+                                  # value per stored entry of a sparse H;
+                                  # None in eval and, in a stack, on the
+                                  # first layer
     activation: str
     weight_key: str
     propagated_first: bool        # (op @ dropout(H)) @ W rather than op @ (dropout(H) @ W)
@@ -100,7 +101,8 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
 
     In training mode dropout zeroes input entries with probability p and
     scales survivors by 1/(1-p); in eval mode it is the identity. A sparse
-    `h` draws only over its stored entries, zeroes them in a copy, and
+    `h` draws as many values as its dense twin, so the generator advances
+    alike, but applies only those at its stored entries, to a copy; it
     always multiplies W first: ``h @ W`` costs nnz(h) per output column.
 
     `propagated`, if given, is a precomputed ``op @ h``. It stands in for
@@ -131,8 +133,14 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
     if drawn:
         if rng is None:
             raise ValueError("training dropout needs an rng")
-        values = h.data if sparse else h
-        mask = (rng.random(values.shape) >= dropout) / (1.0 - dropout)
+        # a sparse h draws its whole shape, so a run gets the masks, and
+        # the trajectory, that dense features give; it uses only the draws
+        # at its stored entries
+        drawn_values = rng.random(h.shape)
+        if sparse:
+            rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+            drawn_values = drawn_values[rows, h.indices]
+        mask = (drawn_values >= dropout) / (1.0 - dropout)
         if sparse:
             hd = h.copy()
             hd.data *= mask

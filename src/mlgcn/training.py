@@ -237,7 +237,8 @@ def _stack(operators: GraphOperators, config: TrainConfig,
 
 def _forward_view(operators: GraphOperators, model: ModelState,
                   config: TrainConfig, view: str,
-                  blocks: list[np.ndarray | SparseMatrix], training: bool) -> tuple[np.ndarray, list[LayerCache]]:
+                  blocks: list[np.ndarray | SparseMatrix], training: bool
+                  ) -> tuple[np.ndarray, list[LayerCache]]:
     """Walk one view's stack over its input blocks, stacked row-wise: as
     one CSR matrix when any block is sparse (the one-hot X, or the label
     view's node block before its first injection), else as a dense array.
@@ -511,6 +512,10 @@ def load_checkpoint(path):
                     f"{path}: injected blocks node_block {node_block.shape} "
                     f"and label_block {label_block.shape} do not match the "
                     f"features its config gives, {x.shape} and {y.shape}")
+            # a block saved before its first injection is X written dense;
+            # it resumes as the sparse X that training stacks
+            if sp.issparse(x) and np.array_equal(node_block, x.toarray()):
+                node_block = x
             m, d = y.shape
             shapes = weight_shapes(config, d, m)
             stored = {k: w.shape for k, w in weights.items()}

@@ -289,6 +289,9 @@ class TestEval:
         assert x is captured["train"].model.node_features
         with np.load(checkpoint) as data:  # refuses pickled objects
             assert np.array_equal(data["node_block"], x.toarray())
+        # and it loads back as the sparse X, as training stacks it
+        loaded, *_ = load_checkpoint(checkpoint)
+        assert loaded.node_block is loaded.node_features
         assert run(["eval", "--synthetic", spec, "--checkpoint",
                     str(checkpoint), "--metrics",
                     str(tmp_path / "m.json")]) == EXIT_OK

@@ -256,7 +256,8 @@ class TestPrecomputedProduct:
 
 
 class TestSparseInput:
-    """A sparse H multiplies W first and drops out only its stored entries."""
+    """A sparse H multiplies W first and drops out only its stored entries,
+    drawing what a dense twin draws."""
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("rows,cols,d,h,first",
@@ -284,7 +285,7 @@ class TestSparseInput:
             np.testing.assert_allclose(grads["w"], ref_grads["w"],
                                        rtol=1e-12, atol=0)
 
-    def test_dropout_draws_once_per_stored_entry(self):
+    def test_dropout_draws_like_its_dense_twin(self):
         rng = np.random.default_rng(5)
         op = random_op(rng, 6, 9)
         x = random_op(rng, 9, 4)
@@ -294,8 +295,15 @@ class TestSparseInput:
         out, cache = gcn_layer_forward(op, x, w, activation="identity",
                                        dropout=0.5, training=True,
                                        rng=layer_rng)
+        twin_rng = np.random.default_rng(9)
+        ref, ref_cache = gcn_layer_forward(op, before, w,
+                                           activation="identity",
+                                           dropout=0.5, training=True,
+                                           rng=twin_rng)
+        # the generator advances by the dense shape, as the twin's does
+        assert layer_rng.bit_generator.state == twin_rng.bit_generator.state
         replay = np.random.default_rng(9)
-        keep = replay.random(x.nnz) >= 0.5
+        keep = replay.random(x.shape) >= 0.5
         assert layer_rng.bit_generator.state == replay.bit_generator.state
         assert cache.mask.shape == (x.nnz,)
         dropped = cache.weight_input
@@ -303,10 +311,17 @@ class TestSparseInput:
         # the same stored pattern, scaled or zeroed entry by entry
         assert np.array_equal(dropped.indptr, x.indptr)
         assert np.array_equal(dropped.indices, x.indices)
-        assert np.array_equal(dropped.data, x.data * keep * 2.0)
-        assert (~keep).any() and keep.any()
-        want = op.toarray() @ dropped.toarray() @ w
-        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-15)
+        stored = keep[np.nonzero(before)]
+        assert np.array_equal(dropped.data, x.data * stored * 2.0)
+        assert (~stored).any() and stored.any()
+        assert np.array_equal(dropped.toarray(), before * keep * 2.0)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15)
+        grads, ref_grads = {}, {}
+        upstream = rng.standard_normal(out.shape)
+        backward_stack([cache], upstream, grads)
+        backward_stack([ref_cache], upstream, ref_grads)
+        np.testing.assert_allclose(grads[""], ref_grads[""], rtol=1e-12,
+                                   atol=1e-15)
 
     def test_stack_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)

@@ -606,25 +606,27 @@ class TestSparseInput:
                 inject_label_features(model, la)
                 inject_node_features(model, na)
 
-    def test_dropout_draws_once_per_stored_entry(self):
+    def test_dropout_draws_the_dense_shape(self):
         g = small_graph(seed=33)
         cfg = small_config(dropout=0.5)
         model = init_model(g, cfg)
         forward_node_gcn(build_operators(g), model, cfg, training=True)
-        stored = g.node_count + np.count_nonzero(model.label_block)
+        n, m = g.node_count, g.label_count
         rng = rng_stream(cfg.seed, "dropout")
-        rng.random(stored)
-        rng.random((g.node_count, cfg.hidden_dim))
+        rng.random((n + m, n + m))
+        rng.random((n, cfg.hidden_dim))
         assert model.dropout_rng.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("optimizer", ["gd", "adam"])
-    def test_dropout_free_run_matches_dense_features(self, optimizer,
-                                                     monkeypatch):
+    def test_run_matches_dense_features(self, optimizer, dropout,
+                                        monkeypatch):
         import mlgcn.training as training
         g = small_graph(seed=34)
         split = split_dataset(g, 0.25, seed=34)
         cfg = small_config(epochs=6, update_freq_nodes=2,
-                           update_freq_labels=3, optimizer=optimizer)
+                           update_freq_labels=3, optimizer=optimizer,
+                           dropout=dropout)
         result = train(g, split, cfg)
         features = training.input_features
 
