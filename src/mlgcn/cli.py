@@ -5,21 +5,26 @@ one seed flag feeding separate random streams (init / dropout / split /
 synthetic), and train runs end by writing an atomic manifest that suffices
 to reproduce the run.
 
-Exit codes: 0 success, 1 divergence (or failed sweep children), 2 I/O or
-parse failure, 3 checkpoint/dataset fingerprint mismatch, 4 unknown
-reference (e.g. label id), 64 usage.
+Train flags take their types and defaults from `TrainConfig`, which checks
+their values. A failure prints one stderr line and exits with the code that
+`_FAILURES` gives its exception: 1 divergence (or failed sweep children),
+2 I/O, parse or unreadable-checkpoint failure, 3 checkpoint/dataset
+fingerprint mismatch, 4 unknown reference (e.g. label id), 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -28,8 +33,9 @@ from .datasets import (ParseError, SyntheticConfig, dataset_stats,
 from .metrics import (evaluate, label_correlation_matrix, per_label_breakdown,
                       split_dataset)
 from .operators import build_operators
-from .training import (DivergenceError, TrainConfig, forward_node_gcn,
-                       load_checkpoint, save_checkpoint, train)
+from .training import (VARIANTS, DivergenceError, TrainConfig,
+                       forward_node_gcn, load_checkpoint, save_checkpoint,
+                       train)
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -40,6 +46,14 @@ EXIT_USAGE = 64
 
 
 class UsageError(Exception):
+    pass
+
+
+class FingerprintMismatch(Exception):
+    pass
+
+
+class BadReference(Exception):
     pass
 
 
@@ -119,7 +133,8 @@ def _add_dataset_flags(p: argparse.ArgumentParser):
                         "'k=2,size=100,p-intra=0.1,p-inter=0.02,rho=0.8'")
     p.add_argument("--delimiter", default=None,
                    help="force the field delimiter (default: auto-detect)")
-    p.add_argument("--feature-dim", type=int, default=0, metavar="D",
+    p.add_argument("--feature-dim", type=int, metavar="D",
+                   default=TrainConfig.feature_dim,
                    help="use seeded Gaussian features of this width instead of "
                         "the combined one-hot space (bounds memory on large graphs)")
 
@@ -137,42 +152,51 @@ def _check_dataset_flags(args):
                          f"features), got {args.feature_dim}")
 
 
+# train flag -> (TrainConfig field, help): a flag takes its field's type and
+# default (a bool is a store_true flag), and TrainConfig checks its value
+_TRAIN_FLAGS = {
+    "lr": ("learning_rate", "learning rate"),
+    "epochs": ("epochs", "training epochs"),
+    "hidden": ("hidden_dim", "hidden width d_h"),
+    "alpha": ("train_ratio", "labeled training ratio"),
+    "freq-n": ("update_freq_nodes", "epochs between node-logit injections"),
+    "freq-m": ("update_freq_labels", "epochs between label-logit injections"),
+    "dropout": ("dropout", "dropout rate"),
+    "decay": ("weight_decay", "weight decay"),
+    "variant": ("variant", "model variant: " + ", ".join(VARIANTS)),
+    "label-layers": ("label_gcn_layers", "label-view layers: 1 or 2"),
+    "node-layers": ("node_gcn_layers", "node-view layers: 1 or 2"),
+    "optimizer": ("optimizer", "gd or adam"),
+    "seed": ("seed", "seed of every random stream"),
+    "skip-epoch0-injection": ("skip_epoch0_injection",
+                              "do not inject at epoch 0 (features stay raw "
+                              "until the first full period)"),
+    "binarize-cooc": ("binarize_cooccurrence",
+                      "binarize label co-occurrence counts"),
+}
+
+# the train flags a sweep grid may vary
+_GRID_NAMES = ("alpha", "lr", "epochs", "hidden", "freq-n", "freq-m",
+               "dropout", "decay", "variant")
+
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+
+
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--hidden", type=int, default=400)
-    p.add_argument("--alpha", type=float, default=0.2,
-                   help="labeled training ratio")
-    p.add_argument("--freq-n", type=int, default=50,
-                   help="epochs between node-logit injections")
-    p.add_argument("--freq-m", type=int, default=50,
-                   help="epochs between label-logit injections")
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--decay", type=float, default=0.0, help="weight decay")
-    p.add_argument("--variant", choices=["full", "node", "1n", "2l", "gcn_baseline"],
-                   default="full")
-    p.add_argument("--label-layers", type=int, choices=[1, 2], default=1)
-    p.add_argument("--node-layers", type=int, choices=[1, 2], default=2)
-    p.add_argument("--optimizer", choices=["gd", "adam"], default="gd")
-    p.add_argument("--skip-epoch0-injection", action="store_true",
-                   help="do not inject at epoch 0 (features stay raw until "
-                        "the first full period)")
-    p.add_argument("--binarize-cooc", action="store_true",
-                   help="binarize label co-occurrence counts")
+    for flag, (field, text) in _TRAIN_FLAGS.items():
+        if _FIELD_TYPES[field] is bool:
+            p.add_argument(f"--{flag}", action="store_true", help=text)
+        else:
+            p.add_argument(f"--{flag}", type=_FIELD_TYPES[field],
+                           default=getattr(TrainConfig, field),
+                           help=text + " (default: %(default)s)")
 
 
 def train_config_from_args(args) -> TrainConfig:
+    fields = {field: getattr(args, flag.replace("-", "_"))
+              for flag, (field, _) in _TRAIN_FLAGS.items()}
     try:
-        return TrainConfig(
-            learning_rate=args.lr, epochs=args.epochs, hidden_dim=args.hidden,
-            train_ratio=args.alpha, update_freq_nodes=args.freq_n,
-            update_freq_labels=args.freq_m, dropout=args.dropout,
-            weight_decay=args.decay, node_gcn_layers=args.node_layers,
-            label_gcn_layers=args.label_layers, variant=args.variant,
-            seed=args.seed, optimizer=args.optimizer,
-            skip_epoch0_injection=args.skip_epoch0_injection,
-            binarize_cooccurrence=args.binarize_cooc,
-            feature_dim=args.feature_dim)
+        return TrainConfig(feature_dim=args.feature_dim, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -180,17 +204,16 @@ def train_config_from_args(args) -> TrainConfig:
 def parse_rule(spec: str) -> tuple[str, float]:
     if spec == "topk":
         return "top_k_true", 0.5
-    if spec.startswith("threshold"):
-        t = 0.5
-        if ":" in spec:
-            try:
-                t = float(spec.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"bad threshold in rule {spec!r}") from None
-        if not 0.0 < t < 1.0:
-            raise UsageError("threshold must lie in (0, 1)")
-        return "threshold", t
-    raise UsageError(f"unknown rule {spec!r} (use topk or threshold:t)")
+    name, colon, value = spec.partition(":")
+    if name != "threshold":
+        raise UsageError(f"unknown rule {spec!r} (use topk or threshold:t)")
+    try:
+        t = float(value) if colon else 0.5
+    except ValueError:
+        raise UsageError(f"bad threshold in rule {spec!r}") from None
+    if not 0.0 < t < 1.0:
+        raise UsageError("threshold must lie in (0, 1)")
+    return "threshold", t
 
 
 # -- output helpers ----------------------------------------------------------
@@ -217,6 +240,16 @@ def write_history_csv(path: str, history):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _write_csv(path: str, header: list, rows):
+    # csv quotes a field that holds a comma or a quote; other rows read as
+    # the plain comma-joined fields
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
+
+
 def write_embeddings_tsv(path: str, node_ids, embeddings: np.ndarray):
     # "%.17g" renders a float exactly as _fmt does
     row = "\t".join(["%.17g"] * embeddings.shape[1])
@@ -238,14 +271,12 @@ def _report_dict(report) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    _check_dataset_flags(args)
     s = dataset_stats(build_graph(args, args.seed))
     print(f"{s.node_count} {s.edge_count} {s.label_count} {s.cooccurrence_count}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    _check_dataset_flags(args)
     config = train_config_from_args(args)
     rule, threshold = parse_rule(args.rule)
     os.makedirs(args.out, exist_ok=True)
@@ -304,7 +335,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_and_graph(args):
+def _checkpoint_scores(args):
+    """(config, graph, split, scores, truth) of a fingerprint-checked run."""
     model, config, epoch, fingerprint = load_checkpoint(args.checkpoint)
     if args.feature_dim != config.feature_dim:
         raise FingerprintMismatch(
@@ -316,11 +348,9 @@ def _load_checkpoint_and_graph(args):
             f"checkpoint was trained on fingerprint {fingerprint[:12]}, "
             f"dataset resolves to {actual[:12]}")
     graph = build_graph(args, config.seed)
-    return model, config, graph
-
-
-class FingerprintMismatch(Exception):
-    pass
+    split = split_dataset(graph, config.train_ratio, config.seed)
+    return (config, graph, split, _final_scores(model, config, graph),
+            graph.label_assignments.to_dense())
 
 
 def _final_scores(model, config, graph) -> np.ndarray:
@@ -331,16 +361,10 @@ def _final_scores(model, config, graph) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    _check_dataset_flags(args)
-    model, config, graph = _load_checkpoint_and_graph(args)
-    split = split_dataset(graph, config.train_ratio, config.seed)
-    scores = _final_scores(model, config, graph)
-    truth = graph.label_assignments.to_dense()
-
-    rule, threshold = parse_rule(args.rule)
+    config, graph, split, scores, truth = _checkpoint_scores(args)
+    # both rules, the threshold one at the requested threshold
+    _, threshold = parse_rule(args.rule)
     rules = [("top_k_true", 0.5), ("threshold", threshold)]
-    if (rule, threshold) not in rules:
-        rules.append((rule, threshold))
 
     subsets = {"train": split.train_nodes, "val": split.val_nodes,
                "test": split.test_nodes}
@@ -363,50 +387,37 @@ def cmd_eval(args) -> int:
     }
     os.makedirs(os.path.dirname(os.path.abspath(args.metrics)), exist_ok=True)
     write_atomic(args.metrics, json.dumps(doc, indent=2) + "\n")
-    test_block = results.get("test", {})
-    for tag, block in test_block.items():
+    for tag, block in results.get("test", {}).items():
         print(f"test {tag}: micro_f1={block['micro_f1']:.4f} "
               f"macro_f1={block['macro_f1']:.4f}")
     return EXIT_OK
 
 
-_GRID_FIELDS = {
-    "alpha": ("train_ratio", float),
-    "lr": ("learning_rate", float),
-    "epochs": ("epochs", int),
-    "hidden": ("hidden_dim", int),
-    "freq-n": ("update_freq_nodes", int),
-    "freq-m": ("update_freq_labels", int),
-    "dropout": ("dropout", float),
-    "decay": ("weight_decay", float),
-    "variant": ("variant", str),
-}
-
-
-def parse_grid(specs: list[str]) -> list[tuple[str, list]]:
-    grid = []
+def parse_grid(specs: list[str]) -> dict[str, list]:
+    grid: dict[str, list] = {}
     for spec in specs:
         if "=" not in spec:
             raise UsageError(f"bad grid spec {spec!r} (expected name=v1,v2,...)")
         name, values = spec.split("=", 1)
         name = name.strip()
-        if name not in _GRID_FIELDS:
+        if name not in _GRID_NAMES:
             raise UsageError(f"unknown grid parameter {name!r}")
-        _, cast = _GRID_FIELDS[name]
+        if name in grid:
+            raise UsageError(f"grid parameter {name!r} given more than once")
+        cast = _FIELD_TYPES[_TRAIN_FLAGS[name][0]]
         try:
             parsed = [cast(v) for v in values.split(",") if v != ""]
         except ValueError as exc:
             raise UsageError(f"bad grid value for {name!r}: {exc}") from None
         if not parsed:
             raise UsageError(f"empty grid for {name!r}")
-        grid.append((name, parsed))
+        grid[name] = parsed
     if not grid:
         raise UsageError("empty parameter grid")
     return grid
 
 
 def cmd_sweep(args) -> int:
-    _check_dataset_flags(args)
     if args.repeats < 1:
         raise UsageError("repeats must be >= 1")
     grid = parse_grid(args.grid)
@@ -420,12 +431,11 @@ def cmd_sweep(args) -> int:
         spec, graph = parse_synthetic_spec(args.synthetic, args.seed), None
     else:
         graph = build_graph(args, args.seed)
-    names = [name for name, _ in grid]
     rows = []
-    any_failed = False
-    for combo in itertools.product(*[values for _, values in grid]):
-        overrides = {_GRID_FIELDS[name][0]: value
-                     for name, value in zip(names, combo)}
+    failed = 0
+    for combo in itertools.product(*grid.values()):
+        overrides = {_TRAIN_FLAGS[name][0]: value
+                     for name, value in zip(grid, combo)}
         micro, macro, error = [], [], ""
         for r in range(args.repeats):
             seed = args.seed + r
@@ -442,38 +452,32 @@ def cmd_sweep(args) -> int:
                 micro.append(rep.micro_f1)
                 macro.append(rep.macro_f1)
             except Exception as exc:  # recorded per row; sweep continues
-                any_failed = True
+                failed += 1
                 error = f"{type(exc).__name__}: {exc}"
                 break
         for metric, values in (("micro_f1", micro), ("macro_f1", macro)):
-            rows.append(list(combo) + [
-                metric,
-                _fmt(np.mean(values)) if values else "",
-                _fmt(np.std(values)) if values else "",
-                len(values), error])
+            spread = ([_fmt(np.mean(values)), _fmt(np.std(values))]
+                      if values else ["", ""])
+            rows.append([*combo, metric, *spread, len(values), error])
 
     out_path = os.path.join(args.out, "sweep.csv")
-    header = names + ["metric", "mean", "std", "repeats", "error"]
-    buf = [",".join(header)]
-    for row in rows:
-        buf.append(",".join(str(v) for v in row))
-    write_atomic(out_path, "\n".join(buf) + "\n")
+    _write_csv(out_path, [*grid, "metric", "mean", "std", "repeats", "error"],
+               rows)
     print(f"wrote {len(rows)} rows to {out_path}")
-    return EXIT_DIVERGED if any_failed else EXIT_OK
+    if failed:
+        print(f"error: {failed} grid point(s) failed, see the error column "
+              f"of {out_path}", file=sys.stderr)
+    return EXIT_DIVERGED if failed else EXIT_OK
 
 
 def cmd_case_study(args) -> int:
-    _check_dataset_flags(args)
-    model, config, graph = _load_checkpoint_and_graph(args)
+    config, graph, split, scores, truth = _checkpoint_scores(args)
     wanted = [s for s in args.labels_list.split(",") if s != ""]
     index = {lab: i for i, lab in enumerate(graph.label_ids)}
     missing = [lab for lab in wanted if lab not in index]
     if missing:
         raise BadReference(f"unknown label id(s): {', '.join(missing)}")
 
-    split = split_dataset(graph, config.train_ratio, config.seed)
-    scores = _final_scores(model, config, graph)
-    truth = graph.label_assignments.to_dense()
     rule, threshold = parse_rule(args.rule)
     rep = evaluate(scores, truth, split.test_nodes, rule=rule,
                    threshold=threshold)
@@ -486,16 +490,11 @@ def cmd_case_study(args) -> int:
     corr = label_correlation_matrix(graph.label_assignments)
     os.makedirs(os.path.dirname(os.path.abspath(args.correlation_out)),
                 exist_ok=True)
-    lines = [",".join(["label"] + list(graph.label_ids))]
-    for i, lab in enumerate(graph.label_ids):
-        lines.append(",".join([lab] + [_fmt(v) for v in corr[i]]))
-    write_atomic(args.correlation_out, "\n".join(lines) + "\n")
+    _write_csv(args.correlation_out, ["label", *graph.label_ids],
+               ([lab, *map(_fmt, row)]
+                for lab, row in zip(graph.label_ids, corr)))
     print(f"correlation matrix written to {args.correlation_out}")
     return EXIT_OK
-
-
-class BadReference(Exception):
-    pass
 
 
 # -- argument wiring ---------------------------------------------------------
@@ -507,13 +506,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="print dataset statistics")
     _add_dataset_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="train a model and write artifacts")
     _add_dataset_flags(p)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rule", default="topk",
                    help="decision rule: topk or threshold:t")
     p.add_argument("--out", required=True, help="output directory")
@@ -529,7 +527,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep with repeated seeds")
     _add_dataset_flags(p)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rule", default="topk")
     p.add_argument("--grid", action="append", default=[],
                    metavar="NAME=V1,V2,...",
@@ -550,32 +547,31 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception type, exit code, stderr prefix), first match wins; ValueError
+# covers CheckpointError. Any other exception is a bug and keeps its traceback.
+_FAILURES = (
+    (UsageError, EXIT_USAGE, "usage error"),
+    (FingerprintMismatch, EXIT_FINGERPRINT, "fingerprint mismatch"),
+    (BadReference, EXIT_BAD_REF, "error"),
+    (ParseError, EXIT_IO, "parse error"),
+    (DivergenceError, EXIT_DIVERGED, "error"),
+    (OSError, EXIT_IO, "i/o error"),
+    (ValueError, EXIT_IO, "error"),
+)
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FingerprintMismatch as exc:
-        print(f"fingerprint mismatch: {exc}", file=sys.stderr)
-        return EXIT_FINGERPRINT
-    except BadReference as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_REF
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        args = make_parser().parse_args(argv)
+        _check_dataset_flags(args)  # every subcommand takes them
+        # a diverging run reports its DivergenceError, not numpy's warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        for kind, code, prefix in _FAILURES:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
+import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from mlgcn.cli import (EXIT_BAD_REF, EXIT_FINGERPRINT, EXIT_IO, EXIT_OK,
-                       EXIT_USAGE, main, parse_rule, parse_synthetic_spec)
-from mlgcn.training import CheckpointError, load_checkpoint
+from mlgcn.cli import (EXIT_BAD_REF, EXIT_DIVERGED, EXIT_FINGERPRINT, EXIT_IO,
+                       EXIT_OK, EXIT_USAGE, main, make_parser, parse_rule,
+                       parse_synthetic_spec, train_config_from_args)
+from mlgcn.training import VARIANTS, CheckpointError, TrainConfig, load_checkpoint
 
 EASY = "k=2,size=15,p-intra=0.5,p-inter=0.02,rho=1"
 EASY_TRAIN = ["--synthetic", EASY, "--epochs", "150", "--hidden", "32",
@@ -39,6 +42,24 @@ class TestParsers:
         from mlgcn.cli import UsageError
         with pytest.raises(UsageError):
             parse_rule("nonsense")
+        for spec in ("thresholdfoo", "threshold0.3", "threshold:", "threshold:x",
+                     "threshold:1", "topk:0.3"):
+            with pytest.raises(UsageError):
+                parse_rule(spec)
+
+    def test_train_flag_defaults_are_train_config(self):
+        args = make_parser().parse_args(
+            ["train", "--synthetic", "k=2,size=10", "--out", "o"])
+        assert train_config_from_args(args) == TrainConfig()
+
+    def test_help_names_defaults_and_variants(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--help"])
+        assert exit_info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(VARIANTS) in out
+        assert "--lr LR learning rate (default: 0.02)" in out
+        assert "(default: 300)" in out and "gd or adam (default: gd)" in out
 
 
 class TestStats:
@@ -102,6 +123,18 @@ BAD_VALUES = {
                                     "--feature-dim", "-3"], "--feature-dim"),
     "empty_delimiter": (["stats", "--edges", "e", "--labels", "l",
                          "--delimiter", ""], "--delimiter"),
+    "bad_variant": (["train", "--synthetic", "k=2,size=10", "--variant", "gcn",
+                     "--out", "o"], "'gcn'"),
+    "bad_optimizer": (["train", "--synthetic", "k=2,size=10",
+                       "--optimizer", "sgd", "--out", "o"], "'sgd'"),
+    "bad_label_layers": (["train", "--synthetic", "k=2,size=10",
+                          "--label-layers", "3", "--out", "o"], "1 or 2"),
+    "bad_node_layers": (["sweep", "--synthetic", "k=2,size=10",
+                         "--node-layers", "0", "--grid", "epochs=1",
+                         "--out", "o"], "1 or 2"),
+    "repeated_grid_parameter": (["sweep", "--synthetic", "k=2,size=10",
+                                 "--grid", "lr=0.1,0.2", "--grid", "lr=0.3",
+                                 "--out", "o"], "'lr'"),
 }
 
 
@@ -496,3 +529,111 @@ class TestCaseStudy:
                     "--labels-list", "L99",
                     "--correlation-out", str(tmp_path / "c.csv")])
         assert code == EXIT_BAD_REF
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_csv_fields_with_commas_keep_the_header_width(tmp_path):
+    # a sweep error message and a label id may hold commas
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--synthetic", "k=2,size=10", "--epochs", "2",
+                "--hidden", "8", "--grid", "dropout=0.5,1.5",
+                "--out", str(out)]) == EXIT_DIVERGED
+    rows = _csv_rows(out / "sweep.csv")
+    assert rows[0] == ["dropout", "metric", "mean", "std", "repeats", "error"]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert [row[5] for row in rows[1:]] == [
+        "", "", "ValueError: dropout must lie in [0, 1)",
+        "ValueError: dropout must lie in [0, 1)"]
+
+    edges, labels = tmp_path / "edges.tsv", tmp_path / "labels.tsv"
+    edges.write_text("1\t2\n2\t3\n3\t4\n4\t1\n")
+    labels.write_text('1\tx,y\n2\tz\n3\tx,y\n4\tz\n4\tq"t\n')
+    dataset = ["--edges", str(edges), "--labels", str(labels)]
+    assert run(["train", *dataset, "--epochs", "2", "--hidden", "8",
+                "--out", str(tmp_path / "run")]) == EXIT_OK
+    corr_path = tmp_path / "correlation.csv"
+    assert run(["case-study", *dataset, "--labels-list", "z",
+                "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+                "--correlation-out", str(corr_path)]) == EXIT_OK
+    rows = _csv_rows(corr_path)
+    assert rows[0] == ["label", "x,y", "z", 'q"t']
+    assert [row[0] for row in rows[1:]] == ["x,y", "z", 'q"t']
+    assert all(len(row) == 4 for row in rows)
+
+
+# The exit-code contract: each failure of each subcommand it applies to
+# exits with its documented code and prints one stderr line, no traceback
+# and raises no numpy warning. A case's argv is its subcommand's good argv, then
+# its dataset flags (EASY when None), then its own flags; "{tmp}" is the
+# case's scratch directory. eval and case-study hash the dataset files
+# before they parse them, so a file that no longer parses is a fingerprint
+# mismatch for them.
+GOOD_ARGV = {
+    "stats": ["stats"],
+    "train": ["train", "--epochs", "2", "--hidden", "8", "--out", "{tmp}/t"],
+    "eval": ["eval", "--checkpoint", "{tmp}/run/checkpoint.npz",
+             "--metrics", "{tmp}/m.json"],
+    "sweep": ["sweep", "--epochs", "2", "--hidden", "8", "--grid", "hidden=8",
+              "--out", "{tmp}/s"],
+    "case-study": ["case-study", "--checkpoint", "{tmp}/run/checkpoint.npz",
+                   "--labels-list", "home0", "--correlation-out", "{tmp}/c.csv"],
+}
+ALL = tuple(GOOD_ARGV)
+READS_FILES = ("stats", "train", "sweep")
+CHECKPOINT = ("eval", "case-study")
+
+
+def _files(edges, labels):
+    return ["--edges", "{tmp}/" + edges, "--labels", "{tmp}/" + labels]
+
+
+# failure -> (exit code, dataset flags, {subcommand: own flags})
+EXIT_CONTRACT = {
+    "missing_file": (EXIT_IO, _files("absent", "absent"),
+                     dict.fromkeys(ALL, [])),
+    "edge_parse_error": (EXIT_IO, _files("broken", "labels"),
+                         dict.fromkeys(READS_FILES, [])),
+    "label_parse_error": (EXIT_IO, _files("edges", "broken"),
+                          dict.fromkeys(READS_FILES, [])),
+    "bad_flag_value": (EXIT_USAGE, None, {
+        "stats": ["--seed", "x"], "train": ["--variant", "gcn"],
+        "eval": ["--rule", "bogus"], "sweep": ["--optimizer", "sgd"],
+        "case-study": ["--rule", "thresholdfoo"]}),
+    "empty_delimiter": (EXIT_USAGE, _files("edges", "labels"),
+                        dict.fromkeys(ALL, ["--delimiter", ""])),
+    "fingerprint_mismatch": (EXIT_FINGERPRINT,
+                             ["--synthetic", "k=2,size=14,p-intra=0.5,rho=1"],
+                             dict.fromkeys(CHECKPOINT, [])),
+    "unknown_label": (EXIT_BAD_REF, None,
+                      {"case-study": ["--labels-list", "L99"]}),
+    "divergence": (EXIT_DIVERGED, None, {
+        "train": ["--lr", "1e300", "--dropout", "0"],
+        "sweep": ["--dropout", "0", "--grid", "lr=1e300"]}),
+    "truncated_checkpoint": (EXIT_IO, None, dict.fromkeys(
+        CHECKPOINT, ["--checkpoint", "{tmp}/truncated.npz"])),
+}
+
+
+@pytest.mark.parametrize("command,failure", [
+    (command, failure) for failure, (_, _, flags) in EXIT_CONTRACT.items()
+    for command in flags])
+def test_exit_code_contract(easy_run, tmp_path, capsys, command, failure):
+    code, dataset, flags = EXIT_CONTRACT[failure]
+    (tmp_path / "edges").write_text("1,2\n2,3\n")
+    (tmp_path / "labels").write_text("1,a\n2,b\n3,a\n")
+    (tmp_path / "broken").write_text("1,2\nbroken\n")
+    (tmp_path / "run").symlink_to(easy_run, target_is_directory=True)
+    _truncated(easy_run / "checkpoint.npz", tmp_path / "truncated.npz")
+    argv = [*GOOD_ARGV[command], *(dataset or ["--synthetic", EASY]),
+            *flags[command]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([a.format(tmp=tmp_path) for a in argv]) == code
+    # numpy's floating-point warnings would print their own lines
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
