@@ -377,6 +377,12 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     forward with the masked multi-label loss, scheduled cross-injections,
     one optimizer step on the summed loss, and an eval-mode validation
     Micro-F1. Deterministic for a fixed (seed, config).
+
+    At dropout 0 a training forward draws nothing and computes what an
+    eval-mode one does, and nothing between an epoch's validation forward
+    and the next epoch's node forward changes the weights or the injected
+    blocks; so that validation forward, caches and all, doubles as the
+    next epoch's node-view training forward.
     """
     if split.train_nodes.size == 0:
         raise ValueError("no labeled nodes")
@@ -392,6 +398,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     train_mask = split.train_nodes
     # the last epoch's eval-mode validation forward doubles as the final one
     embeddings = None
+    node_forward = None  # (logits, caches) of the next node training forward
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -404,8 +411,9 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
             label_loss = single_label_loss(z, label_targets)
             d_label = single_label_loss_grad(z, label_targets)
 
-        node_logits, node_caches = forward_node_gcn(
+        node_logits, node_caches = node_forward or forward_node_gcn(
             operators, model, config, training=True)
+        node_forward = None
         node_loss = multi_label_loss(node_logits, node_targets, train_mask)
         total = label_loss + node_loss
         if not np.isfinite(total):
@@ -429,8 +437,11 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
         del label_caches, node_caches, grads
 
         if split.val_nodes.size:
-            embeddings, _ = forward_node_gcn(operators, model, config,
-                                             training=False)
+            embeddings, caches = forward_node_gcn(operators, model, config,
+                                                  training=False)
+            if config.dropout == 0.0:
+                node_forward = embeddings, caches
+            del caches
             val_f1 = evaluate(embeddings, node_targets, split.val_nodes,
                               rule=rule, threshold=threshold).micro_f1
         else:
