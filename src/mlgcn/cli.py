@@ -422,6 +422,17 @@ def cmd_sweep(args) -> int:
         raise UsageError("repeats must be >= 1")
     grid = parse_grid(args.grid)
     base_config = train_config_from_args(args)
+    # every grid point's config is checked before any of them trains
+    points = []
+    for combo in itertools.product(*grid.values()):
+        overrides = {_TRAIN_FLAGS[name][0]: value
+                     for name, value in zip(grid, combo)}
+        try:
+            points.append((combo, dataclasses.replace(base_config,
+                                                      **overrides)))
+        except ValueError as exc:
+            raise UsageError(f"grid point {dict(zip(grid, combo))}: "
+                             f"{exc}") from exc
     rule, threshold = parse_rule(args.rule)
     os.makedirs(args.out, exist_ok=True)
 
@@ -433,14 +444,12 @@ def cmd_sweep(args) -> int:
         graph = build_graph(args, args.seed)
     rows = []
     failed = 0
-    for combo in itertools.product(*grid.values()):
-        overrides = {_TRAIN_FLAGS[name][0]: value
-                     for name, value in zip(grid, combo)}
+    for combo, point_config in points:
         micro, macro, error = [], [], ""
         for r in range(args.repeats):
             seed = args.seed + r
             try:
-                config = dataclasses.replace(base_config, seed=seed, **overrides)
+                config = dataclasses.replace(point_config, seed=seed)
                 run_graph = graph if graph is not None else generate_synthetic(
                     dataclasses.replace(spec, seed=seed))
                 split = split_dataset(run_graph, config.train_ratio, seed)

@@ -508,7 +508,8 @@ def load_checkpoint(path):
     weights than `weight_shapes` lays out for its config.
     """
     try:
-        with np.load(path) as data:
+        # np.load leaves a file it opened open when the archive is broken
+        with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
             if meta["version"] != CHECKPOINT_VERSION:
                 raise CheckpointError(

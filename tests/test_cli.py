@@ -536,18 +536,25 @@ def _csv_rows(path):
         return list(csv.reader(fh))
 
 
-def test_csv_fields_with_commas_keep_the_header_width(tmp_path):
+def test_csv_fields_with_commas_keep_the_header_width(tmp_path, monkeypatch):
     # a sweep error message and a label id may hold commas
+    import mlgcn.cli as cli
+    train = cli.train
+
+    def failing_at_hidden_9(graph, split, config, **kwargs):
+        if config.hidden_dim == 9:
+            raise ValueError("hidden 9 fails, on purpose")
+        return train(graph, split, config, **kwargs)
+    monkeypatch.setattr(cli, "train", failing_at_hidden_9)
     out = tmp_path / "sweep"
     assert run(["sweep", "--synthetic", "k=2,size=10", "--epochs", "2",
-                "--hidden", "8", "--grid", "dropout=0.5,1.5",
-                "--out", str(out)]) == EXIT_DIVERGED
+                "--grid", "hidden=8,9", "--out", str(out)]) == EXIT_DIVERGED
     rows = _csv_rows(out / "sweep.csv")
-    assert rows[0] == ["dropout", "metric", "mean", "std", "repeats", "error"]
+    assert rows[0] == ["hidden", "metric", "mean", "std", "repeats", "error"]
     assert all(len(row) == len(rows[0]) for row in rows)
     assert [row[5] for row in rows[1:]] == [
-        "", "", "ValueError: dropout must lie in [0, 1)",
-        "ValueError: dropout must lie in [0, 1)"]
+        "", "", "ValueError: hidden 9 fails, on purpose",
+        "ValueError: hidden 9 fails, on purpose"]
 
     edges, labels = tmp_path / "edges.tsv", tmp_path / "labels.tsv"
     edges.write_text("1\t2\n2\t3\n3\t4\n4\t1\n")
@@ -566,9 +573,9 @@ def test_csv_fields_with_commas_keep_the_header_width(tmp_path):
 
 
 # The exit-code contract: each failure of each subcommand it applies to
-# exits with its documented code and prints one stderr line, no traceback
-# and raises no numpy warning. A case's argv is its subcommand's good argv, then
-# its dataset flags (EASY when None), then its own flags; "{tmp}" is the
+# exits with its documented code and prints one stderr line, no traceback,
+# no numpy warning and no ResourceWarning. A case's argv is its
+# subcommand's good argv, then its dataset flags (EASY when None), then its own flags; "{tmp}" is the
 # case's scratch directory. eval and case-study hash the dataset files
 # before they parse them, so a file that no longer parses is a fingerprint
 # mismatch for them.
@@ -615,6 +622,8 @@ EXIT_CONTRACT = {
         "sweep": ["--dropout", "0", "--grid", "lr=1e300"]}),
     "truncated_checkpoint": (EXIT_IO, None, dict.fromkeys(
         CHECKPOINT, ["--checkpoint", "{tmp}/truncated.npz"])),
+    "bad_grid_value": (EXIT_USAGE, None,
+                       {"sweep": ["--grid", "dropout=0.5,1.5"]}),
 }
 
 
@@ -633,7 +642,9 @@ def test_exit_code_contract(easy_run, tmp_path, capsys, command, failure):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run([a.format(tmp=tmp_path) for a in argv]) == code
-    # numpy's floating-point warnings would print their own lines
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # numpy's floating-point warnings would print their own lines, and a
+    # file left open would print one when it is collected
+    assert not [w for w in caught
+                if issubclass(w.category, (RuntimeWarning, ResourceWarning))]
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err

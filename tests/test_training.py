@@ -499,7 +499,7 @@ class TestFirstLayerReuse:
         # injections fire at epoch 0 only: the node view's input is
         # propagated by the epoch-0 training forward and again, over the
         # new label block, by the epoch-0 validation forward; every later
-        # forward, 2 per epoch, reuses that product
+        # forward reuses that product
         calls = self.node_products(monkeypatch)
         split = split_dataset(self.g, 0.25, seed=21)
         assert split.val_nodes.size
@@ -727,6 +727,76 @@ class TestTrain:
         assert np.array_equal(model.label_block, result.model.label_block)
         for key in model.weights:
             assert np.array_equal(model.weights[key], result.model.weights[key])
+
+    @pytest.mark.parametrize("variant", ["full", "gcn_baseline"])
+    def test_matches_a_hand_driven_loop(self, variant):
+        # every epoch from public functions, with a node training forward of
+        # its own: train's reuse of the dropout-0 validation forward must
+        # leave every loss, F1 and embedding bitwise as it was
+        from mlgcn.kernels import backward, multi_label_loss_grad
+        from mlgcn.metrics import evaluate
+        g = small_graph(seed=12, size=20)
+        split = split_dataset(g, 0.25, seed=12)
+        cfg = small_config(epochs=7, optimizer="adam", learning_rate=0.05,
+                           update_freq_nodes=3, update_freq_labels=2,
+                           variant=variant)
+        result = train(g, split, cfg)
+
+        ops = build_operators(g, variant)
+        model = init_model(g, cfg)
+        optimizer = _Optimizer(cfg)
+        targets = g.label_assignments.to_dense()
+        eye = np.eye(g.label_count)
+        coupled = variant != "gcn_baseline"
+        label_losses, node_losses, f1s = [], [], []
+        for epoch in range(cfg.epochs):
+            label_loss, lc, d_label = 0.0, None, None
+            if coupled:
+                label_logits, lc = forward_label_gcn(ops, model, cfg,
+                                                     training=True)
+                z = softmax_rows(label_logits)
+                label_loss = single_label_loss(z, eye)
+                d_label = single_label_loss_grad(z, eye)
+            node_logits, nc = forward_node_gcn(ops, model, cfg, training=True)
+            label_losses.append(label_loss)
+            node_losses.append(multi_label_loss(node_logits, targets,
+                                                split.train_nodes))
+            if coupled and epoch % 3 == 0:
+                inject_node_features(model, node_logits)
+            if coupled and epoch % 2 == 0:
+                inject_label_features(model, label_logits)
+            grads = backward(lc, d_label, nc,
+                             multi_label_loss_grad(node_logits, targets,
+                                                   split.train_nodes))
+            sgd_step(model, grads, cfg, optimizer)
+            embeddings, _ = forward_node_gcn(ops, model, cfg)
+            f1s.append(evaluate(embeddings, targets,
+                                split.val_nodes).micro_f1)
+        h = result.history
+        assert label_losses == h.label_loss
+        assert node_losses == h.node_loss
+        assert f1s == h.val_micro_f1
+        assert len(set(f1s)) > 1  # the schedule moves the predictions
+        assert np.array_equal(embeddings, result.embeddings)
+
+    @pytest.mark.parametrize("dropout,forwards", [(0.0, 6), (0.5, 10)])
+    def test_node_forwards_per_run(self, monkeypatch, dropout, forwards):
+        # at dropout 0 each validation forward doubles as the next epoch's
+        # node training forward, so only epoch 0 runs one of its own
+        import mlgcn.training as training_module
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("training", False))
+            return forward_node_gcn(*args, **kwargs)
+
+        monkeypatch.setattr(training_module, "forward_node_gcn", counting)
+        g = small_graph(seed=8)
+        split = split_dataset(g, 0.25, seed=8)
+        assert split.val_nodes.size
+        train(g, split, small_config(epochs=5, dropout=dropout))
+        assert len(calls) == forwards
+        assert calls.count(True) == forwards - 5
 
     def test_one_eval_forward_per_epoch(self, monkeypatch):
         # the last epoch's validation forward is the embedding forward; only
