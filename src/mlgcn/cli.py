@@ -448,8 +448,8 @@ def cmd_sweep(args) -> int:
         micro, macro, error = [], [], ""
         for r in range(args.repeats):
             seed = args.seed + r
+            config = dataclasses.replace(point_config, seed=seed)
             try:
-                config = dataclasses.replace(point_config, seed=seed)
                 run_graph = graph if graph is not None else generate_synthetic(
                     dataclasses.replace(spec, seed=seed))
                 split = split_dataset(run_graph, config.train_ratio, seed)

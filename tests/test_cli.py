@@ -575,10 +575,10 @@ def test_csv_fields_with_commas_keep_the_header_width(tmp_path, monkeypatch):
 # The exit-code contract: each failure of each subcommand it applies to
 # exits with its documented code and prints one stderr line, no traceback,
 # no numpy warning and no ResourceWarning. A case's argv is its
-# subcommand's good argv, then its dataset flags (EASY when None), then its own flags; "{tmp}" is the
-# case's scratch directory. eval and case-study hash the dataset files
-# before they parse them, so a file that no longer parses is a fingerprint
-# mismatch for them.
+# subcommand's good argv, then its dataset flags (EASY when None), then its
+# own flags; "{tmp}" is the case's scratch directory. eval and case-study
+# hash the dataset files before they parse them, so a file that no longer
+# parses is a fingerprint mismatch for them.
 GOOD_ARGV = {
     "stats": ["stats"],
     "train": ["train", "--epochs", "2", "--hidden", "8", "--out", "{tmp}/t"],
