@@ -6,15 +6,17 @@ input features are built from the train config by `training`.
 File formats are one record per line. Edge files carry ``src<delim>dst``
 with an optional third weight field; label files carry ``node<delim>label``.
 Lines starting with '#' are comments; the delimiter is auto-detected among
-comma, tab and whitespace unless forced.
+comma, tab and whitespace unless forced. The parsers read a stream whole;
+regular files (two ids a line, see `_regular_tokens`) are parsed in bulk,
+anything else line by line, with the same results and errors.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from itertools import chain, compress
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -75,14 +77,35 @@ class SyntheticConfig:
                 f"rho={self.rho!r},seed={self.seed}")
 
 
-def _records(stream: TextIO | Iterable[str] | str, delimiter: str | None,
+# size in characters of the pieces the parsers cut a text into at line ends
+_PIECE = 1 << 16
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """Cut `text` into runs of whole lines of about `_PIECE` characters,
+    each without its last line's newline, so that splitting every piece at
+    "\n" lists the lines of `text` in order."""
+    stop = len(text) - text.endswith("\n")
+    start = 0
+    while start < stop:
+        end = text.find("\n", start + _PIECE, stop)
+        if end < 0:
+            end = stop
+        yield text[start:end]
+        start = end + 1
+
+
+def _records(text: str, delimiter: str | None,
              arity: tuple[int, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for every record line: lines are
-    stripped, blank and '#' lines skipped, and the field count checked."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
+    stripped, blank and '#' lines skipped, and the field count checked.
+
+    This loop defines the file grammar and every `ParseError`; the bulk
+    path (`_regular_tokens`) reads only files on which it gives the same
+    records."""
     expected = " or ".join(map(str, arity))
-    for no, raw in enumerate(stream, start=1):
+    lines = chain.from_iterable(p.split("\n") for p in _pieces(text))
+    for no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -97,20 +120,129 @@ def _records(stream: TextIO | Iterable[str] | str, delimiter: str | None,
         yield no, fields
 
 
-def parse_edge_list(stream, node_index: dict[str, int],
+# bytes an id may hold in a regular file, by separator: ASCII but NUL,
+# whitespace, '#' and the separator itself
+_ID_BYTES = {sep: bytes(c for c in range(1, 128)
+                        if not chr(c).isspace() and chr(c) not in "#" + sep)
+             for sep in (",", "\t")}
+
+
+def _regular_tokens(text: str, delimiter: str | None
+                    ) -> Iterator[list[str] | None]:
+    """Yield the ids of each piece of a regular text, two a line in line
+    order, or None in place of the first piece that is not regular.
+
+    A regular text is ASCII with no '#', NUL or whitespace other than "\n"
+    and the separator, and every line holds two non-empty ids split by one
+    separator: ',' or, when the text holds a tab, '\t', unless
+    `delimiter` forces either. On such a text `_records` gives each line's
+    ids as they are, so these tokens are its records."""
+    sep = delimiter
+    if sep is None:
+        sep = "\t" if "\t" in text else ","
+    if sep not in _ID_BYTES or not text.isascii():
+        yield None
+        return
+    ids, line = _ID_BYTES[sep], (sep + "\n").encode()
+    for piece in _pieces(text):
+        raw = piece.encode()
+        # once the ids are deleted, one separator a line must be left, each
+        # line but the last ending in a newline, and no line may start or
+        # end with its separator
+        if (raw.translate(None, ids) != line * piece.count("\n") + line[:1]
+                or raw.startswith(line[:1]) or raw.endswith(line[:1])
+                or line in raw or line[::-1] in raw):
+            yield None
+            return
+        yield piece.replace("\n", sep).split(sep)
+
+
+class _Index(dict):
+    """Id -> index map that gives a missing id the next index on lookup."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
+def _codes(index: _Index, ids: list[str]) -> np.ndarray:
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _text(stream: TextIO | str) -> str:
+    return stream if isinstance(stream, str) else stream.read()
+
+
+def _bulk_edges(text: str, node_index: dict[str, int],
+                delimiter: str | None):
+    """`parse_edge_list` on a regular text, piece by piece at C speed; None,
+    with `node_index` untouched, if the text is not regular."""
+    index = _Index(node_index)
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    for tokens in _regular_tokens(text, delimiter):
+        if tokens is None:
+            return None
+        known = len(index)
+        pairs = _codes(index, tokens).reshape(-1, 2)
+        loop = pairs[:, 0] == pairs[:, 1]
+        if loop.any():
+            if pairs[loop, 0].max() >= known:
+                # an id new to this piece was indexed at a self-loop line,
+                # maybe ahead of its first kept line: index the piece again
+                # without its self-loop lines
+                while len(index) > known:
+                    index.popitem()
+                tokens = list(compress(tokens, np.repeat(~loop, 2).tolist()))
+                pairs = _codes(index, tokens).reshape(-1, 2)
+            else:
+                pairs = pairs[~loop]
+        src_parts.append(pairs[:, 0])
+        dst_parts.append(pairs[:, 1])
+    node_index.update(index)
+    src, dst = _concat(src_parts), _concat(dst_parts)
+    return src, dst, np.ones(src.size)
+
+
+def _bulk_labels(text: str, node_index: dict[str, int],
+                 label_index: dict[str, int], delimiter: str | None):
+    """`parse_label_assignments` on a regular text, as `_bulk_edges`."""
+    nodes, labels = _Index(node_index), _Index(label_index)
+    members: list[np.ndarray] = []
+    groups: list[np.ndarray] = []
+    for tokens in _regular_tokens(text, delimiter):
+        if tokens is None:
+            return None
+        members.append(_codes(nodes, tokens[0::2]))
+        groups.append(_codes(labels, tokens[1::2]))
+    node_index.update(nodes)
+    label_index.update(labels)
+    return _concat(members), _concat(groups)
+
+
+def parse_edge_list(stream: TextIO | str, node_index: dict[str, int],
                     delimiter: str | None = None):
     """Parse an edge file into undirected weighted records.
 
     Node ids get indices through `node_index`, new ids appended in order of
     first appearance. Returns (src, dst, weight) arrays, one entry per line
     that is not a self-loop; a missing weight defaults to 1.0. Repeated
-    pairs stay repeated here: `_assemble_graph` sums them.
+    pairs stay repeated here: `_assemble_graph` sums them. The stream is
+    read whole; a regular one (see `_regular_tokens`) is parsed in bulk.
     """
+    text = _text(stream)
+    bulk = _bulk_edges(text, node_index, delimiter)
+    if bulk is not None:
+        return bulk
     src: list[int] = []
     dst: list[int] = []
     weight: list[float] = []
     index = node_index.setdefault
-    for no, fields in _records(stream, delimiter, (2, 3)):
+    for no, fields in _records(text, delimiter, (2, 3)):
         w = 1.0
         if len(fields) == 3:
             try:
@@ -129,16 +261,20 @@ def parse_edge_list(stream, node_index: dict[str, int],
             np.array(weight, dtype=np.float64))
 
 
-def parse_label_assignments(stream, node_index: dict[str, int],
+def parse_label_assignments(stream: TextIO | str, node_index: dict[str, int],
                             label_index: dict[str, int],
                             delimiter: str | None = None):
     """Parse a label file into (node, label) index arrays, one entry per
     line, with ids indexed through `node_index` and `label_index` as in
-    `parse_edge_list`."""
+    `parse_edge_list`, which also reads its stream."""
+    text = _text(stream)
+    bulk = _bulk_labels(text, node_index, label_index, delimiter)
+    if bulk is not None:
+        return bulk
     nodes: list[int] = []
     labels: list[int] = []
     node, label = node_index.setdefault, label_index.setdefault
-    for _, (v, lab) in _records(stream, delimiter, (2,)):
+    for _, (v, lab) in _records(text, delimiter, (2,)):
         nodes.append(node(v, len(node_index)))
         labels.append(label(lab, len(label_index)))
     return np.array(nodes, dtype=np.int64), np.array(labels, dtype=np.int64)
@@ -204,6 +340,28 @@ def dataset_stats(g: MultiLabelGraph) -> DatasetStats:
     return DatasetStats(g.node_count, edge_count, g.label_count, int(pairs))
 
 
+# upper-triangle pairs a block of `_upper_pairs`; keeps the generator's
+# memory to a few blocks' arrays instead of arrays over all n^2/2 pairs
+_PAIR_BLOCK = 1 << 20
+
+
+def _upper_pairs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (i, j) with i < j < n in row-major order, as (i, j) arrays
+    over blocks of whole rows holding at most `_PAIR_BLOCK` pairs (or one
+    row, when a row alone holds more)."""
+    done = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..r
+    r0 = 0
+    while r0 < n - 1:
+        before = int(done[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(done, before + _PAIR_BLOCK,
+                                             side="right")))
+        i, j = np.triu_indices(r1 - r0, 1, n - r0)
+        i += r0
+        j += r0
+        yield i, j
+        r0 = r1
+
+
 def generate_synthetic(config: SyntheticConfig) -> MultiLabelGraph:
     """Generate a planted-partition multi-label graph.
 
@@ -216,12 +374,16 @@ def generate_synthetic(config: SyntheticConfig) -> MultiLabelGraph:
     n = k * size
     rng = rng_stream(config.seed, "synthetic")
 
-    iu, ju = np.triu_indices(n, k=1)
     comm = np.arange(n) // size
-    same = comm[iu] == comm[ju]
-    prob = np.where(same, config.p_intra, config.p_inter)
-    keep = rng.random(iu.size) < prob
-    ei, ej = iu[keep], ju[keep]
+    kept_i, kept_j = [], []
+    # one draw a pair, in row-major order: consecutive draws give the
+    # values of one draw over all pairs
+    for iu, ju in _upper_pairs(n):
+        prob = np.where(comm[iu] == comm[ju], config.p_intra, config.p_inter)
+        keep = rng.random(iu.size) < prob
+        kept_i.append(iu[keep])
+        kept_j.append(ju[keep])
+    ei, ej = np.concatenate(kept_i), np.concatenate(kept_j)
 
     extra = rng.random(n) < config.rho
 

@@ -136,7 +136,14 @@ def label_correlation_matrix(b: SparseMatrix) -> np.ndarray:
 
 def evaluate(scores: np.ndarray, truth: np.ndarray, subset: np.ndarray,
              rule: str = "top_k_true", threshold: float = 0.5) -> EvaluationReport:
-    """Predict with the given rule, then score the subset."""
-    pred = predict_labels(scores, rule=rule, truth=truth, threshold=threshold)
+    """Predict the subset's rows with the given rule, then score them. Both
+    rules decide each row on its own, so this is the report of predicting
+    every row and scoring the subset."""
+    if np.shape(truth) != np.shape(scores):
+        raise ValueError("truth shape must match scores")
+    subset = np.asarray(subset, dtype=np.int64)
+    rows = np.asarray(truth)[subset]
+    pred = predict_labels(scores[subset], rule=rule, truth=rows,
+                          threshold=threshold)
     tag = rule if rule != "threshold" else f"threshold:{threshold}"
-    return compute_f1(pred, truth, subset, decision_rule=tag)
+    return compute_f1(pred, rows, np.arange(subset.size), decision_rule=tag)

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mlgcn import datasets
 from mlgcn.datasets import (ParseError, SyntheticConfig, dataset_stats,
                             generate_synthetic, load_dataset, parse_edge_list,
                             parse_label_assignments)
@@ -221,6 +222,131 @@ class TestIngestionOracle:
             assert validate_graph(g) == []
 
 
+def _regular_files(seed, lines=60_000):
+    """Regular edge and label file lines (two ids, no comments, blanks,
+    spaces or weights): duplicate pairs in both orientations, self-loops
+    (the ids "first" and "later" appear first in a self-loop line, in the
+    first piece and past it, then after "first2" and "later2" in kept
+    lines, and "ghost" appears only in self-loops) and label-only
+    nodes. Enough lines that the bulk path cuts the edge file into pieces."""
+    rng = np.random.default_rng(seed)
+    ids = [f"n{i}" for i in rng.permutation(3000)]
+    ends = rng.integers(0, len(ids), size=(lines, 2))
+    edges = [f"{ids[a]},{ids[b]}" for a, b in ends]
+    for row in rng.integers(100, lines, size=lines // 20):
+        edges[row] = "n1,n1"
+    for row in rng.integers(0, lines - 1, size=lines // 50):
+        edges[row + 1] = ",".join(edges[row].split(",")[::-1])
+    edges[10:10] = ["first,first", "first2,first"]
+    edges[40_000:40_000] = ["later,later", "ghost,ghost", "later2,later"]
+    edges.append("ghost,ghost")
+    labels = [f"{ids[v]},g{rng.integers(20)}" for v in
+              rng.integers(0, len(ids), size=5000)]
+    labels += ["label_only,g3", "n1,g20", "label_only,g3"]
+    return edges, labels
+
+
+def _same_graph(a, b):
+    assert a.node_ids == b.node_ids and a.label_ids == b.label_ids
+    for x, y in ((a.adjacency, b.adjacency),
+                 (a.label_assignments, b.label_assignments)):
+        for name in ("indptr", "indices", "data"):
+            u, v = getattr(x, name), getattr(y, name)
+            assert u.dtype == v.dtype and np.array_equal(u, v)
+
+
+class TestBulkPath:
+    """Regular files take the bulk path; a '# header' line sends the same
+    file through the per-line loop, which must give the same graph."""
+
+    @pytest.mark.parametrize("sep,final_newline,crlf,forced", [
+        (",", True, False, False), (",", False, True, True),
+        ("\t", True, True, False), ("\t", False, False, True)])
+    def test_same_graph_as_per_line(self, tmp_path, monkeypatch, sep,
+                                    final_newline, crlf, forced):
+        edges, labels = _regular_files(seed=len(sep) + 2 * crlf)
+        delimiter = sep if forced else None
+        end = "\r\n" if crlf else "\n"
+
+        def write(name, rows, header):
+            text = end.join(r.replace(",", sep) for r in header + rows)
+            path = tmp_path / name
+            path.write_bytes((text + end * final_newline).encode())
+            return path
+
+        per_line = load_dataset(write("e#", edges, ["# header"]),
+                                write("l#", labels, ["# header"]), delimiter)
+        ids = per_line.node_ids
+        assert "ghost" not in ids and ids[-1] == "label_only"
+        # ids first met in a self-loop line are indexed at their first kept
+        # line, after the other end of it
+        for name in ("first", "later"):
+            assert ids.index(name) == ids.index(name + "2") + 1
+
+        def unused(*args):
+            raise AssertionError("a regular file reached the per-line loop")
+
+        monkeypatch.setattr(datasets, "_records", unused)
+        bulk = load_dataset(write("e", edges, []), write("l", labels, []),
+                            delimiter)
+        _same_graph(bulk, per_line)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "1,2", "1,1\n", "1,1\n1,2\n", "1,2\n3,\n", ",2\n",
+        "1,2\n\n3,4\n", "1,2,3\n", "1\n", "1,2\n3\t4\n", "a,b\tc\n",
+        "a b\n", "\u00e9,x\n", "1,2\r\n3,4", "x,y\x00\n", "x,y\x1f\n",
+        "x,#y\n", "1,2\n3,,4\n", "1,2,\n", "\t1\t2\n", "1,\n2,3\n",
+        "1,2\n,3\n", "\ud800,x\n"])
+    def test_small_texts_as_per_line(self, text):
+        # parsed as is and after a comment line, which only shifts the
+        # line number of an error
+        def parse(text):
+            nodes, labels = {}, {}
+            try:
+                edges = [a.tolist() for a in parse_edge_list(text, nodes)]
+            except ParseError as exc:
+                edges = (exc.line_no - text.startswith("#"), exc.message)
+            try:
+                pairs = [a.tolist() for a in
+                         parse_label_assignments(text, {}, labels)]
+            except ParseError as exc:
+                pairs = (exc.line_no - text.startswith("#"), exc.message)
+            return edges, list(nodes), pairs, list(labels)
+
+        assert parse(text) == parse("# header\n" + text)
+
+    @pytest.mark.parametrize("parse", ["edges", "labels"])
+    def test_bad_line_past_the_first_piece(self, tmp_path, parse):
+        edges, labels = _regular_files(seed=5, lines=12_000)
+        rows = edges if parse == "edges" else labels * 3
+        bad = 11_000
+        assert len("\n".join(rows[:bad])) > datasets._PIECE
+        rows[bad - 1] = "n1,n2,n3,n4"
+        (tmp_path / "bad").write_text("\n".join(rows) + "\n")
+        (tmp_path / "ok").write_text("\n".join(edges[:10]) + "\n")
+        paths = ((tmp_path / "bad", tmp_path / "ok") if parse == "edges"
+                 else (tmp_path / "ok", tmp_path / "bad"))
+        with pytest.raises(ParseError) as info:
+            load_dataset(*paths)
+        assert info.value.line_no == bad
+        assert str(info.value).endswith(
+            f"line {bad}: expected {'2 or 3' if parse == 'edges' else 2} "
+            "fields, got 4")
+
+    def test_failed_bulk_path_leaves_the_index_alone(self):
+        # the bulk path gives up at the second piece's blank line; the
+        # per-line loop then indexes from the caller's dict as it was
+        rows = [f"a{i},b{i}" for i in range(20_000)]
+        rows[15_000] = ""
+        text = "\n".join(rows)
+        nodes, per_line = {"b7": 0}, {"b7": 0}
+        src, _, _ = parse_edge_list(text, nodes)
+        parse_edge_list("# header\n" + text, per_line)
+        assert list(nodes.items()) == list(per_line.items())
+        assert list(nodes)[:3] == ["b7", "a0", "b0"]
+        assert src[:2].tolist() == [1, 3]
+
+
 class TestDatasetStats:
     def test_hand_graph_counts(self, tmp_path):
         (tmp_path / "e").write_text("1,2\n")
@@ -255,6 +381,32 @@ class TestDatasetStats:
                     pairs.add((labels[x], labels[y]))
         assert dataset_stats(g).cooccurrence_count == len(pairs)
         assert len(pairs) <= g.label_count * (g.label_count - 1) // 2
+
+
+def _generate_over_all_pairs(config):
+    """`generate_synthetic` as it was before it drew pairs in row blocks:
+    one draw over every upper-triangle pair at once."""
+    k, size = config.communities, config.community_size
+    n = k * size
+    rng = datasets.rng_stream(config.seed, "synthetic")
+    iu, ju = np.triu_indices(n, k=1)
+    comm = np.arange(n) // size
+    prob = np.where(comm[iu] == comm[ju], config.p_intra, config.p_inter)
+    keep = rng.random(iu.size) < prob
+    ei, ej = iu[keep], ju[keep]
+    extra = rng.random(n) < config.rho
+    ends = np.column_stack([ei, ej]).ravel()
+    first = np.full(n, ends.size)
+    np.minimum.at(first, ends, np.arange(ends.size))
+    order = np.argsort(first, kind="stable")
+    index = np.argsort(order)
+    corr = np.unique(comm[extra])
+    members = np.concatenate([np.arange(n), np.flatnonzero(extra)])
+    labels = np.concatenate([comm, k + np.searchsorted(corr, comm[extra])])
+    label_ids = [f"home{c}" for c in range(k)] + [f"corr{c}" for c in corr]
+    edges = (index[ei], index[ej], np.ones(ei.size))
+    return datasets._assemble_graph([str(i) for i in order], label_ids, edges,
+                                    (index[members], labels))
 
 
 class TestGenerateSynthetic:
@@ -316,3 +468,23 @@ class TestGenerateSynthetic:
             SyntheticConfig(rho=-0.1)
         with pytest.raises(ValueError):
             SyntheticConfig(communities=1)
+
+    @pytest.mark.parametrize("block", [40, 997, 3000])
+    def test_row_blocks_draw_as_one_draw(self, monkeypatch, block):
+        # 40 is less than a row, so a block is one row
+        monkeypatch.setattr(datasets, "_PAIR_BLOCK", block)
+        for config in (SyntheticConfig(communities=3, community_size=40,
+                                       p_intra=0.1, p_inter=0.01, seed=3),
+                       SyntheticConfig(communities=5, community_size=21,
+                                       rho=0.4, seed=8)):
+            n = config.communities * config.community_size
+            assert len(list(datasets._upper_pairs(n))) > 1
+            _same_graph(generate_synthetic(config),
+                        _generate_over_all_pairs(config))
+
+    def test_pair_blocks_at_their_real_size(self):
+        blocks = list(datasets._upper_pairs(600))
+        assert len(blocks) == 1
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(blocks[0], np.triu_indices(600, k=1)))
+        assert len(list(datasets._upper_pairs(1500))) == 2

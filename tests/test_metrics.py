@@ -229,3 +229,19 @@ class TestEvaluate:
         rep = evaluate(scores, truth, np.array([0]))
         assert rep.decision_rule == "top_k_true"
         assert rep.micro_f1 == 0.0
+
+    @pytest.mark.parametrize("rule", ["top_k_true", "threshold"])
+    def test_equals_predicting_every_row_then_the_subset(self, rule):
+        # few distinct scores, so top_k_true breaks many ties
+        rng = np.random.default_rng(8)
+        scores = rng.integers(-2, 3, size=(60, 7)).astype(float)
+        truth = (rng.random((60, 7)) < 0.3).astype(float)
+        truth[::9] = 0.0  # rows with no true label
+        for size in (1, 13, 60):
+            subset = np.sort(rng.choice(60, size=size, replace=False))
+            pred = predict_labels(scores, rule=rule, truth=truth)
+            tag = rule if rule == "top_k_true" else "threshold:0.5"
+            assert evaluate(scores, truth, subset, rule=rule) == compute_f1(
+                pred, truth, subset, decision_rule=tag)
+        with pytest.raises(ValueError, match="empty evaluation subset"):
+            evaluate(scores, truth, np.array([], dtype=int), rule=rule)
