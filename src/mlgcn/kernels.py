@@ -9,8 +9,8 @@ product runs over the narrower side. A sparse H (a `SparseMatrix`, such as
 one-hot input features) always multiplies W first, and its dropout scales
 only its stored entries. `forward_stack` walks a stack of such
 layers and records everything the backward pass needs (the matrix W
-multiplies, pre-activations, dropout masks); `backward` then walks the two
-layer stacks in reverse, in the order each layer's forward used. A forward
+multiplies, the rectified output, dropout masks); `backward` then walks the
+two layer stacks in reverse, in the order each layer's forward used. A forward
 that draws no dropout can hand the first layer a precomputed ``op @ H``
 (`propagated`) in place of the sparse product. Gradients never flow into
 the operators or the input feature blocks — those are constants.
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 LOG_CLAMP = 1e-12  # fixed probability floor before logs; not configurable
+
+# values per row block of a sparse input's dropout draw (at least one row)
+_DRAW_BLOCK_VALUES = 1 << 20
 
 
 def spmm(s: SparseMatrix, d: np.ndarray) -> np.ndarray:
@@ -59,14 +62,23 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerCache:
-    """Per-layer forward record used by the backward pass."""
+    """Per-layer forward record used by the backward pass.
+
+    `pre_activation` keeps its name but holds the rectified output for a
+    relu layer: backward reads only where z > 0, and relu(z) > 0 marks
+    exactly those entries, NaN and -0.0 included. The same array is the
+    layer's return value, so nothing may write into either.
+    """
 
     op: SparseMatrix
     weight: np.ndarray
     weight_input: np.ndarray | SparseMatrix  # what W multiplies, feeds dW:
                                   # op @ dropout(H) when propagated first,
                                   # else dropout(H), sparse when H is
-    pre_activation: np.ndarray
+    pre_activation: np.ndarray    # the layer's output: for a relu layer
+                                  # relu(z), rectified in place, whose
+                                  # positive entries are those of z; for
+                                  # an identity layer z itself
     mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)), one
                                   # value per stored entry of a sparse H;
                                   # None in eval and, in a stack, on the
@@ -136,11 +148,10 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
         # a sparse h draws its whole shape, so a run gets the masks, and
         # the trajectory, that dense features give; it uses only the draws
         # at its stored entries
-        drawn_values = rng.random(h.shape)
-        if sparse:
-            rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-            drawn_values = drawn_values[rows, h.indices]
-        mask = (drawn_values >= dropout) / (1.0 - dropout)
+        drawn_values = _stored_draws(rng, h) if sparse else rng.random(h.shape)
+        # the mask overwrites the draws it is computed from
+        mask = np.divide(drawn_values >= dropout, 1.0 - dropout,
+                         out=drawn_values)
         if sparse:
             hd = h.copy()
             hd.data *= mask
@@ -153,11 +164,35 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
     else:
         weight_input = hd
         z = spmm(op, hd @ w)
-    out = relu(z) if activation == "relu" else z
+    if activation == "relu":
+        np.maximum(z, 0.0, out=z)
     cache = LayerCache(op=op, weight=w, weight_input=weight_input,
                        pre_activation=z, mask=mask, activation=activation,
                        weight_key=weight_key, propagated_first=first)
-    return out, cache
+    return z, cache
+
+
+def _stored_draws(rng: np.random.Generator, h: SparseMatrix) -> np.ndarray:
+    """The values of one ``rng.random(h.shape)`` draw at `h`'s stored
+    entries, in storage order.
+
+    The shape is drawn in row blocks of at most `_DRAW_BLOCK_VALUES` values
+    (one row at least) into one reused buffer; the generator yields the same
+    values, and ends in the same state, as from one call.
+    """
+    rows, cols = h.shape
+    step = max(1, _DRAW_BLOCK_VALUES // max(cols, 1))
+    buffer = np.empty((min(step, rows), cols))
+    values = np.empty(h.nnz)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        block = buffer[:stop - start]
+        rng.random(out=block)
+        lo, hi = h.indptr[start], h.indptr[stop]
+        local = np.repeat(np.arange(stop - start),
+                          np.diff(h.indptr[start:stop + 1]))
+        values[lo:hi] = block[local, h.indices[lo:hi]]
+    return values
 
 
 def softmax_rows(o: np.ndarray) -> np.ndarray:
@@ -244,26 +279,37 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
     built transpose. A sparse first-layer input gives dW as
     dropout(H)ᵀ @ (opᵀ @ dZ) over its stored entries alone. No gradient
     flows into the input features.
+
+    The ReLU gate and the dropout mask are applied in place, but only to
+    gradient arrays made here: `d_out` and the caches are read, never
+    written. Each layer's temporaries are dropped before the next layer.
     """
-    g = d_out
+    g, owned = d_out, False
     for idx in range(len(caches) - 1, -1, -1):
         cache = caches[idx]
         if cache.activation == "relu":
-            dz = g * (cache.pre_activation > 0.0)
-        else:
-            dz = g
+            # the cache holds relu(z), positive exactly where z is
+            gate = cache.pre_activation > 0.0
+            g = np.multiply(g, gate, out=g if owned else None)
+            del gate
         # gradient w.r.t. the product weight_input @ W
-        d_prod = dz if cache.propagated_first else spmm(cache.op.T, dz)
+        d_prod = g if cache.propagated_first else spmm(cache.op.T, g)
+        del g
         dw = cache.weight_input.T @ d_prod
         if cache.weight_key in grads:
             grads[cache.weight_key] += dw
         else:
             grads[cache.weight_key] = dw
-        if idx > 0:
-            d_hd = d_prod @ cache.weight.T
-            if cache.propagated_first:
-                d_hd = spmm(cache.op.T, d_hd)
-            g = d_hd * cache.mask if cache.mask is not None else d_hd
+        del dw
+        if idx == 0:
+            break
+        g = d_prod @ cache.weight.T
+        del d_prod
+        if cache.propagated_first:
+            g = spmm(cache.op.T, g)
+        if cache.mask is not None:
+            np.multiply(g, cache.mask, out=g)
+        owned = True
 
 
 def backward(label_caches: list[LayerCache] | None,

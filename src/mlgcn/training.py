@@ -43,6 +43,9 @@ VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
 
 CHECKPOINT_VERSION = 3
 
+# values per row block of an optimizer step (at least one row)
+_STEP_CHUNK_VALUES = 1 << 16
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
@@ -307,10 +310,12 @@ def inject_label_features(model: ModelState, label_logits: np.ndarray) -> np.nda
 class _Optimizer:
     """Plain gradient descent or Adam; weight decay enters as an L2 term.
 
-    A step updates the weights, and Adam's moments, in place. Its
-    temporaries live in two buffers per weight, allocated on the first
-    step, and every value is computed by the same operations in the same
-    order as the textbook formulas in the comments.
+    A step updates the weights, and Adam's moments, in place, one block of
+    rows at a time: row slices are views, even of a non-contiguous weight.
+    Its temporaries live in one pair of buffers of `_STEP_CHUNK_VALUES`
+    values (one row at least) that every weight shares, and every value is
+    computed by the same operations in the same order as the textbook
+    formulas in the comments.
     """
 
     def __init__(self, config: TrainConfig):
@@ -318,47 +323,54 @@ class _Optimizer:
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self.buffers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.buffers = (np.empty(0), np.empty(0))
 
     def step(self, model: ModelState, grads: dict[str, np.ndarray]):
         cfg = self.config
+        adam = cfg.optimizer == "adam"
+        b1, b2, eps = 0.9, 0.999, 1e-8
         self.step_count += 1
         for key, g in grads.items():
             if np.any(np.isnan(g)):
                 raise ValueError(f"diverged: NaN gradient for {key}")
             w = model.weights[key]
-            if key not in self.buffers:
-                self.buffers[key] = (np.empty_like(w), np.empty_like(w))
-            a, b = self.buffers[key]
-            # a = g + decay * w
-            np.multiply(cfg.weight_decay, w, out=a)
-            np.add(g, a, out=a)
-            if cfg.optimizer == "gd":
-                # w = w - lr * a
-                np.multiply(cfg.learning_rate, a, out=a)
-                np.subtract(w, a, out=w)
-                continue
-            b1, b2, eps = 0.9, 0.999, 1e-8
-            if key not in self.m:
+            if adam and key not in self.m:
                 self.m[key], self.v[key] = np.zeros_like(w), np.zeros_like(w)
-            m, v = self.m[key], self.v[key]
-            # m = b1 * m + (1 - b1) * a
-            np.multiply(b1, m, out=m)
-            np.multiply(1 - b1, a, out=b)
-            np.add(m, b, out=m)
-            # v = b2 * v + (1 - b2) * a * a
-            np.multiply(b2, v, out=v)
-            np.multiply(1 - b2, a, out=b)
-            np.multiply(b, a, out=b)
-            np.add(v, b, out=v)
-            # w = w - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-            np.divide(m, 1 - b1 ** self.step_count, out=a)
-            np.multiply(cfg.learning_rate, a, out=a)
-            np.divide(v, 1 - b2 ** self.step_count, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, eps, out=b)
-            np.divide(a, b, out=a)
-            np.subtract(w, a, out=w)
+            rows = max(1, _STEP_CHUNK_VALUES // max(w.shape[1], 1))
+            size = min(rows, w.shape[0]) * w.shape[1]
+            if self.buffers[0].size < size:
+                self.buffers = (np.empty(size), np.empty(size))
+            for start in range(0, w.shape[0], rows):
+                block = slice(start, start + rows)
+                wb = w[block]
+                a, b = (buf[:wb.size].reshape(wb.shape)
+                        for buf in self.buffers)
+                # a = g + decay * w
+                np.multiply(cfg.weight_decay, wb, out=a)
+                np.add(g[block], a, out=a)
+                if not adam:
+                    # w = w - lr * a
+                    np.multiply(cfg.learning_rate, a, out=a)
+                    np.subtract(wb, a, out=wb)
+                    continue
+                m, v = self.m[key][block], self.v[key][block]
+                # m = b1 * m + (1 - b1) * a
+                np.multiply(b1, m, out=m)
+                np.multiply(1 - b1, a, out=b)
+                np.add(m, b, out=m)
+                # v = b2 * v + (1 - b2) * a * a
+                np.multiply(b2, v, out=v)
+                np.multiply(1 - b2, a, out=b)
+                np.multiply(b, a, out=b)
+                np.add(v, b, out=v)
+                # w = w - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+                np.divide(m, 1 - b1 ** self.step_count, out=a)
+                np.multiply(cfg.learning_rate, a, out=a)
+                np.divide(v, 1 - b2 ** self.step_count, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(wb, a, out=wb)
 
 
 def sgd_step(model: ModelState, grads: dict[str, np.ndarray],
@@ -497,6 +509,17 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
             json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
+def _equals_sparse(dense: np.ndarray, x: SparseMatrix) -> bool:
+    """``np.array_equal(dense, x.toarray())`` for a canonical `x`, whose
+    stored values are nonzero, without building that array: `dense` holds
+    as many nonzeros (NaN counts, -0.0 does not) as `x` stores, and equals
+    its stored values where `x` stores them."""
+    if np.count_nonzero(dense) != x.nnz:
+        return False
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    return np.array_equal(dense[rows, x.indices], x.data)
+
+
 def load_checkpoint(path):
     """Load a checkpoint; returns (model, config, epoch, fingerprint).
 
@@ -526,7 +549,7 @@ def load_checkpoint(path):
                     f"features its config gives, {x.shape} and {y.shape}")
             # a block saved before its first injection is X written dense;
             # it resumes as the sparse X that training stacks
-            if sp.issparse(x) and np.array_equal(node_block, x.toarray()):
+            if sp.issparse(x) and _equals_sparse(node_block, x):
                 node_block = x
             m, d = y.shape
             shapes = weight_shapes(config, d, m)

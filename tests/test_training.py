@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mlgcn import training
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
 from mlgcn.kernels import (multi_label_loss, single_label_loss,
                            single_label_loss_grad, softmax_rows)
@@ -366,15 +367,27 @@ class TestSgdStep:
         assert np.allclose(model.weights["w"], [[0.9, 1.1]], atol=1e-6)
 
     @pytest.mark.parametrize("optimizer", ["gd", "adam"])
-    def test_in_place_step_equals_the_formula_bitwise(self, optimizer):
+    def test_in_place_step_equals_the_formula_bitwise(self, optimizer,
+                                                      monkeypatch):
+        self.check_step_against_the_formula(optimizer, None)
+        # with 12-value chunks "c" and the transposed "t" are larger than a
+        # chunk and not a multiple of it (blocks of 2 rows)
+        monkeypatch.setattr(training, "_STEP_CHUNK_VALUES", 12)
+        self.check_step_against_the_formula(optimizer, 12)
+
+    def check_step_against_the_formula(self, optimizer, chunk):
         # the textbook update, one fresh array per operation, five steps
         rng = np.random.default_rng(7)
         cfg = small_config(optimizer=optimizer, learning_rate=0.03,
                            weight_decay=0.1)
         start = {"a": rng.standard_normal((4, 3)),
-                 "b": rng.standard_normal((3, 2))}
+                 "b": rng.standard_normal((3, 2)),
+                 "c": rng.standard_normal((11, 5)),
+                 "t": rng.standard_normal((6, 7)).T}
         model = self.tiny_model([[0.0]])
-        model.weights = {k: w.copy() for k, w in start.items()}
+        model.weights = {k: w.copy(order="K") for k, w in start.items()}
+        held = dict(model.weights)
+        assert not model.weights["t"].flags.c_contiguous
         opt = _Optimizer(cfg)
         ref_w = {k: w.copy() for k, w in start.items()}
         ref_m = {k: np.zeros_like(w) for k, w in start.items()}
@@ -397,10 +410,14 @@ class TestSgdStep:
                 ref_w[k] = w - lr * mhat / (np.sqrt(vhat) + eps)
         assert opt.step_count == 5
         for k in start:
+            assert model.weights[k] is held[k]
             assert model.weights[k].tobytes() == ref_w[k].tobytes()
             if optimizer == "adam":
                 assert opt.m[k].tobytes() == ref_m[k].tobytes()
                 assert opt.v[k].tobytes() == ref_v[k].tobytes()
+        # one pair of buffers, at most a chunk (one row at least) each
+        limit = max(12 if chunk else training._STEP_CHUNK_VALUES, 7)
+        assert all(buf.size <= limit for buf in opt.buffers)
 
 
 class TestFirstLayerReuse:
@@ -964,6 +981,41 @@ class TestCheckpoint:
         ops = build_operators(g, config.variant, config.binarize_cooccurrence)
         logits, _ = forward_node_gcn(ops, model, config, training=False)
         assert np.array_equal(logits, result.embeddings)
+
+    @pytest.mark.parametrize("change,sparse", [
+        (None, True),
+        # a signed zero off X's pattern still equals X
+        (lambda b: b.__setitem__((0, -1), -0.0), True),
+        # an extra nonzero off X's pattern, and a NaN there
+        (lambda b: b.__setitem__((0, -1), 0.5), False),
+        (lambda b: b.__setitem__((1, 0), np.nan), False),
+        # a stored entry that differs, or is NaN
+        (lambda b: b.__setitem__((2, 2), 2.0), False),
+        (lambda b: b.__setitem__((2, 2), np.nan), False),
+    ])
+    def test_block_equal_to_x_loads_as_the_sparse_x(self, tmp_path,
+                                                     monkeypatch, change,
+                                                     sparse):
+        from mlgcn.training import load_checkpoint, save_checkpoint
+        g = small_graph(seed=17)
+        cfg = small_config(epochs=1, seed=17)
+        model = init_model(g, cfg)
+        block = model.node_features.toarray()
+        if change is not None:
+            change(block)
+        model.node_block = block
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, cfg, 1, "fp")
+
+        def no_dense(self, *args, **kwargs):
+            raise AssertionError("X was densified")
+        monkeypatch.setattr(SparseMatrix, "toarray", no_dense)
+        loaded, *_ = load_checkpoint(path)
+        monkeypatch.undo()
+        assert (loaded.node_block is loaded.node_features) == sparse
+        assert sparse == np.array_equal(block, model.node_features.toarray())
+        if not sparse:
+            assert loaded.node_block.tobytes() == block.tobytes()
 
     def test_version_check(self, tmp_path):
         import json
