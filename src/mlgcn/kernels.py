@@ -289,9 +289,8 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
         cache = caches[idx]
         if cache.activation == "relu":
             # the cache holds relu(z), positive exactly where z is
-            gate = cache.pre_activation > 0.0
-            g = np.multiply(g, gate, out=g if owned else None)
-            del gate
+            g = np.multiply(g, cache.pre_activation > 0.0,
+                            out=g if owned else None)
         # gradient w.r.t. the product weight_input @ W
         d_prod = g if cache.propagated_first else spmm(cache.op.T, g)
         del g
@@ -300,7 +299,6 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
             grads[cache.weight_key] += dw
         else:
             grads[cache.weight_key] = dw
-        del dw
         if idx == 0:
             break
         g = d_prod @ cache.weight.T
