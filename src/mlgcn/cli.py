@@ -232,12 +232,11 @@ def write_atomic(path: str, text: str):
 def write_history_csv(path: str, history):
     # wall-clock per epoch is deliberately omitted: history files must be
     # byte-identical across reruns with the same seed
-    lines = ["epoch,label_loss,node_loss,total_loss,val_micro_f1"]
-    for e in range(len(history)):
-        lines.append(",".join([
-            str(e), _fmt(history.label_loss[e]), _fmt(history.node_loss[e]),
-            _fmt(history.total_loss[e]), _fmt(history.val_micro_f1[e])]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    columns = zip(history.label_loss, history.node_loss, history.total_loss,
+                  history.val_micro_f1)
+    _write_csv(path, ["epoch", "label_loss", "node_loss", "total_loss",
+                      "val_micro_f1"],
+               ([e, *map(_fmt, row)] for e, row in enumerate(columns)))
 
 
 def _write_csv(path: str, header: list, rows):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .graph import MultiLabelGraph
 from .matrices import SparseMatrix
+from .operators import build_label_cooccurrence
 from .rng import rng_stream
 
 __all__ = [
@@ -329,15 +330,11 @@ def load_dataset(edge_path, label_path,
 
 
 def dataset_stats(g: MultiLabelGraph) -> DatasetStats:
-    """Node/edge/label counts plus the number of co-occurring label pairs."""
-    edge_count = g.adjacency.nnz // 2
-    # B is nonnegative, so no entry of the co-occurrence counts B^T B
-    # cancels to zero: each co-occurring pair is one nonzero on each side
-    # of the diagonal
-    b = g.label_assignments
-    cooc = b.T @ b
-    pairs = (cooc.nnz - np.count_nonzero(cooc.diagonal())) // 2
-    return DatasetStats(g.node_count, edge_count, g.label_count, int(pairs))
+    """Node/edge/label counts plus the number of co-occurring label pairs,
+    each of which is one stored count on either side of the diagonal."""
+    pairs = build_label_cooccurrence(g.label_assignments).nnz // 2
+    return DatasetStats(g.node_count, g.adjacency.nnz // 2, g.label_count,
+                        pairs)
 
 
 # upper-triangle pairs a block of `_upper_pairs`; keeps the generator's

@@ -15,6 +15,7 @@ weight shapes, both forwards and the training loop all derive from it.
 from __future__ import annotations
 
 import json
+import os
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -34,14 +35,14 @@ from .rng import rng_stream
 __all__ = [
     "VARIANTS", "TrainConfig", "ModelState", "TrainHistory", "TrainResult",
     "DivergenceError", "CheckpointError", "layer_table", "weight_shapes",
-    "input_features", "init_model", "forward_label_gcn", "forward_node_gcn",
-    "inject_label_features", "inject_node_features", "sgd_step", "train",
-    "save_checkpoint", "load_checkpoint",
+    "projection_shapes", "input_features", "init_model", "forward_label_gcn",
+    "forward_node_gcn", "inject_label_features", "inject_node_features",
+    "sgd_step", "train", "save_checkpoint", "load_checkpoint",
 ]
 
 VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # values per row block of an optimizer step (at least one row)
 _STEP_CHUNK_VALUES = 1 << 16
@@ -186,6 +187,14 @@ def weight_shapes(config: TrainConfig, d: int,
     return shapes
 
 
+def projection_shapes(config: TrainConfig, d: int,
+                      m: int) -> dict[str, tuple[int, int]]:
+    """The frozen projections' shapes, in draw order. Only a model with a
+    label stack injects logits into feature blocks, so only it has them."""
+    keys = ("proj_node", "proj_label") if layer_table(config)["label"] else ()
+    return dict.fromkeys(keys, (m, d))
+
+
 def input_features(n: int, m: int, config: TrainConfig
                    ) -> tuple[np.ndarray | SparseMatrix, np.ndarray]:
     """Raw node (n x d) and label (m x d) features for `config`.
@@ -209,9 +218,9 @@ def input_features(n: int, m: int, config: TrainConfig
 
 
 def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
-    """Glorot-uniform weights and projections from the seed's init stream,
-    drawn in `weight_shapes` order; the raw features from `input_features`,
-    which the injected blocks start as."""
+    """Glorot-uniform weights, then projections, from the seed's init
+    stream in `weight_shapes` and `projection_shapes` order; the raw
+    features from `input_features`, which the injected blocks start as."""
     m = graph.label_count
     x, y = input_features(graph.node_count, m, config)
     d = x.shape[1]
@@ -219,10 +228,8 @@ def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
 
     weights = {key: _glorot(rng, *shape)
                for key, shape in weight_shapes(config, d, m).items()}
-    projections: dict[str, np.ndarray] = {}
-    if layer_table(config)["label"]:
-        projections["proj_node"] = _glorot(rng, m, d)   # maps node logits to features
-        projections["proj_label"] = _glorot(rng, m, d)  # maps label logits to features
+    projections = {key: _glorot(rng, *shape)
+                   for key, shape in projection_shapes(config, d, m).items()}
 
     return ModelState(
         weights=weights, projections=projections, node_features=x,
@@ -477,58 +484,54 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
 def save_checkpoint(path, model: ModelState, config: TrainConfig,
                     epoch: int, fingerprint: str,
                     optimizer: _Optimizer | None = None):
-    """Versioned npz dump of weights, projections, injected blocks, rng
-    state, config and the dataset fingerprint."""
+    """Versioned npz dump of weights, projections, rng state, config, the
+    dataset fingerprint and the blocks that injections replaced; a block
+    that is still the raw features is left for `load_checkpoint` to
+    rebuild. It is written beside `path` and renamed over it, so a failed
+    write leaves `path` as it was."""
+    injected = {name: block for name, block, raw in (
+        ("node_block", model.node_block, model.node_features),
+        ("label_block", model.label_block, model.label_features))
+        if block is not raw}
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "epoch": epoch,
         "fingerprint": fingerprint,
+        "node_count": model.node_features.shape[0],
+        "label_count": model.label_features.shape[0],
+        "injected_blocks": list(injected),
         "weight_keys": list(model.weights),
         "projection_keys": list(model.projections),
         "dropout_rng_state": model.dropout_rng.bit_generator.state,
         "optimizer_steps": optimizer.step_count if optimizer else 0,
     }
-    arrays: dict[str, np.ndarray] = {}
+    arrays = dict(injected)
     for key, w in model.weights.items():
         arrays[f"weight__{key}"] = w
     for key, w in model.projections.items():
         arrays[f"projection__{key}"] = w
-    # until its first injection the node block is the sparse raw X
-    node_block = model.node_block
-    arrays["node_block"] = (node_block.toarray() if sp.issparse(node_block)
-                            else node_block)
-    arrays["label_block"] = model.label_block
     if optimizer is not None and config.optimizer == "adam":
         for key, a in optimizer.m.items():
             arrays[f"adam_m__{key}"] = a
         for key, a in optimizer.v.items():
             arrays[f"adam_v__{key}"] = a
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         np.savez(fh, __meta__=np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
-
-
-def _equals_sparse(dense: np.ndarray, x: SparseMatrix) -> bool:
-    """``np.array_equal(dense, x.toarray())`` for a canonical `x`, whose
-    stored values are nonzero, without building that array: `dense` holds
-    as many nonzeros (NaN counts, -0.0 does not) as `x` stores, and equals
-    its stored values where `x` stores them."""
-    if np.count_nonzero(dense) != x.nnz:
-        return False
-    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
-    return np.array_equal(dense[rows, x.indices], x.data)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):
     """Load a checkpoint; returns (model, config, epoch, fingerprint).
 
-    The raw features are rebuilt by `input_features` for the n and m rows
-    of the stored injected blocks. Raises CheckpointError for a file that
-    is not a complete checkpoint archive, lacks an entry, carries an
-    unknown config field, has another version than this build writes,
-    holds blocks of another shape than those features, or holds other
-    weights than `weight_shapes` lays out for its config.
+    `input_features` rebuilds the raw features for the stored n and m, and
+    each block not listed as injected is those very features. Raises
+    CheckpointError for a file that is not a complete checkpoint archive,
+    lacks an entry, carries an unknown config field or another version
+    than this build writes, or holds injected blocks, weights or
+    projections of other shapes than its config lays out.
     """
     try:
         # np.load leaves a file it opened open when the archive is broken
@@ -539,31 +542,31 @@ def load_checkpoint(path):
                     f"unsupported checkpoint version {meta['version']} "
                     f"(this build reads version {CHECKPOINT_VERSION})")
             config = TrainConfig(**meta["config"])
-            weights = {k: data[f"weight__{k}"] for k in meta["weight_keys"]}
-            node_block, label_block = data["node_block"], data["label_block"]
-            x, y = input_features(len(node_block), len(label_block), config)
-            if (node_block.shape, label_block.shape) != (x.shape, y.shape):
-                raise CheckpointError(
-                    f"{path}: injected blocks node_block {node_block.shape} "
-                    f"and label_block {label_block.shape} do not match the "
-                    f"features its config gives, {x.shape} and {y.shape}")
-            # a block saved before its first injection is X written dense;
-            # it resumes as the sparse X that training stacks
-            if sp.issparse(x) and _equals_sparse(node_block, x):
-                node_block = x
+            x, y = input_features(meta["node_count"], meta["label_count"],
+                                  config)
+            blocks = {"node_block": x, "label_block": y}
+            for name in meta["injected_blocks"]:
+                block, raw = data[name], blocks[name]
+                if block.shape != raw.shape:
+                    raise CheckpointError(
+                        f"{path}: injected block {name} {block.shape} does "
+                        f"not match the features' {raw.shape}")
+                blocks[name] = block
             m, d = y.shape
-            shapes = weight_shapes(config, d, m)
-            stored = {k: w.shape for k, w in weights.items()}
-            if stored != shapes:
-                raise CheckpointError(
-                    f"{path}: weight shapes {stored} do not match the "
-                    f"{config.variant} layout {shapes}")
-            projections = {k: data[f"projection__{k}"]
-                           for k in meta["projection_keys"]}
+            layouts = {"weight": weight_shapes(config, d, m),
+                       "projection": projection_shapes(config, d, m)}
+            stored = {kind: {k: data[f"{kind}__{k}"]
+                             for k in meta[f"{kind}_keys"]}
+                      for kind in layouts}
+            for kind, layout in layouts.items():
+                shapes = {k: a.shape for k, a in stored[kind].items()}
+                if shapes != layout:
+                    raise CheckpointError(
+                        f"{path}: {kind} shapes {shapes} do not match the "
+                        f"{config.variant} layout {layout}")
             model = ModelState(
-                weights=weights, projections=projections, node_features=x,
-                label_features=y, node_block=node_block,
-                label_block=label_block,
+                weights=stored["weight"], projections=stored["projection"],
+                node_features=x, label_features=y, **blocks,
                 dropout_rng=rng_stream(config.seed, "dropout"))
             model.dropout_rng.bit_generator.state = meta["dropout_rng_state"]
             return model, config, meta["epoch"], meta["fingerprint"]

@@ -301,8 +301,8 @@ class TestEval:
             assert "--feature-dim 16" in err and "--feature-dim 8" in err
 
     def test_uninjected_one_hot_checkpoint(self, tmp_path, monkeypatch):
-        # no injection fires, so the label view's node block is still the
-        # sparse one-hot X when the checkpoint is written
+        # no injection fires, so both blocks are still the raw features
+        # when the checkpoint is written, and it stores neither
         import mlgcn.cli as cli
         captured = {}
 
@@ -321,8 +321,8 @@ class TestEval:
         x = captured["train"].model.node_block
         assert x is captured["train"].model.node_features
         with np.load(checkpoint) as data:  # refuses pickled objects
-            assert np.array_equal(data["node_block"], x.toarray())
-        # and it loads back as the sparse X, as training stacks it
+            assert not {"node_block", "label_block"} & set(data.files)
+        # X is rebuilt and loads back sparse, as training stacks it
         loaded, *_ = load_checkpoint(checkpoint)
         assert loaded.node_block is loaded.node_features
         assert run(["eval", "--synthetic", spec, "--checkpoint",
@@ -359,6 +359,25 @@ def _version_2(meta, arrays):
     del meta["config"]["feature_dim"]
 
 
+def _version_3(meta, arrays):
+    # version-3 checkpoints stored both blocks and not n, m or which blocks
+    # were injected
+    meta["version"] = 3
+    for key in ("node_count", "label_count", "injected_blocks"):
+        del meta[key]
+
+
+def _drop_injected_node_block(meta, arrays):
+    # EASY_TRAIN injects at epoch 0, so meta lists the block
+    assert "node_block" in meta["injected_blocks"]
+    del arrays["node_block"]
+
+
+def _drop_proj_label(meta, arrays):
+    meta["projection_keys"].remove("proj_label")
+    del arrays["projection__proj_label"]
+
+
 # case -> (writer of a broken checkpoint from a good one, text the message
 # must contain)
 BROKEN_CHECKPOINTS = {
@@ -369,8 +388,7 @@ BROKEN_CHECKPOINTS = {
         src, dst, lambda meta, arrays: meta.pop("weight_keys")),
         "weight_keys"),
     "missing_array": (lambda src, dst: _rewrite_checkpoint(
-        src, dst, lambda meta, arrays: arrays.pop("node_block")),
-        "node_block"),
+        src, dst, _drop_injected_node_block), "node_block"),
     "unknown_config_field": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: meta["config"].update(bogus=1)),
         "bogus"),
@@ -378,6 +396,8 @@ BROKEN_CHECKPOINTS = {
                   "unsupported checkpoint version 1"),
     "version_2": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_2),
                   "unsupported checkpoint version 2"),
+    "version_3": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_3),
+                  "unsupported checkpoint version 3"),
     "missing_weight_key": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: meta["weight_keys"].remove("w1_node")),
         "w1_node"),
@@ -390,6 +410,12 @@ BROKEN_CHECKPOINTS = {
         src, dst, lambda meta, arrays: arrays.update(
             node_block=arrays["node_block"][:, :-1])),
         "node_block (30, 33)"),
+    "narrowed_projection": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: arrays.update(
+            projection__proj_node=arrays["projection__proj_node"][:, :-1])),
+        "'proj_node': (4, 33)"),
+    "missing_projection": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _drop_proj_label), "proj_label"),
 }
 
 

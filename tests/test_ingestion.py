@@ -368,6 +368,15 @@ class TestDatasetStats:
         s = dataset_stats(load_dataset(tmp_path / "e", tmp_path / "l"))
         assert s.edge_count == len(distinct)
 
+    def test_labels_that_never_cooccur_count_no_pair(self, tmp_path):
+        # d and e never share a node with another label (e's line comes
+        # twice), and c sits alone on node 3: only a-b and b-c co-occur
+        (tmp_path / "e").write_text("1,2\n2,3\n3,4\n4,5\n")
+        (tmp_path / "l").write_text(
+            "1,a\n1,b\n2,b\n2,c\n3,c\n4,d\n5,e\n5,e\n")
+        s = dataset_stats(load_dataset(tmp_path / "e", tmp_path / "l"))
+        assert (s.label_count, s.cooccurrence_count) == (5, 2)
+
     def test_cooccurrence_against_pair_enumeration(self):
         rng = np.random.default_rng(5)
         g = generate_synthetic(SyntheticConfig(communities=3, community_size=15,

@@ -982,40 +982,66 @@ class TestCheckpoint:
         logits, _ = forward_node_gcn(ops, model, config, training=False)
         assert np.array_equal(logits, result.embeddings)
 
-    @pytest.mark.parametrize("change,sparse", [
-        (None, True),
-        # a signed zero off X's pattern still equals X
-        (lambda b: b.__setitem__((0, -1), -0.0), True),
-        # an extra nonzero off X's pattern, and a NaN there
-        (lambda b: b.__setitem__((0, -1), 0.5), False),
-        (lambda b: b.__setitem__((1, 0), np.nan), False),
-        # a stored entry that differs, or is NaN
-        (lambda b: b.__setitem__((2, 2), 2.0), False),
-        (lambda b: b.__setitem__((2, 2), np.nan), False),
+    @pytest.mark.parametrize("variant,feature_dim,injected", [
+        ("full", 0, False), ("full", 0, True),
+        ("full", 5, False), ("full", 5, True),
+        ("gcn_baseline", 0, False),
     ])
-    def test_block_equal_to_x_loads_as_the_sparse_x(self, tmp_path,
-                                                     monkeypatch, change,
-                                                     sparse):
+    def test_only_injected_blocks_are_stored(self, tmp_path, monkeypatch,
+                                             variant, feature_dim, injected):
         from mlgcn.training import load_checkpoint, save_checkpoint
         g = small_graph(seed=17)
-        cfg = small_config(epochs=1, seed=17)
-        model = init_model(g, cfg)
-        block = model.node_features.toarray()
-        if change is not None:
-            change(block)
-        model.node_block = block
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, cfg, 1, "fp")
+        split = split_dataset(g, 0.25, seed=17)
+        # one epoch injects at epoch 0 unless it is skipped
+        cfg = small_config(epochs=1, seed=17, variant=variant,
+                           feature_dim=feature_dim,
+                           skip_epoch0_injection=not injected)
+        result = train(g, split, cfg)
+        model = result.model
+        ops = build_operators(g, cfg.variant, cfg.binarize_cooccurrence)
 
         def no_dense(self, *args, **kwargs):
-            raise AssertionError("X was densified")
+            raise AssertionError("a sparse matrix was densified")
         monkeypatch.setattr(SparseMatrix, "toarray", no_dense)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, cfg, cfg.epochs, "fp")
         loaded, *_ = load_checkpoint(path)
-        monkeypatch.undo()
-        assert (loaded.node_block is loaded.node_features) == sparse
-        assert sparse == np.array_equal(block, model.node_features.toarray())
-        if not sparse:
-            assert loaded.node_block.tobytes() == block.tobytes()
+        with np.load(path) as data:
+            files = set(data.files)
+        for name, raw in (("node_block", "node_features"),
+                          ("label_block", "label_features")):
+            block, loaded_block = getattr(model, name), getattr(loaded, name)
+            assert (block is not getattr(model, raw)) == injected
+            if injected:
+                assert name in files
+                assert loaded_block.dtype == block.dtype
+                assert loaded_block.shape == block.shape
+                assert loaded_block.tobytes() == block.tobytes()
+            else:
+                assert name not in files
+                assert loaded_block is getattr(loaded, raw)
+        assert (sorted(f for f in files if f.startswith("projection__"))
+                == sorted(f"projection__{k}" for k in model.projections))
+        logits, _ = forward_node_gcn(ops, loaded, cfg, training=False)
+        assert np.array_equal(logits, result.embeddings)
+
+    def test_failed_write_keeps_the_existing_checkpoint(self, tmp_path,
+                                                        monkeypatch):
+        from mlgcn.training import save_checkpoint
+        g = small_graph(seed=18)
+        cfg = small_config(epochs=1, seed=18)
+        model = init_model(g, cfg)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, cfg, 1, "fp")
+        before = path.read_bytes()
+
+        def failing_savez(file, *args, **kwargs):
+            file.write(b"partial")
+            raise OSError("no space left")
+        monkeypatch.setattr(np, "savez", failing_savez)
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(path, model, cfg, 2, "other")
+        assert path.read_bytes() == before
 
     def test_version_check(self, tmp_path):
         import json
