@@ -15,6 +15,7 @@ fingerprint mismatch, 4 unknown reference (e.g. label id), 64 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -223,10 +224,17 @@ def _fmt(x: float) -> str:
 
 
 def write_atomic(path: str, text: str):
+    # written beside `path` and renamed over it; a failed write leaves
+    # `path` as it was and removes what it wrote
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_history_csv(path: str, history):

@@ -12,8 +12,10 @@ layers and records everything the backward pass needs (the matrix W
 multiplies, the rectified output, dropout masks); `backward` then walks the
 two layer stacks in reverse, in the order each layer's forward used. A forward
 that draws no dropout can hand the first layer a precomputed ``op @ H``
-(`propagated`) in place of the sparse product. Gradients never flow into
-the operators or the input feature blocks — those are constants.
+(`propagated`) in place of the sparse product; a dense first layer that
+draws dropout is handed ``op @ dropout(H)`` the same way, drawn without a
+mask. Gradients never flow into the operators or the input feature
+blocks — those are constants.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ LOG_CLAMP = 1e-12  # fixed probability floor before logs; not configurable
 
 # values per row block of a sparse input's dropout draw (at least one row)
 _DRAW_BLOCK_VALUES = 1 << 20
+# bytes of a dense first-layer input above which its dropout draw and its
+# product run over row blocks of at most this size (at least one row)
+_PROPAGATE_BLOCK_BYTES = 16 << 20
 
 
 def spmm(s: SparseMatrix, d: np.ndarray) -> np.ndarray:
@@ -119,8 +124,11 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
 
     `propagated`, if given, is a precomputed ``op @ h``. It stands in for
     the sparse product when the layer propagates first; a layer that
-    multiplies W first ignores it. It cannot be combined with a dropout
-    draw, whose mask the product would not carry.
+    multiplies W first ignores it. With a dropout draw it must come without
+    a generator: it is then ``op @ dropout(h)`` over draws the caller took
+    (as `forward_stack` does for a first layer), and the layer draws
+    nothing and records no mask. With a generator it is refused, since it
+    would not carry the layer's own draw.
     """
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
@@ -132,7 +140,7 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
 
     drawn = training and dropout > 0.0
     if propagated is not None:
-        if drawn:
+        if drawn and rng is not None:
             raise ValueError("a precomputed op @ h cannot stand in for "
                              "op @ dropout(h)")
         if propagated.shape != (op.shape[0], h.shape[1]):
@@ -140,24 +148,23 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
                              f"op {op.shape} @ H {h.shape}")
 
     sparse = sp.issparse(h)
+    first = not sparse and propagates_first(op.shape, op.nnz, w.shape)
     mask = None
     hd = h
-    if drawn:
+    # a product handed over with a draw (and no generator) carries it
+    if drawn and not (first and propagated is not None):
         if rng is None:
             raise ValueError("training dropout needs an rng")
         # a sparse h draws its whole shape, so a run gets the masks, and
         # the trajectory, that dense features give; it uses only the draws
         # at its stored entries
         drawn_values = _stored_draws(rng, h) if sparse else rng.random(h.shape)
-        # the mask overwrites the draws it is computed from
-        mask = np.divide(drawn_values >= dropout, 1.0 - dropout,
-                         out=drawn_values)
+        mask = _dropout_mask(drawn_values, dropout)
         if sparse:
             hd = h.copy()
             hd.data *= mask
         else:
             hd = h * mask
-    first = not sparse and propagates_first(op.shape, op.nnz, w.shape)
     if first:
         weight_input = spmm(op, hd) if propagated is None else propagated
         z = weight_input @ w
@@ -170,6 +177,43 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
                        pre_activation=z, mask=mask, activation=activation,
                        weight_key=weight_key, propagated_first=first)
     return z, cache
+
+
+def _dropout_mask(draws: np.ndarray, dropout: float) -> np.ndarray:
+    """The inverted-dropout mask (0 or 1/(1-p)) of uniform draws, computed
+    into the draws' own array."""
+    np.greater_equal(draws, dropout, out=draws)
+    return np.divide(draws, 1.0 - dropout, out=draws)
+
+
+def _propagate_dropped(op: SparseMatrix, h: np.ndarray, dropout: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """``op @ dropout(h)`` for a dense first layer, whose mask nothing reads.
+
+    One buffer holds a block's draws, then its mask, then its dropped-out
+    rows, so besides `h` only that buffer is held. An `h` of at most
+    `_PROPAGATE_BLOCK_BYTES` is one block and gives the bits of the layer's
+    own ``op @ (h * mask)``. A larger one runs over row blocks of at most
+    that size (one row at least), drawn in order, so the generator yields
+    the same values and ends in the same state as from one draw; the
+    blocks' partial products ``op[:, rows] @ block`` are summed, which can
+    change the last bits.
+    """
+    rows, cols = h.shape
+    step = rows
+    if h.nbytes > _PROPAGATE_BLOCK_BYTES:
+        step = max(1, _PROPAGATE_BLOCK_BYTES // (cols * h.itemsize))
+    buffer = np.empty((min(step, rows), cols))
+    product = None
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        block = buffer[:stop - start]
+        rng.random(out=block)
+        np.multiply(h[start:stop], _dropout_mask(block, dropout), out=block)
+        part = spmm(op if step == rows else op[:, start:stop], block)
+        product = part if product is None else np.add(product, part,
+                                                      out=product)
+    return product
 
 
 def _stored_draws(rng: np.random.Generator, h: SparseMatrix) -> np.ndarray:
@@ -248,16 +292,29 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h: np.ndarray,
 
     Every layer but the last is rectified; dropout is drawn layer by layer
     in stack order. `propagated` is the first layer's precomputed
-    ``op @ h`` (see `gcn_layer_forward`). Returns the output and the caches
-    `backward_stack` needs.
+    ``op @ h`` (see `gcn_layer_forward`). A dense first layer that
+    propagates first and draws dropout takes ``op @ dropout(h)`` from
+    `_propagate_dropped`, which holds no mask and, above a byte budget, no
+    whole draw. Returns the output and the caches `backward_stack` needs.
     """
     caches = []
     for idx, (op, key) in enumerate(layers):
         activation = "identity" if idx == len(layers) - 1 else "relu"
-        h, cache = gcn_layer_forward(op, h, weights[key], activation=activation,
+        w, layer_rng, product = weights[key], rng, None
+        if idx == 0:
+            product = propagated
+            if (product is None and training and dropout > 0.0
+                    and rng is not None and not sp.issparse(h)
+                    and propagates_first(op.shape, op.nnz, w.shape)):
+                # no mask of a first layer is read, so its dropped-out input
+                # overwrites its draws, block by block, and the layer is
+                # handed the product, with the draws already taken
+                product = _propagate_dropped(op, h, dropout, rng)
+                layer_rng = None
+        h, cache = gcn_layer_forward(op, h, w, activation=activation,
                                      dropout=dropout, training=training,
-                                     rng=rng, weight_key=key,
-                                     propagated=propagated if idx == 0 else None)
+                                     rng=layer_rng, weight_key=key,
+                                     propagated=product)
         if idx == 0:
             # backward_stack reads a mask only to pass the gradient below
             # its layer, and no gradient goes below the first one

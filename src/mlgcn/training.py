@@ -14,6 +14,7 @@ weight shapes, both forwards and the training loop all derive from it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -42,7 +43,7 @@ __all__ = [
 
 VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # values per row block of an optimizer step (at least one row)
 _STEP_CHUNK_VALUES = 1 << 16
@@ -125,15 +126,19 @@ def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
 
 @dataclass
 class ModelState:
-    """Trainable weights, frozen projections, the raw input features, the
-    current injected feature blocks, and the dropout stream.
+    """Trainable weights, frozen projections, the raw input features, what
+    the injections put into each view, and the dropout stream.
 
     The raw features come from `input_features` and are never stored: a
-    checkpoint rebuilds them from its config. The injected blocks start as
-    the raw features and are replaced, never written in place.
+    checkpoint rebuilds them from its config. The label view's attribute
+    block is the raw X until a node injection and relu(node_logits @
+    proj_node) after it; only the n x m logits are kept, and the label view
+    builds the block's rows into its own input (`_label_input`). The node
+    view's attribute block starts as the raw Y. Injections replace the
+    logits and the label block, and never write into them.
 
     `propagated` holds, per view, the first layer's ``op @ H`` together
-    with the operator and the input blocks it was computed from. It is
+    with the operator and the arrays the input was built from. It is
     derived from the rest, so checkpoints do not store it.
     """
 
@@ -142,12 +147,19 @@ class ModelState:
     node_features: np.ndarray | SparseMatrix  # raw X (n x d), the node view's
                                               # leading rows; CSR when one-hot
     label_features: np.ndarray  # raw Y (m x d), the label view's leading rows
-    node_block: np.ndarray | SparseMatrix  # attribute features of the label
-                                           # view (starts as raw X)
+    node_logits: np.ndarray | None  # last node logits injected into the label
+                                    # view (n x m); None before the first
     label_block: np.ndarray     # attribute features of the node view (starts as raw Y)
     dropout_rng: np.random.Generator
     propagated: dict[str, tuple[tuple, np.ndarray]] = field(
         default_factory=dict, repr=False)
+
+    def node_block(self) -> np.ndarray | SparseMatrix:
+        """The label view's attribute block: the raw X before any node
+        injection, else relu(node_logits @ proj_node), a new n x d array."""
+        if self.node_logits is None:
+            return self.node_features
+        return relu(self.node_logits @ self.projections["proj_node"])
 
 
 @dataclass
@@ -220,7 +232,7 @@ def input_features(n: int, m: int, config: TrainConfig
 def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
     """Glorot-uniform weights, then projections, from the seed's init
     stream in `weight_shapes` and `projection_shapes` order; the raw
-    features from `input_features`, which the injected blocks start as."""
+    features from `input_features`, which the attribute blocks start as."""
     m = graph.label_count
     x, y = input_features(graph.node_count, m, config)
     d = x.shape[1]
@@ -233,7 +245,7 @@ def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
 
     return ModelState(
         weights=weights, projections=projections, node_features=x,
-        label_features=y, node_block=x, label_block=y,
+        label_features=y, node_logits=None, label_block=y,
         dropout_rng=rng_stream(config.seed, "dropout"))
 
 
@@ -245,39 +257,70 @@ def _stack(operators: GraphOperators, config: TrainConfig,
             for name, key in layer_table(config)[view]]
 
 
+def _stacked(blocks: list[np.ndarray | SparseMatrix]
+             ) -> np.ndarray | SparseMatrix:
+    """Blocks stacked row-wise: as one CSR matrix when any block is sparse
+    (the one-hot X), else as a dense array."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if any(map(sp.issparse, blocks)):
+        return SparseMatrix(sp.vstack(blocks, format="csr"))
+    return np.vstack(blocks)
+
+
+def _label_input(model: ModelState) -> np.ndarray | SparseMatrix:
+    """The label view's input [Y; node block]. Before any node injection it
+    is `_stacked` over the raw X. After one, it is built straight into one
+    new array: Y's rows are copied, and the product of the node logits and
+    the projection is written into the rest and rectified in place, so no
+    separate n x d block is made."""
+    y, logits = model.label_features, model.node_logits
+    if logits is None:
+        return _stacked([y, model.node_features])
+    m = y.shape[0]
+    h = np.empty((m + logits.shape[0], y.shape[1]))
+    h[:m] = y
+    rows = h[m:]
+    np.matmul(logits, model.projections["proj_node"], out=rows)
+    np.maximum(rows, 0.0, out=rows)
+    return h
+
+
 def _forward_view(operators: GraphOperators, model: ModelState,
                   config: TrainConfig, view: str,
-                  blocks: list[np.ndarray | SparseMatrix], training: bool
-                  ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Walk one view's stack over its input blocks, stacked row-wise: as
-    one CSR matrix when any block is sparse (the one-hot X, or the label
-    view's node block before its first injection), else as a dense array.
+                  sources: list[np.ndarray | SparseMatrix], build_input,
+                  training: bool) -> tuple[np.ndarray, list[LayerCache]]:
+    """Walk one view's stack over the input that `build_input()` makes from
+    `sources`, the arrays whose rows, stacked, give the input's rows; the
+    first is as wide as the input.
 
     A forward that draws no dropout takes the first layer's ``op @ H`` from
     `model.propagated` when it was computed from this very operator and
-    these very blocks, and otherwise stores the one it computes. Identity
-    suffices because blocks are replaced, never written in place, so an
+    these very sources, and then builds no input: the layer reads only the
+    input's shape. Otherwise it stores the product it computes. Identity
+    suffices because sources are replaced, never written in place, so an
     injection makes the next forward of the other view recompute.
     """
     layers = _stack(operators, config, view)
-    if len(blocks) == 1:
-        h = blocks[0]
-    elif any(map(sp.issparse, blocks)):
-        h = SparseMatrix(sp.vstack(blocks, format="csr"))
-    else:
-        h = np.vstack(blocks)
     drawn = training and config.dropout > 0.0
-    sources = (layers[0][0], *blocks) if layers else ()
+    key = (layers[0][0], *sources) if layers else ()
     product = None
     if not drawn and view in model.propagated:
-        stored_sources, stored = model.propagated[view]
+        stored_key, stored = model.propagated[view]
         # both tuples hold their objects alive, so equal ids mean `is`
-        if list(map(id, stored_sources)) == list(map(id, sources)):
+        if list(map(id, stored_key)) == list(map(id, key)):
             product = stored
+    if product is None:
+        h = build_input()
+    else:
+        # a stand-in of the input's shape holding no values; NaN, should
+        # anything read it
+        h = np.broadcast_to(np.nan, (sum(s.shape[0] for s in sources),
+                                     sources[0].shape[1]))
     out, caches = forward_stack(layers, h, model.weights, config.dropout,
                                 training, model.dropout_rng, product)
     if not drawn and product is None and caches and caches[0].propagated_first:
-        model.propagated[view] = (sources, caches[0].weight_input)
+        model.propagated[view] = (key, caches[0].weight_input)
     return out, caches
 
 
@@ -285,9 +328,12 @@ def forward_label_gcn(operators: GraphOperators, model: ModelState,
                       config: TrainConfig, training: bool = False
                       ) -> tuple[np.ndarray, list[LayerCache]]:
     """Label-view logits (m x m) from the raw label features over the
-    injected node block."""
+    injected node block (`_label_input`)."""
+    below = (model.node_features if model.node_logits is None
+             else model.node_logits)
     return _forward_view(operators, model, config, "label",
-                         [model.label_features, model.node_block], training)
+                         [model.label_features, below],
+                         lambda: _label_input(model), training)
 
 
 def forward_node_gcn(operators: GraphOperators, model: ModelState,
@@ -299,13 +345,18 @@ def forward_node_gcn(operators: GraphOperators, model: ModelState,
     blocks = [model.node_features]
     if layer_table(config)["label"]:
         blocks.append(model.label_block)
-    return _forward_view(operators, model, config, "node", blocks, training)
+    return _forward_view(operators, model, config, "node", blocks,
+                         lambda: _stacked(blocks), training)
 
 
 def inject_node_features(model: ModelState, node_logits: np.ndarray) -> np.ndarray:
-    """Replace the label view's attribute block with projected node logits."""
-    model.node_block = relu(node_logits @ model.projections["proj_node"])
-    return model.node_block
+    """Replace the label view's attribute block with projected node logits.
+
+    The block, relu(node_logits @ proj_node), is n x d; the model keeps a
+    copy of the n x m logits instead, which it returns, and the label view
+    rebuilds the block's rows on each forward that needs them."""
+    model.node_logits = np.array(node_logits, dtype=np.float64)
+    return model.node_logits
 
 
 def inject_label_features(model: ModelState, label_logits: np.ndarray) -> np.ndarray:
@@ -485,14 +536,16 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
                     epoch: int, fingerprint: str,
                     optimizer: _Optimizer | None = None):
     """Versioned npz dump of weights, projections, rng state, config, the
-    dataset fingerprint and the blocks that injections replaced; a block
-    that is still the raw features is left for `load_checkpoint` to
-    rebuild. It is written beside `path` and renamed over it, so a failed
-    write leaves `path` as it was."""
-    injected = {name: block for name, block, raw in (
-        ("node_block", model.node_block, model.node_features),
-        ("label_block", model.label_block, model.label_features))
-        if block is not raw}
+    dataset fingerprint and what injections put into the views: the node
+    logits (n x m), once injected, and the label block, once replaced; what
+    is still the raw features is left for `load_checkpoint` to rebuild. It
+    is written beside `path` and renamed over it, so a failed write leaves
+    `path` as it was, and removes what it wrote."""
+    injected = {}
+    if model.node_logits is not None:
+        injected["node_logits"] = model.node_logits
+    if model.label_block is not model.label_features:
+        injected["label_block"] = model.label_block
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
@@ -500,7 +553,7 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
         "fingerprint": fingerprint,
         "node_count": model.node_features.shape[0],
         "label_count": model.label_features.shape[0],
-        "injected_blocks": list(injected),
+        "injected": list(injected),
         "weight_keys": list(model.weights),
         "projection_keys": list(model.projections),
         "dropout_rng_state": model.dropout_rng.bit_generator.state,
@@ -517,21 +570,27 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
         for key, a in optimizer.v.items():
             arrays[f"adam_v__{key}"] = a
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, __meta__=np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(
+                json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):
     """Load a checkpoint; returns (model, config, epoch, fingerprint).
 
-    `input_features` rebuilds the raw features for the stored n and m, and
-    each block not listed as injected is those very features. Raises
-    CheckpointError for a file that is not a complete checkpoint archive,
-    lacks an entry, carries an unknown config field or another version
-    than this build writes, or holds injected blocks, weights or
-    projections of other shapes than its config lays out.
+    `input_features` rebuilds the raw features for the stored n and m;
+    without stored node logits the label view reads the raw X, and an
+    unlisted label block is the raw Y itself. Raises CheckpointError for a
+    file that is not a complete checkpoint archive, lacks an entry, carries
+    an unknown config field or another version than this build writes, or
+    holds node logits, a label block, weights or projections of other
+    shapes than its config lays out.
     """
     try:
         # np.load leaves a file it opened open when the archive is broken
@@ -542,17 +601,18 @@ def load_checkpoint(path):
                     f"unsupported checkpoint version {meta['version']} "
                     f"(this build reads version {CHECKPOINT_VERSION})")
             config = TrainConfig(**meta["config"])
-            x, y = input_features(meta["node_count"], meta["label_count"],
-                                  config)
-            blocks = {"node_block": x, "label_block": y}
-            for name in meta["injected_blocks"]:
-                block, raw = data[name], blocks[name]
-                if block.shape != raw.shape:
+            n, m = meta["node_count"], meta["label_count"]
+            x, y = input_features(n, m, config)
+            injected = {"node_logits": None, "label_block": y}
+            expected = {"node_logits": (n, m), "label_block": y.shape}
+            for name in meta["injected"]:
+                array = data[name]
+                if array.shape != expected[name]:
                     raise CheckpointError(
-                        f"{path}: injected block {name} {block.shape} does "
-                        f"not match the features' {raw.shape}")
-                blocks[name] = block
-            m, d = y.shape
+                        f"{path}: injected {name} {array.shape} does not "
+                        f"match the expected {expected[name]}")
+                injected[name] = array
+            d = y.shape[1]
             layouts = {"weight": weight_shapes(config, d, m),
                        "projection": projection_shapes(config, d, m)}
             stored = {kind: {k: data[f"{kind}__{k}"]
@@ -566,7 +626,7 @@ def load_checkpoint(path):
                         f"{config.variant} layout {layout}")
             model = ModelState(
                 weights=stored["weight"], projections=stored["projection"],
-                node_features=x, label_features=y, **blocks,
+                node_features=x, label_features=y, **injected,
                 dropout_rng=rng_stream(config.seed, "dropout"))
             model.dropout_rng.bit_generator.state = meta["dropout_rng_state"]
             return model, config, meta["epoch"], meta["fingerprint"]

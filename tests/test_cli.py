@@ -302,7 +302,8 @@ class TestEval:
 
     def test_uninjected_one_hot_checkpoint(self, tmp_path, monkeypatch):
         # no injection fires, so both blocks are still the raw features
-        # when the checkpoint is written, and it stores neither
+        # when the checkpoint is written, and it stores neither, nor any
+        # node logits
         import mlgcn.cli as cli
         captured = {}
 
@@ -318,13 +319,14 @@ class TestEval:
                     "--skip-epoch0-injection", "--hidden", "8",
                     "--out", str(out)]) == EXIT_OK
         checkpoint = out / "checkpoint.npz"
-        x = captured["train"].model.node_block
+        x = captured["train"].model.node_block()
         assert x is captured["train"].model.node_features
         with np.load(checkpoint) as data:  # refuses pickled objects
-            assert not {"node_block", "label_block"} & set(data.files)
+            assert not ({"node_block", "node_logits", "label_block"}
+                        & set(data.files))
         # X is rebuilt and loads back sparse, as training stacks it
         loaded, *_ = load_checkpoint(checkpoint)
-        assert loaded.node_block is loaded.node_features
+        assert loaded.node_block() is loaded.node_features
         assert run(["eval", "--synthetic", spec, "--checkpoint",
                     str(checkpoint), "--metrics",
                     str(tmp_path / "m.json")]) == EXIT_OK
@@ -363,14 +365,25 @@ def _version_3(meta, arrays):
     # version-3 checkpoints stored both blocks and not n, m or which blocks
     # were injected
     meta["version"] = 3
-    for key in ("node_count", "label_count", "injected_blocks"):
+    for key in ("node_count", "label_count", "injected"):
         del meta[key]
 
 
-def _drop_injected_node_block(meta, arrays):
-    # EASY_TRAIN injects at epoch 0, so meta lists the block
-    assert "node_block" in meta["injected_blocks"]
-    del arrays["node_block"]
+def _version_4(meta, arrays):
+    # version-4 checkpoints stored the injected n x d node block, not the
+    # node logits, and listed it under "injected_blocks"
+    meta["version"] = 4
+    meta["injected_blocks"] = ["node_block" if name == "node_logits"
+                               else name for name in meta.pop("injected")]
+    logits = arrays.pop("node_logits")
+    arrays["node_block"] = np.maximum(
+        logits @ arrays["projection__proj_node"], 0.0)
+
+
+def _drop_injected_node_logits(meta, arrays):
+    # EASY_TRAIN injects at epoch 0, so meta lists the node logits
+    assert "node_logits" in meta["injected"]
+    del arrays["node_logits"]
 
 
 def _drop_proj_label(meta, arrays):
@@ -388,7 +401,7 @@ BROKEN_CHECKPOINTS = {
         src, dst, lambda meta, arrays: meta.pop("weight_keys")),
         "weight_keys"),
     "missing_array": (lambda src, dst: _rewrite_checkpoint(
-        src, dst, _drop_injected_node_block), "node_block"),
+        src, dst, _drop_injected_node_logits), "node_logits"),
     "unknown_config_field": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: meta["config"].update(bogus=1)),
         "bogus"),
@@ -398,6 +411,8 @@ BROKEN_CHECKPOINTS = {
                   "unsupported checkpoint version 2"),
     "version_3": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_3),
                   "unsupported checkpoint version 3"),
+    "version_4": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_4),
+                  "unsupported checkpoint version 4"),
     "missing_weight_key": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: meta["weight_keys"].remove("w1_node")),
         "w1_node"),
@@ -406,10 +421,10 @@ BROKEN_CHECKPOINTS = {
             weight__w1_node=arrays["weight__w1_node"][:, :-1])),
         "'w1_node': (32, 3)"),
     # EASY has 30 nodes and 4 labels, so one-hot features are 34 wide
-    "narrowed_node_block": (lambda src, dst: _rewrite_checkpoint(
+    "narrowed_node_logits": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: arrays.update(
-            node_block=arrays["node_block"][:, :-1])),
-        "node_block (30, 33)"),
+            node_logits=arrays["node_logits"][:, :-1])),
+        "node_logits (30, 3)"),
     "narrowed_projection": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: arrays.update(
             projection__proj_node=arrays["projection__proj_node"][:, :-1])),
@@ -432,6 +447,73 @@ class TestBrokenCheckpoint:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and expected in err
+
+
+class TestFailedWrites:
+    """A write that fails part-way keeps the old file, leaves no temporary
+    beside it, and is one stderr line with exit 2."""
+
+    SPEC = ["--synthetic", "k=2,size=10"]
+
+    def test_checkpoint(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        argv = ["train", *self.SPEC, "--epochs", "1", "--hidden", "8",
+                "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        before = (out / "checkpoint.npz").read_bytes()
+        capsys.readouterr()
+
+        def failing_savez(file, *args, **kwargs):
+            file.write(b"partial")
+            raise OSError("no space left on device")
+        monkeypatch.setattr(np, "savez", failing_savez)
+        assert run(argv) == EXIT_IO
+        assert (capsys.readouterr().err.splitlines()
+                == ["i/o error: no space left on device"])
+        assert (out / "checkpoint.npz").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_text_artifact(self, easy_run, tmp_path, capsys, monkeypatch,
+                           stage):
+        import os
+        import mlgcn.cli as cli
+        metrics = tmp_path / "m.json"
+        argv = ["eval", "--synthetic", EASY, "--checkpoint",
+                str(easy_run / "checkpoint.npz"), "--metrics", str(metrics)]
+        assert run(argv) == EXIT_OK
+        before = metrics.read_bytes()
+        capsys.readouterr()
+        if stage == "write":
+            real_open = open
+
+            class HalfWriter:
+                def __init__(self, fh):
+                    self.fh = fh
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.fh.close()
+
+                def write(self, text):
+                    self.fh.write(text[:len(text) // 2])
+                    raise OSError("no space left on device")
+
+            def failing_open(path, mode="r", *args, **kwargs):
+                fh = real_open(path, mode, *args, **kwargs)
+                return HalfWriter(fh) if "w" in mode else fh
+            monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        else:
+            def failing_replace(src, dst):
+                raise OSError("rename refused")
+            monkeypatch.setattr(os, "replace", failing_replace)
+        assert run(argv) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ")
+        assert metrics.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSweep:

@@ -789,6 +789,60 @@ class TestInPlaceTemporaries:
         assert cache.mask.tobytes() == ref_cache.mask.tobytes()
         assert layer_rng.random(3).tobytes() == ref_rng.random(3).tobytes()
 
+    def test_first_layer_product_is_the_layer_own_in_one_block(self):
+        # below the byte budget a stack's dense first layer draws, masks and
+        # propagates in one block: the bits of the out-of-place layer
+        rng = np.random.default_rng(13)
+        op = random_op(rng, 4, 10)
+        x = rng.standard_normal((10, 6))
+        w = rng.standard_normal((6, 9))
+        assert propagates_first(op.shape, op.nnz, w.shape)
+        layer_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        out, caches = forward_stack([(op, "w0")], x, {"w0": w}, 0.4, True,
+                                    layer_rng)
+        ref, ref_cache = reference_layer(op, x, w, "identity", 0.4, True,
+                                         ref_rng, "w0")
+        assert out.tobytes() == ref.tobytes()
+        assert (caches[0].weight_input.tobytes()
+                == ref_cache.weight_input.tobytes())
+        assert caches[0].mask is None
+        assert layer_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_first_layer_in_row_blocks_above_the_budget(self, monkeypatch,
+                                                        block_rows):
+        rng = np.random.default_rng(14)
+        op = random_op(rng, 4, 10)
+        x = rng.standard_normal((10, 6))
+        w = rng.standard_normal((6, 9))
+        before = x.tobytes()
+        whole_rng = np.random.default_rng(5)
+        whole, whole_caches = forward_stack([(op, "w0")], x, {"w0": w}, 0.4,
+                                            True, whole_rng)
+        monkeypatch.setattr(kernels, "_PROPAGATE_BLOCK_BYTES",
+                            block_rows * 6 * 8)
+
+        class Recording:
+            def __init__(self, seed):
+                self.gen, self.blocks = np.random.default_rng(seed), []
+
+            def random(self, *args, **kwargs):
+                self.blocks.append(kwargs["out"].shape)
+                return self.gen.random(*args, **kwargs)
+
+        recording = Recording(5)
+        out, caches = forward_stack([(op, "w0")], x, {"w0": w}, 0.4, True,
+                                    recording)
+        rows = [r for r, _ in recording.blocks]
+        assert sum(rows) == 10 and max(rows) == block_rows
+        assert (recording.gen.bit_generator.state
+                == whole_rng.bit_generator.state)
+        np.testing.assert_allclose(caches[0].weight_input,
+                                   whole_caches[0].weight_input,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(out, whole, rtol=1e-12, atol=1e-15)
+        assert x.tobytes() == before
+
     # the peaks a training forward, and then `backward`, reach over their
     # inputs, in n x hidden float64 arrays: calibrated at 3.31 and 4.42
     # with dropout 0.5 and at 1.31 and 2.42 without (5.31 and 6.45, 2.31

@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 from mlgcn import training
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
-from mlgcn.kernels import (multi_label_loss, single_label_loss,
-                           single_label_loss_grad, softmax_rows)
+from mlgcn.kernels import (gcn_layer_forward, multi_label_loss,
+                           single_label_loss, single_label_loss_grad,
+                           softmax_rows)
 from mlgcn.graph import DataSplit
 from mlgcn.metrics import split_dataset
 from mlgcn.operators import build_operators
@@ -37,7 +38,7 @@ def dense(block):
 
 def label_view_input(model):
     """Raw label features over the injected node block."""
-    return np.vstack([model.label_features, dense(model.node_block)])
+    return np.vstack([model.label_features, dense(model.node_block())])
 
 
 def node_view_input(model):
@@ -152,7 +153,7 @@ class TestInitModel:
         x, y = raw_features(g, cfg)
         assert np.array_equal(model.node_features.toarray(), x.toarray())
         assert np.array_equal(model.label_features, y)
-        assert np.array_equal(model.node_block.toarray(), x.toarray())
+        assert np.array_equal(model.node_block().toarray(), x.toarray())
         assert np.array_equal(model.label_block, y)
 
     def test_weights_take_the_feature_width(self):
@@ -292,7 +293,7 @@ class TestInjections:
         model = init_model(g, small_config())
         inject_node_features(model, np.zeros((g.node_count, g.label_count)))
         inject_label_features(model, np.zeros((g.label_count, g.label_count)))
-        assert np.all(model.node_block == 0)
+        assert np.all(model.node_block() == 0)
         assert np.all(model.label_block == 0)
 
     def test_hand_product(self):
@@ -302,7 +303,7 @@ class TestInjections:
                            dtype=float).reshape(g.node_count, -1) - 10.0
         inject_node_features(model, logits)
         oracle = np.maximum(logits @ model.projections["proj_node"], 0.0)
-        assert np.array_equal(model.node_block, oracle)
+        assert np.array_equal(model.node_block(), oracle)
 
     def test_stacks_keep_raw_primary_blocks(self):
         # each view's input is the raw features, untouched by injections,
@@ -316,7 +317,7 @@ class TestInjections:
         x, y = raw_features(g, cfg)
         label_logits, _ = forward_label_gcn(ops, model, cfg)
         oracle = (ops.label.truncated.to_dense()
-                  @ np.vstack([y, model.node_block]) @ model.weights["w0_label"])
+                  @ np.vstack([y, model.node_block()]) @ model.weights["w0_label"])
         assert np.abs(label_logits - oracle).max() <= 1e-12
         node_logits, _ = forward_node_gcn(ops, model, cfg)
         hidden = np.maximum(ops.node.truncated.to_dense()
@@ -326,13 +327,169 @@ class TestInjections:
         assert np.abs(node_logits - oracle).max() <= 1e-12
 
 
+def stacked_label_forward(ops, model, cfg, rng):
+    """The label view's training forward written as before the node logits
+    were kept: [Y; relu(logits @ proj_node)] stacked by `np.vstack` (or
+    `scipy.sparse.vstack` over the one-hot X before any node injection),
+    then each layer drawing its own dropout with its generator. Returns the
+    stacked input, the logits and the caches."""
+    x, y = model.node_features, model.label_features
+    if model.node_logits is not None:
+        h = np.vstack([y, np.maximum(
+            model.node_logits @ model.projections["proj_node"], 0.0)])
+    elif sp.issparse(x):
+        h = SparseMatrix(sp.vstack([y, x], format="csr"))
+    else:
+        h = np.vstack([y, x])
+    stacked, caches = h, []
+    layers = layer_table(cfg)["label"]
+    for idx, (name, key) in enumerate(layers):
+        h, cache = gcn_layer_forward(
+            getattr(ops.label, name), h, model.weights[key],
+            activation="identity" if idx == len(layers) - 1 else "relu",
+            dropout=cfg.dropout, training=True, rng=rng, weight_key=key)
+        caches.append(cache)
+    return stacked, h, caches
+
+
+def stored_bytes(a):
+    if a is None:
+        return None
+    return a.data.tobytes() if sp.issparse(a) else a.tobytes()
+
+
+def model_arrays(value):
+    """Every array a model holds, walking dataclass fields, dicts and
+    tuples."""
+    if isinstance(value, (np.ndarray, SparseMatrix)):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from model_arrays(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from model_arrays(v)
+    elif isinstance(value, ModelState):
+        for name in ModelState.__dataclass_fields__:
+            yield from model_arrays(getattr(value, name))
+
+
+class TestLabelInput:
+    """The label view builds [Y; relu(logits @ proj_node)] into one array
+    from the kept node logits, and gives the stacked formula's bits."""
+
+    @pytest.mark.parametrize("feature_dim", [0, 5])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("variant",
+                             [v for v in VARIANTS if v != "gcn_baseline"])
+    def test_matches_the_stacked_formula(self, monkeypatch, variant, dropout,
+                                         feature_dim):
+        import mlgcn.kernels as kernels
+        g = small_graph(seed=35)
+        cfg = small_config(variant=variant, dropout=dropout,
+                           feature_dim=feature_dim)
+        ops = build_operators(g, variant)
+        model = init_model(g, cfg)
+        seen, layer = [], kernels.gcn_layer_forward
+
+        def recording(op, h, *args, **kwargs):
+            seen.append(h)
+            return layer(op, h, *args, **kwargs)
+        monkeypatch.setattr(kernels, "gcn_layer_forward", recording)
+        for injected in (False, True):
+            if injected:
+                node_logits, _ = forward_node_gcn(ops, model, cfg)
+                inject_node_features(model, node_logits)
+            ref_rng = np.random.default_rng()
+            ref_rng.bit_generator.state = model.dropout_rng.bit_generator.state
+            stacked, ref, ref_caches = stacked_label_forward(ops, model, cfg,
+                                                             ref_rng)
+            seen.clear()
+            out, caches = forward_label_gcn(ops, model, cfg, training=True)
+            assert isinstance(seen[0], np.ndarray) == (
+                injected or feature_dim > 0)
+            if sp.issparse(stacked):
+                assert np.array_equal(seen[0].toarray(), stacked.toarray())
+            else:
+                assert seen[0].tobytes() == stacked.tobytes()
+            assert out.tobytes() == ref.tobytes()
+            assert (model.dropout_rng.bit_generator.state
+                    == ref_rng.bit_generator.state)
+            for idx, (cache, want) in enumerate(zip(caches, ref_caches)):
+                assert cache.propagated_first == want.propagated_first
+                assert (stored_bytes(cache.weight_input)
+                        == stored_bytes(want.weight_input))
+                assert (cache.pre_activation.tobytes()
+                        == want.pre_activation.tobytes())
+                if idx:
+                    assert stored_bytes(cache.mask) == stored_bytes(want.mask)
+
+    def test_reuse_keys_on_the_logits(self):
+        g = small_graph(seed=36)
+        cfg = small_config()
+        ops = build_operators(g)
+        model = init_model(g, cfg)
+        node_logits, _ = forward_node_gcn(ops, model, cfg)
+        kept = inject_node_features(model, node_logits)
+        assert kept is model.node_logits and kept is not node_logits
+        assert np.array_equal(kept, node_logits)
+        _, first = forward_label_gcn(ops, model, cfg)
+        _, again = forward_label_gcn(ops, model, cfg)
+        assert again[0].weight_input is first[0].weight_input
+        key, _ = model.propagated["label"]
+        assert key[1] is model.label_features and key[2] is kept
+        # the same values under a new array are a new injection
+        inject_node_features(model, kept)
+        _, after = forward_label_gcn(ops, model, cfg)
+        assert after[0].weight_input is not first[0].weight_input
+        assert (after[0].weight_input.tobytes()
+                == first[0].weight_input.tobytes())
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_no_node_by_feature_array_is_kept(self, dropout):
+        # one-hot features: X is sparse, the node logits are n x m, and the
+        # label view's input is built per forward and not kept
+        g = small_graph(seed=37, size=30)
+        split = split_dataset(g, 0.25, seed=37)
+        n, m = g.node_count, g.label_count
+        cfg = small_config(epochs=3, dropout=dropout, update_freq_nodes=2)
+        model = train(g, split, cfg).model
+        assert model.node_logits.shape == (n, m)
+        dense_sizes = [a.size for a in model_arrays(model)
+                       if isinstance(a, np.ndarray)]
+        assert max(dense_sizes) < n * (n + m)
+
+    def test_dropout_forward_holds_two_input_arrays(self):
+        # after an injection a dropout label forward holds the assembled
+        # input and one buffer of its draws, mask and dropped-out rows: two
+        # (m+n) x d arrays, where the stacked formula held four
+        import tracemalloc
+        g = small_graph(seed=38, size=200)
+        n, m = g.node_count, g.label_count
+        cfg = small_config(dropout=0.5)
+        ops = build_operators(g)
+        model = init_model(g, cfg)
+        node_logits, _ = forward_node_gcn(ops, model, cfg)
+        inject_node_features(model, node_logits)
+        del node_logits
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            forward_label_gcn(ops, model, cfg, training=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = (m + n) * (n + m) * 8
+        assert (peak - base) / unit <= 2.25
+
+
 class TestSgdStep:
     def tiny_model(self, w):
         return ModelState(weights={"w": np.array(w, dtype=float)},
                           projections={},
                           node_features=np.zeros((1, 1)),
                           label_features=np.zeros((1, 1)),
-                          node_block=np.zeros((1, 1)),
+                          node_logits=None,
                           label_block=np.zeros((1, 1)),
                           dropout_rng=rng_stream(0, "dropout"))
 
@@ -533,7 +690,7 @@ def densified(model):
         weights={k: w.copy() for k, w in model.weights.items()},
         projections=model.projections, node_features=dense(model.node_features),
         label_features=model.label_features,
-        node_block=dense(model.node_block), label_block=model.label_block,
+        node_logits=model.node_logits, label_block=model.label_block,
         dropout_rng=rng_stream(0, "dropout"))
 
 
@@ -740,7 +897,7 @@ class TestTrain:
                                                    split.train_nodes))
             sgd_step(model, grads, cfg)
         assert losses == result.history.total_loss
-        assert np.array_equal(model.node_block, result.model.node_block)
+        assert np.array_equal(model.node_block(), result.model.node_block())
         assert np.array_equal(model.label_block, result.model.label_block)
         for key in model.weights:
             assert np.array_equal(model.weights[key], result.model.weights[key])
@@ -849,7 +1006,7 @@ class TestTrain:
                            update_freq_labels=99, skip_epoch0_injection=True)
         result = train(g, split, cfg)
         x, y = raw_features(g, cfg)
-        assert np.array_equal(result.model.node_block.toarray(), x.toarray())
+        assert np.array_equal(result.model.node_block().toarray(), x.toarray())
         assert np.array_equal(result.model.label_block, y)
 
     def test_large_frequencies_without_skip_fire_only_at_epoch0(self):
@@ -864,7 +1021,7 @@ class TestTrain:
         node_logits, _ = forward_node_gcn(ops, model0, cfg, training=False)
         label_logits, _ = forward_label_gcn(ops, model0, cfg, training=False)
         assert np.array_equal(
-            result.model.node_block,
+            result.model.node_block(),
             np.maximum(node_logits @ model0.projections["proj_node"], 0.0))
         assert np.array_equal(
             result.model.label_block,
@@ -877,7 +1034,7 @@ class TestTrain:
         result = train(g, split, cfg)
         assert result.history.label_loss == [0.0] * 4
         x, y = raw_features(g, cfg)
-        assert np.array_equal(result.model.node_block.toarray(), x.toarray())
+        assert np.array_equal(result.model.node_block().toarray(), x.toarray())
         assert np.array_equal(result.model.label_block, y)
 
     def test_node_variant_runs_with_stripped_label_view(self):
@@ -942,7 +1099,7 @@ class TestCheckpoint:
         for key in result.model.projections:
             assert np.array_equal(model.projections[key],
                                   result.model.projections[key])
-        assert np.array_equal(model.node_block, result.model.node_block)
+        assert np.array_equal(model.node_block(), result.model.node_block())
         assert np.array_equal(model.label_block, result.model.label_block)
         assert np.array_equal(model.node_features.toarray(),
                               result.model.node_features.toarray())
@@ -1008,18 +1165,31 @@ class TestCheckpoint:
         loaded, *_ = load_checkpoint(path)
         with np.load(path) as data:
             files = set(data.files)
-        for name, raw in (("node_block", "node_features"),
-                          ("label_block", "label_features")):
-            block, loaded_block = getattr(model, name), getattr(loaded, name)
-            assert (block is not getattr(model, raw)) == injected
-            if injected:
-                assert name in files
-                assert loaded_block.dtype == block.dtype
-                assert loaded_block.shape == block.shape
-                assert loaded_block.tobytes() == block.tobytes()
-            else:
-                assert name not in files
-                assert loaded_block is getattr(loaded, raw)
+        # the label view's node block is stored as the n x m node logits
+        assert "node_block" not in files
+        assert (model.node_logits is not None) == injected
+        if injected:
+            assert "node_logits" in files
+            assert model.node_logits.shape == (g.node_count, g.label_count)
+            assert loaded.node_logits.dtype == model.node_logits.dtype
+            assert loaded.node_logits.shape == model.node_logits.shape
+            assert loaded.node_logits.tobytes() == model.node_logits.tobytes()
+            assert (loaded.node_block().tobytes()
+                    == model.node_block().tobytes())
+        else:
+            assert "node_logits" not in files
+            assert loaded.node_logits is None
+            assert loaded.node_block() is loaded.node_features
+        block, loaded_block = model.label_block, loaded.label_block
+        assert (block is not model.label_features) == injected
+        if injected:
+            assert "label_block" in files
+            assert loaded_block.dtype == block.dtype
+            assert loaded_block.shape == block.shape
+            assert loaded_block.tobytes() == block.tobytes()
+        else:
+            assert "label_block" not in files
+            assert loaded_block is loaded.label_features
         assert (sorted(f for f in files if f.startswith("projection__"))
                 == sorted(f"projection__{k}" for k in model.projections))
         logits, _ = forward_node_gcn(ops, loaded, cfg, training=False)
@@ -1042,6 +1212,7 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="no space left"):
             save_checkpoint(path, model, cfg, 2, "other")
         assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
 
     def test_version_check(self, tmp_path):
         import json
