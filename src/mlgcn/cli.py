@@ -106,7 +106,8 @@ def _file_fingerprint(h: "hashlib._Hash", path: str):
 
 
 def dataset_fingerprint(args, seed: int) -> str:
-    """Content hash of the dataset a run trains on."""
+    """Content hash of the dataset a run trains on, with a forced delimiter,
+    which can parse the same files into another graph."""
     h = hashlib.sha256()
     if args.synthetic is not None:
         h.update(parse_synthetic_spec(args.synthetic, seed).canonical().encode())
@@ -115,6 +116,8 @@ def dataset_fingerprint(args, seed: int) -> str:
         _file_fingerprint(h, args.edges)
         h.update(b"labels:")
         _file_fingerprint(h, args.labels)
+        if args.delimiter is not None:
+            h.update(f"delimiter:{args.delimiter}".encode())
     kind = "gaussian" if args.feature_dim else "one_hot"
     h.update(f"features:{kind}:{args.feature_dim}".encode())
     return h.hexdigest()
@@ -291,7 +294,11 @@ def cmd_train(args) -> int:
 
     fingerprint = dataset_fingerprint(args, config.seed)
     graph = build_graph(args, config.seed)
-    split = split_dataset(graph, config.train_ratio, config.seed)
+    try:
+        split = split_dataset(graph, config.train_ratio, config.seed)
+    except ValueError as exc:
+        raise UsageError(f"--alpha {config.train_ratio:g} on "
+                         f"{graph.node_count} nodes: {exc}") from exc
 
     print(f"config: lr={config.learning_rate:g} epochs={config.epochs} "
           f"d_h={config.hidden_dim} alpha={config.train_ratio:g} "
@@ -322,6 +329,7 @@ def cmd_train(args) -> int:
             "synthetic": args.synthetic,
             "edges": args.edges,
             "labels": args.labels,
+            "delimiter": args.delimiter,
             "feature_dim": args.feature_dim,
             "fingerprint": fingerprint,
         },

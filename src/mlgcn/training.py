@@ -127,7 +127,8 @@ def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
 @dataclass
 class ModelState:
     """Trainable weights, frozen projections, the raw input features, what
-    the injections put into each view, and the dropout stream.
+    the injections put into each view, and the dropout stream. It caches
+    nothing: `train` keeps the first-layer products that it reuses.
 
     The raw features come from `input_features` and are never stored: a
     checkpoint rebuilds them from its config. The label view's attribute
@@ -136,10 +137,6 @@ class ModelState:
     builds the block's rows into its own input (`_label_input`). The node
     view's attribute block starts as the raw Y. Injections replace the
     logits and the label block, and never write into them.
-
-    `propagated` holds, per view, the first layer's ``op @ H`` together
-    with the operator and the arrays the input was built from. It is
-    derived from the rest, so checkpoints do not store it.
     """
 
     weights: dict[str, np.ndarray]
@@ -151,8 +148,6 @@ class ModelState:
                                     # view (n x m); None before the first
     label_block: np.ndarray     # attribute features of the node view (starts as raw Y)
     dropout_rng: np.random.Generator
-    propagated: dict[str, tuple[tuple, np.ndarray]] = field(
-        default_factory=dict, repr=False)
 
     def node_block(self) -> np.ndarray | SparseMatrix:
         """The label view's attribute block: the raw X before any node
@@ -287,66 +282,48 @@ def _label_input(model: ModelState) -> np.ndarray | SparseMatrix:
 
 
 def _forward_view(operators: GraphOperators, model: ModelState,
-                  config: TrainConfig, view: str,
-                  sources: list[np.ndarray | SparseMatrix], build_input,
-                  training: bool) -> tuple[np.ndarray, list[LayerCache]]:
-    """Walk one view's stack over the input that `build_input()` makes from
-    `sources`, the arrays whose rows, stacked, give the input's rows; the
-    first is as wide as the input.
-
-    A forward that draws no dropout takes the first layer's ``op @ H`` from
-    `model.propagated` when it was computed from this very operator and
-    these very sources, and then builds no input: the layer reads only the
-    input's shape. Otherwise it stores the product it computes. Identity
-    suffices because sources are replaced, never written in place, so an
-    injection makes the next forward of the other view recompute.
-    """
+                  config: TrainConfig, view: str, build_input,
+                  training: bool, propagated: np.ndarray | None
+                  ) -> tuple[np.ndarray, list[LayerCache]]:
+    """Walk one view's stack over the input that `build_input()` makes.
+    Handed the first layer's ``op @ H`` in `propagated`, it builds no
+    input: the layer then reads only the input's shape."""
     layers = _stack(operators, config, view)
-    drawn = training and config.dropout > 0.0
-    key = (layers[0][0], *sources) if layers else ()
-    product = None
-    if not drawn and view in model.propagated:
-        stored_key, stored = model.propagated[view]
-        # both tuples hold their objects alive, so equal ids mean `is`
-        if list(map(id, stored_key)) == list(map(id, key)):
-            product = stored
-    if product is None:
+    if propagated is None:
         h = build_input()
     else:
-        # a stand-in of the input's shape holding no values; NaN, should
-        # anything read it
-        h = np.broadcast_to(np.nan, (sum(s.shape[0] for s in sources),
-                                     sources[0].shape[1]))
-    out, caches = forward_stack(layers, h, model.weights, config.dropout,
-                                training, model.dropout_rng, product)
-    if not drawn and product is None and caches and caches[0].propagated_first:
-        model.propagated[view] = (key, caches[0].weight_input)
-    return out, caches
+        # a stand-in of the input's shape holding no values (NaN, should
+        # anything read it): the layer checks its shape, a probe its bytes
+        op, key = layers[0]
+        h = np.broadcast_to(np.nan, (op.shape[1], model.weights[key].shape[0]))
+    return forward_stack(layers, h, model.weights, config.dropout, training,
+                         model.dropout_rng, propagated)
 
 
 def forward_label_gcn(operators: GraphOperators, model: ModelState,
-                      config: TrainConfig, training: bool = False
+                      config: TrainConfig, training: bool = False, *,
+                      propagated: np.ndarray | None = None
                       ) -> tuple[np.ndarray, list[LayerCache]]:
     """Label-view logits (m x m) from the raw label features over the
-    injected node block (`_label_input`)."""
-    below = (model.node_features if model.node_logits is None
-             else model.node_logits)
+    injected node block (`_label_input`), or from `propagated`, the first
+    layer's ``op @ H`` over that input, when it is given."""
     return _forward_view(operators, model, config, "label",
-                         [model.label_features, below],
-                         lambda: _label_input(model), training)
+                         lambda: _label_input(model), training, propagated)
 
 
 def forward_node_gcn(operators: GraphOperators, model: ModelState,
-                     config: TrainConfig, training: bool = False
+                     config: TrainConfig, training: bool = False, *,
+                     propagated: np.ndarray | None = None
                      ) -> tuple[np.ndarray, list[LayerCache]]:
     """Node-view logits (n x m): from the raw node features over the
     injected label block, or, for a model without a label stack (the
-    plain-GCN baseline), from the raw node features alone."""
+    plain-GCN baseline), from the raw node features alone. `propagated` is
+    as for `forward_label_gcn`."""
     blocks = [model.node_features]
     if layer_table(config)["label"]:
         blocks.append(model.label_block)
-    return _forward_view(operators, model, config, "node", blocks,
-                         lambda: _stacked(blocks), training)
+    return _forward_view(operators, model, config, "node",
+                         lambda: _stacked(blocks), training, propagated)
 
 
 def inject_node_features(model: ModelState, node_logits: np.ndarray) -> np.ndarray:
@@ -453,6 +430,11 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     and the next epoch's node forward changes the weights or the injected
     blocks; so that validation forward, caches and all, doubles as the
     next epoch's node-view training forward.
+
+    A view's first-layer ``op @ H`` changes only with its input, at an
+    injection into that view. So each forward that draws no dropout is
+    handed the product of its view's last such forward, and builds no
+    input, until an injection into the view drops that product.
     """
     if split.train_nodes.size == 0:
         raise ValueError("no labeled nodes")
@@ -469,20 +451,29 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     # the last epoch's eval-mode validation forward doubles as the final one
     embeddings = None
     node_forward = None  # (logits, caches) of the next node training forward
+    products = {}  # view -> its first-layer op @ H, while its input holds
+
+    def forward(view, training):
+        drawn = training and config.dropout > 0.0
+        fn = forward_label_gcn if view == "label" else forward_node_gcn
+        out, caches = fn(operators, model, config, training=training,
+                         propagated=None if drawn else products.get(view))
+        if not drawn and caches[0].propagated_first:
+            products[view] = caches[0].weight_input
+        return out, caches
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
 
         label_loss, label_caches, d_label = 0.0, None, None
         if coupled:
-            label_logits, label_caches = forward_label_gcn(
-                operators, model, config, training=True)
+            label_logits, label_caches = forward("label", training=True)
             z = softmax_rows(label_logits)
             label_loss = single_label_loss(z, label_targets)
             d_label = single_label_loss_grad(z, label_targets)
 
-        node_logits, node_caches = node_forward or forward_node_gcn(
-            operators, model, config, training=True)
+        node_logits, node_caches = node_forward or forward("node",
+                                                           training=True)
         node_forward = None
         node_loss = multi_label_loss(node_logits, node_targets, train_mask)
         total = label_loss + node_loss
@@ -493,8 +484,10 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
             skip = config.skip_epoch0_injection and epoch == 0
             if epoch % config.update_freq_nodes == 0 and not skip:
                 inject_node_features(model, node_logits)
+                products.pop("label", None)
             if epoch % config.update_freq_labels == 0 and not skip:
                 inject_label_features(model, label_logits)
+                products.pop("node", None)
 
         d_node = multi_label_loss_grad(node_logits, node_targets, train_mask)
         try:
@@ -507,8 +500,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
         del label_caches, node_caches, grads
 
         if split.val_nodes.size:
-            embeddings, caches = forward_node_gcn(operators, model, config,
-                                                  training=False)
+            embeddings, caches = forward("node", training=False)
             if config.dropout == 0.0:
                 node_forward = embeddings, caches
             del caches
@@ -524,8 +516,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
         history.epoch_seconds.append(time.perf_counter() - t0)
 
     if embeddings is None:
-        embeddings, _ = forward_node_gcn(operators, model, config,
-                                         training=False)
+        embeddings, _ = forward("node", training=False)
     return TrainResult(model=model, history=history, embeddings=embeddings,
                        optimizer=optimizer)
 

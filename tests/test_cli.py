@@ -135,6 +135,9 @@ BAD_VALUES = {
     "repeated_grid_parameter": (["sweep", "--synthetic", "k=2,size=10",
                                  "--grid", "lr=0.1,0.2", "--grid", "lr=0.3",
                                  "--out", "o"], "'lr'"),
+    "alpha_leaves_no_test_nodes": (["train", "--synthetic", "k=2,size=3",
+                                    "--alpha", "0.95", "--out", "o"],
+                                   "--alpha 0.95 on 6 nodes"),
 }
 
 
@@ -238,6 +241,42 @@ class TestTrain:
         assert run(argv) == EXIT_OK
         assert ((out1 / "history.csv").read_bytes()
                 == (tmp_path / "o2" / "history.csv").read_bytes())
+
+    def test_manifest_records_a_forced_delimiter(self, tmp_path):
+        # the first line splits at the tab when the delimiter is detected,
+        # and at the comma when it is forced: two graphs from one file
+        edges, labels = tmp_path / "edges", tmp_path / "labels"
+        edges.write_text("n1\tn2,n3\nn3,n4\nn4,n5\nn5,n6\nn6,n3\n")
+        labels.write_text("n3,a\nn4,b\nn5,a\nn6,b\n")
+        out1 = tmp_path / "o1"
+        assert run(["train", "--edges", str(edges), "--labels", str(labels),
+                    "--delimiter", ",", "--epochs", "3", "--hidden", "8",
+                    "--alpha", "0.5", "--out", str(out1)]) == EXIT_OK
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        dataset = manifest["dataset"]
+        assert dataset["delimiter"] == ","
+        # rebuild the command line from the manifest alone
+        cfg = manifest["config"]
+        assert run(["train", "--edges", dataset["edges"],
+                    "--labels", dataset["labels"],
+                    "--delimiter", dataset["delimiter"],
+                    "--feature-dim", str(dataset["feature_dim"]),
+                    "--seed", str(manifest["seed"]),
+                    "--epochs", str(cfg["epochs"]),
+                    "--hidden", str(cfg["hidden_dim"]),
+                    "--alpha", str(cfg["train_ratio"]),
+                    "--out", str(tmp_path / "o2")]) == EXIT_OK
+        for name in ("history.csv", "embeddings.tsv"):
+            assert ((out1 / name).read_bytes()
+                    == (tmp_path / "o2" / name).read_bytes())
+        assert (json.loads((tmp_path / "o2" / "manifest.json").read_text())
+                ["dataset"]["fingerprint"] == dataset["fingerprint"])
+        evaluate = ["eval", "--edges", str(edges), "--labels", str(labels),
+                    "--checkpoint", str(out1 / "checkpoint.npz"),
+                    "--metrics", str(tmp_path / "m.json")]
+        assert run(evaluate + ["--delimiter", ","]) == EXIT_OK
+        assert run(evaluate) == EXIT_FINGERPRINT
+        assert run(evaluate + ["--delimiter", "\t"]) == EXIT_FINGERPRINT
 
     def test_divergence_exit_code(self, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -732,6 +771,8 @@ EXIT_CONTRACT = {
         CHECKPOINT, ["--checkpoint", "{tmp}/truncated.npz"])),
     "bad_grid_value": (EXIT_USAGE, None,
                        {"sweep": ["--grid", "dropout=0.5,1.5"]}),
+    "alpha_leaves_no_test_nodes": (EXIT_USAGE, ["--synthetic", "k=2,size=3"],
+                                   {"train": ["--alpha", "0.95"]}),
 }
 
 

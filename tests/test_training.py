@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -301,7 +303,10 @@ class TestInjections:
         model = init_model(g, small_config())
         logits = np.arange(g.node_count * g.label_count,
                            dtype=float).reshape(g.node_count, -1) - 10.0
-        inject_node_features(model, logits)
+        kept = inject_node_features(model, logits)
+        # the model keeps its own copy of the logits
+        assert kept is model.node_logits and kept is not logits
+        assert np.array_equal(kept, logits)
         oracle = np.maximum(logits @ model.projections["proj_node"], 0.0)
         assert np.array_equal(model.node_block(), oracle)
 
@@ -423,27 +428,6 @@ class TestLabelInput:
                         == want.pre_activation.tobytes())
                 if idx:
                     assert stored_bytes(cache.mask) == stored_bytes(want.mask)
-
-    def test_reuse_keys_on_the_logits(self):
-        g = small_graph(seed=36)
-        cfg = small_config()
-        ops = build_operators(g)
-        model = init_model(g, cfg)
-        node_logits, _ = forward_node_gcn(ops, model, cfg)
-        kept = inject_node_features(model, node_logits)
-        assert kept is model.node_logits and kept is not node_logits
-        assert np.array_equal(kept, node_logits)
-        _, first = forward_label_gcn(ops, model, cfg)
-        _, again = forward_label_gcn(ops, model, cfg)
-        assert again[0].weight_input is first[0].weight_input
-        key, _ = model.propagated["label"]
-        assert key[1] is model.label_features and key[2] is kept
-        # the same values under a new array are a new injection
-        inject_node_features(model, kept)
-        _, after = forward_label_gcn(ops, model, cfg)
-        assert after[0].weight_input is not first[0].weight_input
-        assert (after[0].weight_input.tobytes()
-                == first[0].weight_input.tobytes())
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_no_node_by_feature_array_is_kept(self, dropout):
@@ -578,7 +562,7 @@ class TestSgdStep:
 
 
 class TestFirstLayerReuse:
-    """Forwards that draw no dropout share each view's first-layer op @ H."""
+    """A forward handed its first-layer op @ H, and train's reuse of it."""
 
     def setup_method(self):
         self.g = small_graph(seed=21)
@@ -588,99 +572,109 @@ class TestFirstLayerReuse:
         self.cfg = small_config(feature_dim=3, hidden_dim=8)
         self.model = init_model(self.g, self.cfg)
 
-    def node_products(self, monkeypatch):
-        """Operators of every spmm shaped like the node-view truncated one."""
+    def truncated_products(self, monkeypatch):
+        """Operators of every spmm shaped like a view's truncated one."""
         import mlgcn.kernels as kernels
-        shape = self.ops.node.truncated.shape
+        shapes = {self.ops.node.truncated.shape, self.ops.label.truncated.shape}
         calls, spmm = [], kernels.spmm
 
         def counting(s, d):
-            if s.shape == shape:
+            if s.shape in shapes:
                 calls.append(s)
             return spmm(s, d)
         monkeypatch.setattr(kernels, "spmm", counting)
         return calls
 
-    def test_reused_product_equals_the_sparse_product(self):
+    @pytest.mark.parametrize("view", ["label", "node"])
+    def test_handed_product_gives_the_same_forward(self, monkeypatch, view):
         from mlgcn.kernels import spmm
         model, ops, cfg = self.model, self.ops, self.cfg
-        for forward, view_input, op in [
-                (forward_node_gcn, node_view_input, ops.node.truncated),
-                (forward_label_gcn, label_view_input, ops.label.truncated)]:
-            first, c1 = forward(ops, model, cfg)
-            again, c2 = forward(ops, model, cfg)
-            assert c2[0].weight_input is c1[0].weight_input
-            assert np.array_equal(c2[0].weight_input,
-                                  spmm(op, view_input(model)))
-            assert np.array_equal(first, again)
-
-    def test_injection_makes_the_other_view_recompute(self, monkeypatch):
-        from mlgcn.kernels import spmm
-        model, ops, cfg = self.model, self.ops, self.cfg
-        label_logits, lc = forward_label_gcn(ops, model, cfg)
-        node_logits, nc = forward_node_gcn(ops, model, cfg)
-        calls = self.node_products(monkeypatch)
-
-        inject_label_features(model, label_logits)
-        _, nc2 = forward_node_gcn(ops, model, cfg)
-        assert len(calls) == 1
-        assert np.array_equal(nc2[0].weight_input,
-                              spmm(ops.node.truncated, node_view_input(model)))
-        _, lc2 = forward_label_gcn(ops, model, cfg)
-        assert lc2[0].weight_input is lc[0].weight_input
-
+        forward, view_input = {
+            "label": (forward_label_gcn, label_view_input),
+            "node": (forward_node_gcn, node_view_input)}[view]
+        node_logits, _ = forward_node_gcn(ops, model, cfg)
         inject_node_features(model, node_logits)
-        _, lc3 = forward_label_gcn(ops, model, cfg)
-        assert lc3[0].weight_input is not lc[0].weight_input
-        assert np.array_equal(lc3[0].weight_input,
-                              spmm(ops.label.truncated,
-                                   label_view_input(model)))
+        ref, ref_caches = forward(ops, model, cfg)
+        product = ref_caches[0].weight_input
+        assert ref_caches[0].propagated_first
+        assert np.array_equal(product, spmm(getattr(ops, view).truncated,
+                                            view_input(model)))
+        built = []
+        for name in ("_label_input", "_stacked"):
+            def recording(*args, fn=getattr(training, name), name=name):
+                built.append(name)
+                return fn(*args)
+            monkeypatch.setattr(training, name, recording)
+        out, caches = forward(ops, model, cfg, propagated=product)
+        assert built == []
+        assert out.tobytes() == ref.tobytes()
+        assert len(caches) == len(ref_caches)
+        for cache, want in zip(caches, ref_caches):
+            for f in dataclasses.fields(cache):
+                got, expected = getattr(cache, f.name), getattr(want, f.name)
+                if isinstance(got, np.ndarray):
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+                else:
+                    assert got is expected or got == expected
 
     def test_other_operators_recompute(self, monkeypatch):
         model, cfg = self.model, self.cfg
         logits, caches = forward_node_gcn(self.ops, model, cfg)
-        calls = self.node_products(monkeypatch)
+        calls = self.truncated_products(monkeypatch)
         other = build_operators(self.g)
         again, other_caches = forward_node_gcn(other, model, cfg)
         assert calls == [other.node.truncated]
         assert other_caches[0].weight_input is not caches[0].weight_input
         assert np.array_equal(again, logits)
 
-    def test_dropout_training_forward_never_reuses(self, monkeypatch):
-        cfg = small_config(feature_dim=3, hidden_dim=8, dropout=0.5)
-        model, fresh = init_model(self.g, cfg), init_model(self.g, cfg)
-        _, stored = forward_node_gcn(self.ops, model, cfg)
-        calls = self.node_products(monkeypatch)
-        logits, caches = forward_node_gcn(self.ops, model, cfg, training=True)
-        assert len(calls) == 1
-        assert caches[0].weight_input is not stored[0].weight_input
-        # a model with nothing stored gives the same logits and draws
-        ref, _ = forward_node_gcn(self.ops, fresh, cfg, training=True)
-        assert np.array_equal(logits, ref)
-        # one value per entry of each layer's input, as without reuse
-        rng = rng_stream(cfg.seed, "dropout")
-        rng.random(node_view_input(model).shape)
-        rng.random((self.g.node_count, cfg.hidden_dim))
-        for drawn in (model, fresh):
-            assert (drawn.dropout_rng.bit_generator.state
-                    == rng.bit_generator.state)
-        # the masked product is not stored: the next eval forward reuses
-        _, after = forward_node_gcn(self.ops, model, cfg)
-        assert after[0].weight_input is stored[0].weight_input
+    @pytest.mark.parametrize("freq_n,freq_m", [(10, 10), (2, 3)])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_run_propagates_once_per_injection(self, monkeypatch, dropout,
+                                               freq_n, freq_m):
+        # a forward that draws dropout propagates its own dropped-out input,
+        # one per epoch and view. One that draws none (every forward at
+        # dropout 0, the validation forwards otherwise) reuses the last
+        # such product of its view, until an injection changes that view's
+        # input: a node injection at epoch e makes the label forward of
+        # epoch e + 1 recompute, and a label injection at epoch e the node
+        # validation forward of epoch e. At dropout 0 that validation
+        # forward doubles as the next node training forward. Every product
+        # handed over is that of the view's current input.
+        from mlgcn.kernels import spmm
+        handed = {"label": 0, "node": 0}
+        for view, view_input in (("label", label_view_input),
+                                 ("node", node_view_input)):
+            name = f"forward_{view}_gcn"
 
-    def test_dropout_free_run_propagates_once_per_injection(self,
-                                                            monkeypatch):
-        # injections fire at epoch 0 only: the node view's input is
-        # propagated by the epoch-0 training forward and again, over the
-        # new label block, by the epoch-0 validation forward; every later
-        # forward reuses that product
-        calls = self.node_products(monkeypatch)
+            def checking(operators, model, *args, fn=getattr(training, name),
+                         view=view, view_input=view_input, **kwargs):
+                product = kwargs.get("propagated")
+                if product is not None:
+                    handed[view] += 1
+                    op = getattr(operators, view).truncated
+                    assert (product.tobytes()
+                            == spmm(op, view_input(model)).tobytes())
+                return fn(operators, model, *args, **kwargs)
+            monkeypatch.setattr(training, name, checking)
+        calls = self.truncated_products(monkeypatch)
         split = split_dataset(self.g, 0.25, seed=21)
         assert split.val_nodes.size
-        cfg = small_config(feature_dim=3, hidden_dim=8, epochs=5,
-                           update_freq_nodes=10, update_freq_labels=10)
+        epochs = 6
+        cfg = small_config(feature_dim=3, hidden_dim=8, epochs=epochs,
+                           dropout=dropout, update_freq_nodes=freq_n,
+                           update_freq_labels=freq_m)
         train(self.g, split, cfg)
-        assert len(calls) == 2
+        label_injections = len(range(0, epochs, freq_m))
+        if dropout:
+            label, node = epochs, epochs + label_injections
+        else:
+            label = 1 + len(range(0, epochs - 1, freq_n))
+            node = 1 + label_injections
+        shapes = [op.shape for op in calls]
+        assert shapes.count(self.ops.label.truncated.shape) == label
+        assert shapes.count(self.ops.node.truncated.shape) == node
+        assert handed["node"] and bool(handed["label"]) == (dropout == 0.0)
 
 
 def densified(model):
@@ -902,18 +896,23 @@ class TestTrain:
         for key in model.weights:
             assert np.array_equal(model.weights[key], result.model.weights[key])
 
+    @pytest.mark.parametrize("feature_dim", [0, 3])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("variant", ["full", "gcn_baseline"])
-    def test_matches_a_hand_driven_loop(self, variant):
+    def test_matches_a_hand_driven_loop(self, variant, dropout, feature_dim):
         # every epoch from public functions, with a node training forward of
-        # its own: train's reuse of the dropout-0 validation forward must
-        # leave every loss, F1 and embedding bitwise as it was
+        # its own and no first-layer product handed over: train's reuse of
+        # the dropout-0 validation forward and of each view's first-layer
+        # product (both views propagate first at feature_dim 3) must leave
+        # every loss, F1 and embedding bitwise as it was
         from mlgcn.kernels import backward, multi_label_loss_grad
         from mlgcn.metrics import evaluate
         g = small_graph(seed=12, size=20)
         split = split_dataset(g, 0.25, seed=12)
         cfg = small_config(epochs=7, optimizer="adam", learning_rate=0.05,
                            update_freq_nodes=3, update_freq_labels=2,
-                           variant=variant)
+                           variant=variant, dropout=dropout,
+                           feature_dim=feature_dim)
         result = train(g, split, cfg)
 
         ops = build_operators(g, variant)
@@ -950,7 +949,12 @@ class TestTrain:
         assert label_losses == h.label_loss
         assert node_losses == h.node_loss
         assert f1s == h.val_micro_f1
-        assert len(set(f1s)) > 1  # the schedule moves the predictions
+        # the schedule moves the losses and, in the one-hot dropout-0 run,
+        # the predictions too; on this small graph the other runs' F1 can
+        # sit still
+        assert len(set(node_losses)) > 1
+        if dropout == 0.0 and feature_dim == 0:
+            assert len(set(f1s)) > 1
         assert np.array_equal(embeddings, result.embeddings)
 
     @pytest.mark.parametrize("dropout,forwards", [(0.0, 6), (0.5, 10)])
