@@ -289,7 +289,6 @@ def cmd_stats(args) -> int:
 def cmd_train(args) -> int:
     config = train_config_from_args(args)
     rule, threshold = parse_rule(args.rule)
-    os.makedirs(args.out, exist_ok=True)
     t_start = time.perf_counter()
 
     fingerprint = dataset_fingerprint(args, config.seed)
@@ -299,6 +298,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--alpha {config.train_ratio:g} on "
                          f"{graph.node_count} nodes: {exc}") from exc
+    os.makedirs(args.out, exist_ok=True)  # not for a failed load or split
 
     print(f"config: lr={config.learning_rate:g} epochs={config.epochs} "
           f"d_h={config.hidden_dim} alpha={config.train_ratio:g} "
@@ -437,26 +437,28 @@ def cmd_sweep(args) -> int:
         raise UsageError("repeats must be >= 1")
     grid = parse_grid(args.grid)
     base_config = train_config_from_args(args)
-    # every grid point's config is checked before any of them trains
+    rule, threshold = parse_rule(args.rule)
+    # only a synthetic graph depends on the seed; its spec is parsed once,
+    # so a bad one is a usage error, and a file dataset is read once
+    if args.synthetic is not None:
+        spec, graph = parse_synthetic_spec(args.synthetic, args.seed), None
+        node_count = spec.communities * spec.community_size
+    else:
+        graph = build_graph(args, args.seed)
+        node_count = graph.node_count
+    # every grid point's config and split are checked before any trains
     points = []
     for combo in itertools.product(*grid.values()):
         overrides = {_TRAIN_FLAGS[name][0]: value
                      for name, value in zip(grid, combo)}
         try:
-            points.append((combo, dataclasses.replace(base_config,
-                                                      **overrides)))
+            config = dataclasses.replace(base_config, **overrides)
+            split_dataset(node_count, config.train_ratio, args.seed)
         except ValueError as exc:
             raise UsageError(f"grid point {dict(zip(grid, combo))}: "
                              f"{exc}") from exc
-    rule, threshold = parse_rule(args.rule)
+        points.append((combo, config))
     os.makedirs(args.out, exist_ok=True)
-
-    # only a synthetic graph depends on the seed; its spec is parsed once,
-    # so a bad one is a usage error, and a file dataset is read once
-    if args.synthetic is not None:
-        spec, graph = parse_synthetic_spec(args.synthetic, args.seed), None
-    else:
-        graph = build_graph(args, args.seed)
     rows = []
     failed = 0
     for combo, point_config in points:

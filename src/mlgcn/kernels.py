@@ -7,15 +7,15 @@ of that product from the shapes alone (`propagates_first`): ``(op @ H) @ W``
 when W widens its input, ``op @ (H @ W)`` when W narrows it, so the sparse
 product runs over the narrower side. A sparse H (a `SparseMatrix`, such as
 one-hot input features) always multiplies W first, and its dropout scales
-only its stored entries. `forward_stack` walks a stack of such
-layers and records everything the backward pass needs (the matrix W
-multiplies, the rectified output, dropout masks); `backward` then walks the
-two layer stacks in reverse, in the order each layer's forward used. A forward
+only its stored entries. `forward_stack` walks a stack of such layers and
+records everything the backward pass needs (the matrix W multiplies, the
+rectified output, dropout masks, as bytes); `backward` then walks the two
+layer stacks in reverse, in the order each layer's forward used. A forward
 that draws no dropout can hand the first layer a precomputed ``op @ H``
-(`propagated`) in place of the sparse product; a dense first layer that
-draws dropout is handed ``op @ dropout(H)`` the same way, drawn without a
-mask. Gradients never flow into the operators or the input feature
-blocks — those are constants.
+(`propagated`); a dense first layer is handed ``op @ dropout(H)`` the same
+way from `_propagate`, which streams H in row blocks of about a MiB.
+Gradients never flow into the operators or the input feature blocks —
+those are constants.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .matrices import SparseMatrix
 
@@ -37,19 +38,29 @@ __all__ = [
 
 LOG_CLAMP = 1e-12  # fixed probability floor before logs; not configurable
 
-# values per row block of a sparse input's dropout draw (at least one row)
+# values per row block of a sparse input's dropout draw
 _DRAW_BLOCK_VALUES = 1 << 20
-# bytes of a dense first-layer input above which its dropout draw and its
-# product run over row blocks of at most this size (at least one row)
-_PROPAGATE_BLOCK_BYTES = 16 << 20
+# values per row block of a streamed first layer (1 MiB), and any block's
+# fewest rows: a short row block of a GEMM can get other bits than the whole
+_BLOCK_VALUES = 1 << 17
+_BLOCK_ROWS_MIN = 32
 
 
-def spmm(s: SparseMatrix, d: np.ndarray) -> np.ndarray:
-    """Exact product of a CSR matrix with a dense matrix."""
+def spmm(s: SparseMatrix, d: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Exact product of a CSR or CSC matrix with a dense matrix; given a
+    C-contiguous `out`, added into it by scipy's own `{format}_matvecs`."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or s.shape[1] != d.shape[0]:
         raise ValueError(f"cannot multiply {s.shape} by {d.shape}")
-    return s @ d
+    if out is None:
+        return s @ d
+    if out.shape != (s.shape[0], d.shape[1]) or not out.flags.c_contiguous:
+        raise ValueError(f"cannot add {s.shape} @ {d.shape} into {out.shape}")
+    getattr(_sparsetools, f"{s.format}_matvecs")(
+        *s.shape, d.shape[1], s.indptr, s.indices, s.data, d.ravel(),
+        out.ravel())
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -84,13 +95,13 @@ class LayerCache:
                                   # relu(z), rectified in place, whose
                                   # positive entries are those of z; for
                                   # an identity layer z itself
-    mask: np.ndarray | None       # inverted-dropout mask (0 or 1/(1-p)), one
-                                  # value per stored entry of a sparse H;
-                                  # None in eval and, in a stack, on the
-                                  # first layer
+    mask: np.ndarray | None       # keep mask draws >= p, bool, per entry (per
+                                  # stored entry of a sparse H); None in eval
+                                  # and, in a stack, on the first layer
     activation: str
     weight_key: str
     propagated_first: bool        # (op @ dropout(H)) @ W rather than op @ (dropout(H) @ W)
+    dropout: float = 0.0          # p: survivors are scaled by 1/(1-p)
 
 
 def propagates_first(op_shape: tuple[int, int], op_nnz: int,
@@ -117,10 +128,11 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
     order `propagates_first` picks from the operator and weight shapes.
 
     In training mode dropout zeroes input entries with probability p and
-    scales survivors by 1/(1-p); in eval mode it is the identity. A sparse
-    `h` draws as many values as its dense twin, so the generator advances
-    alike, but applies only those at its stored entries, to a copy; it
-    always multiplies W first: ``h @ W`` costs nnz(h) per output column.
+    scales survivors by 1/(1-p), multiplying by the bool mask and then by
+    1/(1-p); in eval mode it is the identity. A sparse `h` draws as many
+    values as its dense twin, so the generator advances alike, but applies
+    only those at its stored entries, to a copy; it always multiplies W
+    first: ``h @ W`` costs nnz(h) per output column.
 
     `propagated`, if given, is a precomputed ``op @ h``. It stands in for
     the sparse product when the layer propagates first; a layer that
@@ -149,8 +161,7 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
 
     sparse = sp.issparse(h)
     first = not sparse and propagates_first(op.shape, op.nnz, w.shape)
-    mask = None
-    hd = h
+    mask, hd = None, h
     # a product handed over with a draw (and no generator) carries it
     if drawn and not (first and propagated is not None):
         if rng is None:
@@ -159,12 +170,11 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
         # the trajectory, that dense features give; it uses only the draws
         # at its stored entries
         drawn_values = _stored_draws(rng, h) if sparse else rng.random(h.shape)
-        mask = _dropout_mask(drawn_values, dropout)
-        if sparse:
-            hd = h.copy()
-            hd.data *= mask
-        else:
-            hd = h * mask
+        mask = drawn_values >= dropout
+        hd = h.copy() if sparse else drawn_values  # into its spent draws
+        values = hd.data if sparse else hd
+        np.multiply(values if sparse else h, mask, out=values)
+        np.multiply(values, 1.0 / (1.0 - dropout), out=values)
     if first:
         weight_input = spmm(op, hd) if propagated is None else propagated
         z = weight_input @ w
@@ -175,61 +185,67 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
         np.maximum(z, 0.0, out=z)
     cache = LayerCache(op=op, weight=w, weight_input=weight_input,
                        pre_activation=z, mask=mask, activation=activation,
-                       weight_key=weight_key, propagated_first=first)
+                       weight_key=weight_key, propagated_first=first,
+                       dropout=dropout)
     return z, cache
 
 
-def _dropout_mask(draws: np.ndarray, dropout: float) -> np.ndarray:
-    """The inverted-dropout mask (0 or 1/(1-p)) of uniform draws, computed
-    into the draws' own array."""
-    np.greater_equal(draws, dropout, out=draws)
-    return np.divide(draws, 1.0 - dropout, out=draws)
+def _row_blocks(rows: int, cols: int, values: int) -> list[tuple[int, int]]:
+    """Row ranges of about `values` values and `_BLOCK_ROWS_MIN` rows or
+    more; a shorter last range joins the one before."""
+    step = max(_BLOCK_ROWS_MIN, values // max(cols, 1))
+    starts = list(range(0, max(rows - _BLOCK_ROWS_MIN + 1, 1), step))
+    return list(zip(starts, starts[1:] + [rows]))
 
 
-def _propagate_dropped(op: SparseMatrix, h: np.ndarray, dropout: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """``op @ dropout(h)`` for a dense first layer, whose mask nothing reads.
+def _propagate(op: SparseMatrix, h, shape: tuple[int, int], dropout: float,
+               rng: np.random.Generator | None) -> np.ndarray:
+    """``op @ dropout(h)`` over row blocks of a dense first-layer input.
 
-    One buffer holds a block's draws, then its mask, then its dropped-out
-    rows, so besides `h` only that buffer is held. An `h` of at most
-    `_PROPAGATE_BLOCK_BYTES` is one block and gives the bits of the layer's
-    own ``op @ (h * mask)``. A larger one runs over row blocks of at most
-    that size (one row at least), drawn in order, so the generator yields
-    the same values and ends in the same state as from one draw; the
-    blocks' partial products ``op[:, rows] @ block`` are summed, which can
-    change the last bits.
+    `h` (`shape`) is an array or a row writer, ``h(start, stop, out)``,
+    which writes rows [start, stop) into `out`. Each block is written into
+    a reused buffer, drawn in row order (so the generator ends where one
+    whole draw leaves it), masked in place, and its product with the
+    matching column block of one CSC copy of `op` added into the output.
+    csc_matvecs adds each output row's terms in column order, as
+    csr_matvecs does over the whole operator: the bits of the whole
+    product, at any block size. No mask is kept.
     """
-    rows, cols = h.shape
-    step = rows
-    if h.nbytes > _PROPAGATE_BLOCK_BYTES:
-        step = max(1, _PROPAGATE_BLOCK_BYTES // (cols * h.itemsize))
-    buffer = np.empty((min(step, rows), cols))
-    product = None
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        block = buffer[:stop - start]
-        rng.random(out=block)
-        np.multiply(h[start:stop], _dropout_mask(block, dropout), out=block)
-        part = spmm(op if step == rows else op[:, start:stop], block)
-        product = part if product is None else np.add(product, part,
-                                                      out=product)
-    return product
+    csc, out = op.tocsc(), np.zeros((op.shape[0], shape[1]))
+    blocks = _row_blocks(*shape, _BLOCK_VALUES)
+    size = (max(stop - start for start, stop in blocks), shape[1])
+    written = np.empty(size) if callable(h) else None
+    drawn = np.empty(size) if dropout > 0.0 else None
+    for start, stop in blocks:
+        block = h[start:stop] if written is None else written[:stop - start]
+        if written is not None:
+            h(start, stop, block)
+        if drawn is not None:
+            keep = rng.random(out=drawn[:stop - start])
+            np.greater_equal(keep, dropout, out=keep)
+            block = np.multiply(block, keep, out=block if callable(h)
+                                else keep)
+            np.multiply(block, 1.0 / (1.0 - dropout), out=block)
+        lo, hi = csc.indptr[start], csc.indptr[stop]
+        part = sp.csc_array((csc.data[lo:hi], csc.indices[lo:hi],
+                             csc.indptr[start:stop + 1] - lo),
+                            shape=(op.shape[0], stop - start))
+        spmm(part, block, out=out)
+    return out
 
 
 def _stored_draws(rng: np.random.Generator, h: SparseMatrix) -> np.ndarray:
     """The values of one ``rng.random(h.shape)`` draw at `h`'s stored
     entries, in storage order.
 
-    The shape is drawn in row blocks of at most `_DRAW_BLOCK_VALUES` values
-    (one row at least) into one reused buffer; the generator yields the same
-    values, and ends in the same state, as from one call.
+    The shape is drawn in `_row_blocks` of `_DRAW_BLOCK_VALUES` into one
+    reused buffer; the generator yields the same values, and ends in the
+    same state, as from one call.
     """
-    rows, cols = h.shape
-    step = max(1, _DRAW_BLOCK_VALUES // max(cols, 1))
-    buffer = np.empty((min(step, rows), cols))
+    blocks = _row_blocks(*h.shape, _DRAW_BLOCK_VALUES)
+    buffer = np.empty((max(b - a for a, b in blocks), h.shape[1]))
     values = np.empty(h.nnz)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
+    for start, stop in blocks:
         block = buffer[:stop - start]
         rng.random(out=block)
         lo, hi = h.indptr[start], h.indptr[stop]
@@ -283,7 +299,7 @@ def multi_label_loss_grad(o: np.ndarray, targets: np.ndarray,
     return g
 
 
-def forward_stack(layers: list[tuple[SparseMatrix, str]], h: np.ndarray,
+def forward_stack(layers: list[tuple[SparseMatrix, str]], h,
                   weights: dict[str, np.ndarray], dropout: float,
                   training: bool, rng: np.random.Generator | None,
                   propagated: np.ndarray | None = None
@@ -291,26 +307,34 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h: np.ndarray,
     """Walk one layer stack, given as (operator, weight key) per layer.
 
     Every layer but the last is rectified; dropout is drawn layer by layer
-    in stack order. `propagated` is the first layer's precomputed
-    ``op @ h`` (see `gcn_layer_forward`). A dense first layer that
-    propagates first and draws dropout takes ``op @ dropout(h)`` from
-    `_propagate_dropped`, which holds no mask and, above a byte budget, no
-    whole draw. Returns the output and the caches `backward_stack` needs.
+    in stack order. `h` is an array, a sparse matrix, a row writer (see
+    `_propagate`), or None when `propagated`, the first layer's ``op @ h``
+    (see `gcn_layer_forward`), is given. A dense first layer that
+    propagates first and draws dropout or reads a row writer takes ``op @
+    dropout(h)`` from `_propagate`, and itself sees a NaN stand-in of the
+    input's shape. Returns the output and the caches `backward_stack` needs.
     """
+    if training and dropout > 0.0 and rng is None:
+        raise ValueError("training dropout needs an rng")
     caches = []
     for idx, (op, key) in enumerate(layers):
         activation = "identity" if idx == len(layers) - 1 else "relu"
         w, layer_rng, product = weights[key], rng, None
         if idx == 0:
-            product = propagated
-            if (product is None and training and dropout > 0.0
-                    and rng is not None and not sp.issparse(h)
+            product, shape = propagated, (op.shape[1], w.shape[0])
+            streamed = callable(h) or (training and dropout > 0.0)
+            if (product is None and streamed and not sp.issparse(h)
                     and propagates_first(op.shape, op.nnz, w.shape)):
-                # no mask of a first layer is read, so its dropped-out input
-                # overwrites its draws, block by block, and the layer is
-                # handed the product, with the draws already taken
-                product = _propagate_dropped(op, h, dropout, rng)
+                # no mask of a first layer is read: the layer is handed
+                # the product, with the draws already taken
+                product = _propagate(op, h, shape, dropout if training
+                                     else 0.0, rng)
                 layer_rng = None
+            if callable(h) and product is None:  # W first: the whole input
+                h, write = np.empty(shape), h
+                write(0, shape[0], h)
+            elif h is None or callable(h):
+                h = np.broadcast_to(np.nan, shape)
         h, cache = gcn_layer_forward(op, h, w, activation=activation,
                                      dropout=dropout, training=training,
                                      rng=layer_rng, weight_key=key,
@@ -337,9 +361,10 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
     dropout(H)ᵀ @ (opᵀ @ dZ) over its stored entries alone. No gradient
     flows into the input features.
 
-    The ReLU gate and the dropout mask are applied in place, but only to
-    gradient arrays made here: `d_out` and the caches are read, never
-    written. Each layer's temporaries are dropped before the next layer.
+    The ReLU gate, the dropout mask and then its 1/(1-p) are applied in
+    place, but only to gradient arrays made here: `d_out` and the caches
+    are read, never written. Each layer's temporaries are dropped before
+    the next layer.
     """
     g, owned = d_out, False
     for idx in range(len(caches) - 1, -1, -1):
@@ -364,6 +389,7 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
             g = spmm(cache.op.T, g)
         if cache.mask is not None:
             np.multiply(g, cache.mask, out=g)
+            np.multiply(g, 1.0 / (1.0 - cache.dropout), out=g)
         owned = True
 
 

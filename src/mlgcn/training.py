@@ -134,8 +134,8 @@ class ModelState:
     checkpoint rebuilds them from its config. The label view's attribute
     block is the raw X until a node injection and relu(node_logits @
     proj_node) after it; only the n x m logits are kept, and the label view
-    builds the block's rows into its own input (`_label_input`). The node
-    view's attribute block starts as the raw Y. Injections replace the
+    writes the block's rows into its streamed input (`_label_input`). The
+    node view's attribute block starts as the raw Y. Injections replace the
     logits and the label block, and never write into them.
     """
 
@@ -263,41 +263,38 @@ def _stacked(blocks: list[np.ndarray | SparseMatrix]
     return np.vstack(blocks)
 
 
-def _label_input(model: ModelState) -> np.ndarray | SparseMatrix:
-    """The label view's input [Y; node block]. Before any node injection it
-    is `_stacked` over the raw X. After one, it is built straight into one
-    new array: Y's rows are copied, and the product of the node logits and
-    the projection is written into the rest and rectified in place, so no
-    separate n x d block is made."""
-    y, logits = model.label_features, model.node_logits
-    if logits is None:
-        return _stacked([y, model.node_features])
+def _label_input(model: ModelState):
+    """The label view's input [Y; node block]: over the one-hot X, before
+    any node injection, one CSR matrix (`_stacked`); otherwise a row writer
+    (see `kernels.forward_stack`) of Y's rows, then X's, or, once node
+    logits are injected, relu(logits[rows] @ proj_node) rectified in place."""
+    y, x, logits = model.label_features, model.node_features, model.node_logits
+    if logits is None and sp.issparse(x):
+        return _stacked([y, x])
     m = y.shape[0]
-    h = np.empty((m + logits.shape[0], y.shape[1]))
-    h[:m] = y
-    rows = h[m:]
-    np.matmul(logits, model.projections["proj_node"], out=rows)
-    np.maximum(rows, 0.0, out=rows)
-    return h
+
+    def write(start: int, stop: int, out: np.ndarray):
+        head = max(min(stop, m) - start, 0)
+        out[:head] = y[start:start + head]
+        nodes, rows = slice(max(start, m) - m, max(stop, m) - m), out[head:]
+        if logits is None:
+            rows[...] = x[nodes]
+        else:
+            np.matmul(logits[nodes], model.projections["proj_node"], out=rows)
+            np.maximum(rows, 0.0, out=rows)
+    return write
 
 
 def _forward_view(operators: GraphOperators, model: ModelState,
                   config: TrainConfig, view: str, build_input,
                   training: bool, propagated: np.ndarray | None
                   ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Walk one view's stack over the input that `build_input()` makes.
-    Handed the first layer's ``op @ H`` in `propagated`, it builds no
-    input: the layer then reads only the input's shape."""
-    layers = _stack(operators, config, view)
-    if propagated is None:
-        h = build_input()
-    else:
-        # a stand-in of the input's shape holding no values (NaN, should
-        # anything read it): the layer checks its shape, a probe its bytes
-        op, key = layers[0]
-        h = np.broadcast_to(np.nan, (op.shape[1], model.weights[key].shape[0]))
-    return forward_stack(layers, h, model.weights, config.dropout, training,
-                         model.dropout_rng, propagated)
+    """Walk one view's stack over the input that `build_input()` makes,
+    or, handed the first layer's ``op @ H`` in `propagated`, over none."""
+    h = build_input() if propagated is None else None
+    return forward_stack(_stack(operators, config, view), h, model.weights,
+                         config.dropout, training, model.dropout_rng,
+                         propagated)
 
 
 def forward_label_gcn(operators: GraphOperators, model: ModelState,

@@ -138,6 +138,11 @@ BAD_VALUES = {
     "alpha_leaves_no_test_nodes": (["train", "--synthetic", "k=2,size=3",
                                     "--alpha", "0.95", "--out", "o"],
                                    "--alpha 0.95 on 6 nodes"),
+    # checked before the 0.5 point trains
+    "sweep_alpha_leaves_no_test_nodes": (
+        ["sweep", "--synthetic", "k=2,size=3", "--grid", "alpha=0.5,0.95",
+         "--epochs", "2", "--hidden", "8", "--out", "sw"],
+        "grid point {'alpha': 0.95}: alpha yields an empty test set"),
 }
 
 
@@ -148,6 +153,23 @@ def test_bad_value_is_usage_error(tmp_path, monkeypatch, capsys, case):
     assert run(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and named in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["train", "--synthetic", "k=2,size=3", "--alpha", "0.95"], EXIT_USAGE),
+    (["train", "--edges", "absent", "--labels", "absent"], EXIT_IO),
+    (["sweep", "--synthetic", "k=2,size=3", "--grid", "alpha=0.5,0.95"],
+     EXIT_USAGE),
+    (["sweep", "--edges", "absent", "--labels", "absent", "--grid",
+      "epochs=1"], EXIT_IO),
+])
+def test_failed_run_leaves_no_out_directory(tmp_path, monkeypatch, capsys,
+                                            argv, code):
+    # --out is made only once the dataset has loaded and, in train, split,
+    # and, in sweep, every grid point has been checked
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--epochs", "2", "--hidden", "8", "--out", "o"]) == code
+    assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -772,7 +794,8 @@ EXIT_CONTRACT = {
     "bad_grid_value": (EXIT_USAGE, None,
                        {"sweep": ["--grid", "dropout=0.5,1.5"]}),
     "alpha_leaves_no_test_nodes": (EXIT_USAGE, ["--synthetic", "k=2,size=3"],
-                                   {"train": ["--alpha", "0.95"]}),
+                                   {"train": ["--alpha", "0.95"],
+                                    "sweep": ["--grid", "alpha=0.5,0.95"]}),
 }
 
 

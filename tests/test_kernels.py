@@ -61,8 +61,8 @@ class TestLayerForward:
         values = np.unique(out)
         assert set(values.tolist()) <= {0.0, 2.0}
         assert (out == 0).any() and (out == 2.0).any()
-        # replaying the recorded mask reproduces the output
-        assert np.array_equal(h * cache.mask, out)
+        # replaying the recorded mask, then 1/(1-p), reproduces the output
+        assert np.array_equal(h * cache.mask * (1.0 / (1.0 - 0.5)), out)
 
     def test_eval_mode_ignores_dropout(self):
         h = np.ones((5, 4))
@@ -117,7 +117,7 @@ class TestAssociationOrder:
                                        rng=np.random.default_rng(4))
         assert cache.propagated_first == first
         assert cache.mask is not None and (cache.mask == 0).any()
-        want = np.maximum(op.toarray() @ (x * cache.mask) @ w, 0.0)
+        want = np.maximum(op.toarray() @ (x * cache.mask / 0.7) @ w, 0.0)
         assert np.abs(out - want).max() <= 1e-12
 
     @pytest.mark.parametrize("widths,first", [
@@ -564,7 +564,7 @@ class TestBackward:
         out, cache = gcn_layer_forward(SparseMatrix(np.eye(6)), h, w,
                                        activation="identity", dropout=0.4,
                                        training=True, rng=rng)
-        assert np.array_equal((h * cache.mask) @ w, out)
+        assert np.array_equal((h * cache.mask * (1.0 / (1.0 - 0.4))) @ w, out)
 
     def test_missing_cache_rejected(self):
         with pytest.raises(ValueError, match="missing forward cache"):
@@ -575,7 +575,7 @@ class TestBackward:
 
 def reference_layer(op, h, w, activation, dropout, training, rng, key):
     """`gcn_layer_forward` written out of place: one fresh array per
-    operation, a whole-shape draw, and z cached unrectified."""
+    operation, a whole-shape draw, a bool mask, and z cached unrectified."""
     sparse = sp.issparse(h)
     mask, hd = None, h
     if training and dropout > 0.0:
@@ -583,12 +583,12 @@ def reference_layer(op, h, w, activation, dropout, training, rng, key):
         if sparse:
             rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
             drawn = drawn[rows, h.indices]
-        mask = (drawn >= dropout) / (1.0 - dropout)
+        mask = drawn >= dropout
         if sparse:
             hd = h.copy()
-            hd.data *= mask
+            hd.data = hd.data * mask * (1.0 / (1.0 - dropout))
         else:
-            hd = h * mask
+            hd = h * mask * (1.0 / (1.0 - dropout))
     first = not sparse and propagates_first(op.shape, op.nnz, w.shape)
     if first:
         weight_input = op @ hd
@@ -599,7 +599,8 @@ def reference_layer(op, h, w, activation, dropout, training, rng, key):
     out = np.maximum(z, 0.0) if activation == "relu" else z
     return out, LayerCache(op=op, weight=w, weight_input=weight_input,
                            pre_activation=z, mask=mask, activation=activation,
-                           weight_key=key, propagated_first=first)
+                           weight_key=key, propagated_first=first,
+                           dropout=dropout)
 
 
 def reference_backward_stack(caches, d_out, grads):
@@ -621,7 +622,9 @@ def reference_backward_stack(caches, d_out, grads):
             d_hd = d_prod @ cache.weight.T
             if cache.propagated_first:
                 d_hd = cache.op.T @ d_hd
-            g = d_hd * cache.mask if cache.mask is not None else d_hd
+            g = d_hd
+            if cache.mask is not None:
+                g = d_hd * cache.mask * (1.0 / (1.0 - cache.dropout))
 
 
 def kernel_layer(op, h, w, activation, dropout, training, rng, key):
@@ -640,6 +643,17 @@ def run_layers(layer, ops, x, weights, activations, dropout, training):
             cache.mask = None
         caches.append(cache)
     return h, caches, rng
+
+
+class Recording:
+    """A generator that records the shape of each block it draws into."""
+
+    def __init__(self, seed):
+        self.gen, self.blocks = np.random.default_rng(seed), []
+
+    def random(self, *args, **kwargs):
+        self.blocks.append(kwargs["out"].shape)
+        return self.gen.random(*args, **kwargs)
 
 
 def stored_bytes(a):
@@ -759,16 +773,8 @@ class TestInPlaceTemporaries:
         x = SparseMatrix(dense)
         if budget is not None:
             monkeypatch.setattr(kernels, "_DRAW_BLOCK_VALUES", budget)
+            monkeypatch.setattr(kernels, "_BLOCK_ROWS_MIN", 1)
         block_rows = max(1, kernels._DRAW_BLOCK_VALUES // 7)
-
-        class Recording:
-            def __init__(self, seed):
-                self.gen, self.blocks = np.random.default_rng(seed), []
-
-            def random(self, *args, **kwargs):
-                self.blocks.append(kwargs["out"].shape)
-                return self.gen.random(*args, **kwargs)
-
         recording = Recording(9)
         values = kernels._stored_draws(recording, x)
         replay = np.random.default_rng(9)
@@ -790,8 +796,8 @@ class TestInPlaceTemporaries:
         assert layer_rng.random(3).tobytes() == ref_rng.random(3).tobytes()
 
     def test_first_layer_product_is_the_layer_own_in_one_block(self):
-        # below the byte budget a stack's dense first layer draws, masks and
-        # propagates in one block: the bits of the out-of-place layer
+        # within one block a stack's dense first layer draws, masks and
+        # propagates its whole input: the bits of the out-of-place layer
         rng = np.random.default_rng(13)
         op = random_op(rng, 4, 10)
         x = rng.standard_normal((10, 6))
@@ -819,17 +825,8 @@ class TestInPlaceTemporaries:
         whole_rng = np.random.default_rng(5)
         whole, whole_caches = forward_stack([(op, "w0")], x, {"w0": w}, 0.4,
                                             True, whole_rng)
-        monkeypatch.setattr(kernels, "_PROPAGATE_BLOCK_BYTES",
-                            block_rows * 6 * 8)
-
-        class Recording:
-            def __init__(self, seed):
-                self.gen, self.blocks = np.random.default_rng(seed), []
-
-            def random(self, *args, **kwargs):
-                self.blocks.append(kwargs["out"].shape)
-                return self.gen.random(*args, **kwargs)
-
+        monkeypatch.setattr(kernels, "_BLOCK_VALUES", block_rows * 6)
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS_MIN", 1)
         recording = Recording(5)
         out, caches = forward_stack([(op, "w0")], x, {"w0": w}, 0.4, True,
                                     recording)
@@ -874,3 +871,137 @@ class TestInPlaceTemporaries:
         unit = n * hidden * 8
         assert (forward_peak - base) / unit <= bounds[0]
         assert (backward_peak - base) / unit <= bounds[1]
+
+
+class TestStreamedFirstLayer:
+    """`spmm` adds column-block products into one output, and `_propagate`
+    streams a dense first layer's ``op @ dropout(H)`` over row blocks with
+    the bits of the whole product."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_spmm_column_blocks_add_up_bitwise(self, block, transposed):
+        rng = np.random.default_rng(block)
+        s = random_op(rng, 9, 20)
+        if transposed:
+            s = s.T
+        assert s.format == ("csc" if transposed else "csr")
+        d = rng.standard_normal((s.shape[1], 5))
+        want = s @ d
+        out = np.zeros(want.shape)
+        for start in range(0, s.shape[1], block):
+            stop = min(start + block, s.shape[1])
+            assert spmm(s[:, start:stop], d[start:stop], out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_spmm_adds_into_out(self):
+        s = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        out = np.ones((2, 2))
+        spmm(s, np.array([[1.0, 0.0], [1.0, 2.0]]), out=out)
+        assert np.array_equal(out, [[4.0, 5.0], [4.0, 7.0]])
+        for bad in (np.zeros((2, 3)), np.zeros((2, 4))[:, ::2]):
+            with pytest.raises(ValueError, match="cannot add"):
+                spmm(s, np.ones((2, 2)), out=bad)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_streamed_array_is_the_whole_product(self, monkeypatch, dropout,
+                                                 block_rows):
+        rng = np.random.default_rng(block_rows)
+        op = random_op(rng, 4, 10)
+        h = rng.standard_normal((10, 6))
+        before = h.tobytes()
+        whole_rng = np.random.default_rng(5)
+        hd = h
+        if dropout:
+            keep = whole_rng.random(h.shape) >= dropout
+            hd = h * keep * (1.0 / (1.0 - dropout))
+        want = op @ hd
+        monkeypatch.setattr(kernels, "_BLOCK_VALUES", block_rows * 6)
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS_MIN", 1)
+        recording = Recording(5)
+        got = kernels._propagate(op, h, h.shape, dropout, recording)
+        assert got.tobytes() == want.tobytes()
+        assert h.tobytes() == before
+        rows = [r for r, _ in recording.blocks]
+        whole_blocks, tail = divmod(10, block_rows)
+        assert rows == ([block_rows] * whole_blocks + [tail] * (tail > 0)
+                        if dropout else [])
+        assert (recording.gen.bit_generator.state
+                == whole_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_row_writer_feeds_either_order(self, dropout):
+        # a row writer gives the bits of its rows handed over as an array,
+        # whether the first layer propagates first or multiplies W first
+        rng = np.random.default_rng(2)
+        op = random_op(rng, 6, 9)
+        x = rng.standard_normal((9, 4))
+
+        def write(start, stop, out):
+            out[...] = x[start:stop]
+        for fan_out, first in ((12, True), (2, False)):
+            weights = {"w0": rng.standard_normal((4, fan_out))}
+            assert propagates_first(op.shape, op.nnz, (4, fan_out)) == first
+            out, caches = forward_stack([(op, "w0")], write, weights, dropout,
+                                        True, np.random.default_rng(3))
+            ref, ref_caches = forward_stack([(op, "w0")], x, weights, dropout,
+                                            True, np.random.default_rng(3))
+            assert out.tobytes() == ref.tobytes()
+            assert (caches[0].weight_input.tobytes()
+                    == ref_caches[0].weight_input.tobytes())
+        with pytest.raises(ValueError, match="needs an rng"):
+            forward_stack([(op, "w0")], write, weights, 0.3, True, None)
+
+    def test_short_last_block_joins_the_one_before(self):
+        blocks = kernels._row_blocks
+        assert blocks(100, 10, 400) == [(0, 40), (40, 100)]
+        assert blocks(112, 10, 400) == [(0, 40), (40, 80), (80, 112)]
+        assert blocks(20, 10, 400) == [(0, 20)]
+        # the floor holds however wide the rows are
+        assert blocks(70, 10 ** 6, 400) == [(0, 32), (32, 70)]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_byte_mask_matches_the_float_mask(self):
+        # h and the upstream gradient hold both zeros, NaN and infinities;
+        # multiplying by the bool mask and then by 1/(1-p) gives the bits
+        # of one multiplication by the {0, 1/(1-p)} float mask
+        p = 0.4
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -1.5, 2.5])
+        rng = np.random.default_rng(8)
+        h = rng.choice(special, size=(9, 6))
+        keep = rng.random(h.shape) >= p
+        assert ((h * keep * (1.0 / (1.0 - p))).tobytes()
+                == (h * (keep / (1.0 - p))).tobytes())
+
+        # a W-first layer: its weight input is the dropped-out h itself
+        op = random_op(rng, 7, 9)
+        w = rng.standard_normal((6, 2))
+        layer_rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+        _, cache = gcn_layer_forward(op, h, w, dropout=p, training=True,
+                                     rng=layer_rng)
+        float_mask = (replay.random(h.shape) >= p) / (1.0 - p)
+        assert not cache.propagated_first
+        assert cache.mask.dtype == bool and cache.mask.nbytes == h.size
+        assert cache.weight_input.tobytes() == (h * float_mask).tobytes()
+
+        # backward: a two-layer stack, whose upper mask passes the gradient
+        # down, against the same caches carrying the float mask instead
+        x = rng.standard_normal((9, 3))
+        ops = [random_op(rng, 7, 9), random_op(rng, 7, 7)]
+        weights = {"w0": rng.standard_normal((3, 5)),
+                   "w1": rng.standard_normal((5, 2))}
+        upstream = rng.choice(special[[0, 1, 5, 6]], size=(7, 2))
+        _, caches = forward_stack(list(zip(ops, weights)), x, weights, p,
+                                  True, np.random.default_rng(6))
+        top = caches[1]
+        assert top.mask.dtype == bool
+        floats = [caches[0], LayerCache(
+            top.op, top.weight, top.weight_input, top.pre_activation,
+            top.mask / (1.0 - p), top.activation, top.weight_key,
+            top.propagated_first)]
+        grads, want = {}, {}
+        backward_stack(caches, upstream, grads)
+        reference_backward_stack(floats, upstream, want)
+        for key in weights:
+            assert grads[key].tobytes() == want[key].tobytes()

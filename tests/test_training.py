@@ -357,6 +357,31 @@ def stacked_label_forward(ops, model, cfg, rng):
     return stacked, h, caches
 
 
+def record_layer_inputs(monkeypatch):
+    """Every layer's input `h`, in call order. A first layer that streams
+    its input (`kernels._propagate`) sees only a stand-in of its shape; it
+    is recorded with the input it streamed, written whole when it came from
+    a row writer."""
+    import mlgcn.kernels as kernels
+    seen, streamed = [], []
+    layer, propagate = kernels.gcn_layer_forward, kernels._propagate
+
+    def recording(op, h, *args, **kwargs):
+        seen.append(streamed.pop() if streamed else h)
+        return layer(op, h, *args, **kwargs)
+
+    def streaming(op, h, shape, *args):
+        whole = h
+        if callable(h):
+            whole = np.empty(shape)
+            h(0, shape[0], whole)
+        streamed.append(whole)
+        return propagate(op, h, shape, *args)
+    monkeypatch.setattr(kernels, "gcn_layer_forward", recording)
+    monkeypatch.setattr(kernels, "_propagate", streaming)
+    return seen
+
+
 def stored_bytes(a):
     if a is None:
         return None
@@ -380,8 +405,8 @@ def model_arrays(value):
 
 
 class TestLabelInput:
-    """The label view builds [Y; relu(logits @ proj_node)] into one array
-    from the kept node logits, and gives the stacked formula's bits."""
+    """The label view streams [Y; relu(logits @ proj_node)] from the kept
+    node logits, and gives the stacked formula's bits."""
 
     @pytest.mark.parametrize("feature_dim", [0, 5])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -389,18 +414,12 @@ class TestLabelInput:
                              [v for v in VARIANTS if v != "gcn_baseline"])
     def test_matches_the_stacked_formula(self, monkeypatch, variant, dropout,
                                          feature_dim):
-        import mlgcn.kernels as kernels
         g = small_graph(seed=35)
         cfg = small_config(variant=variant, dropout=dropout,
                            feature_dim=feature_dim)
         ops = build_operators(g, variant)
         model = init_model(g, cfg)
-        seen, layer = [], kernels.gcn_layer_forward
-
-        def recording(op, h, *args, **kwargs):
-            seen.append(h)
-            return layer(op, h, *args, **kwargs)
-        monkeypatch.setattr(kernels, "gcn_layer_forward", recording)
+        seen = record_layer_inputs(monkeypatch)
         for injected in (False, True):
             if injected:
                 node_logits, _ = forward_node_gcn(ops, model, cfg)
@@ -443,19 +462,25 @@ class TestLabelInput:
                        if isinstance(a, np.ndarray)]
         assert max(dense_sizes) < n * (n + m)
 
-    def test_dropout_forward_holds_two_input_arrays(self):
-        # after an injection a dropout label forward holds the assembled
-        # input and one buffer of its draws, mask and dropped-out rows: two
-        # (m+n) x d arrays, where the stacked formula held four
+    @pytest.mark.parametrize("size", [200, 600])
+    def test_dropout_forward_holds_two_blocks(self, size):
+        # after an injection a dropout label forward holds two row blocks,
+        # the written rows and their draws, and the m x d product: its peak
+        # does not grow with the node count
         import tracemalloc
-        g = small_graph(seed=38, size=200)
+        import mlgcn.kernels as kernels
+        g = small_graph(seed=38, size=size)
         n, m = g.node_count, g.label_count
+        d = n + m
         cfg = small_config(dropout=0.5)
         ops = build_operators(g)
         model = init_model(g, cfg)
         node_logits, _ = forward_node_gcn(ops, model, cfg)
         inject_node_features(model, node_logits)
         del node_logits
+        blocks = kernels._row_blocks(m + n, d, kernels._BLOCK_VALUES)
+        assert len(blocks) > 1
+        block = max(stop - start for start, stop in blocks) * d * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -463,8 +488,53 @@ class TestLabelInput:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        unit = (m + n) * (n + m) * 8
-        assert (peak - base) / unit <= 2.25
+        slack = kernels._BLOCK_VALUES * 8 / 4
+        assert peak - base <= 2 * block + m * d * 8 + slack
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("n,m,d,folded", [
+        (600, 8, 608, False),     # onehot_train's label view (d = n + m)
+        (10312, 39, 128, False),  # bc's (BlogCatalog-sized, 128-d features)
+        (427, 8, 608, True),      # 435 rows: a 5-row tail joins the last block
+        (2019, 39, 128, True),    # 2058 rows: a 10-row tail does
+    ])
+    def test_streamed_forward_matches_the_stacked_formula(self, n, m, d,
+                                                          folded, dropout):
+        # at the shipped block size, against [Y; relu(logits @ proj_node)]
+        # stacked whole and one whole draw
+        import mlgcn.kernels as kernels
+        from mlgcn.kernels import forward_stack
+        rng = np.random.default_rng(n)
+        dense_op = rng.random((m, m + n)) * (rng.random((m, m + n)) < 0.04)
+        op = SparseMatrix(dense_op / np.maximum(dense_op.sum(1, keepdims=True),
+                                                1.0))
+        limit = np.sqrt(6.0 / (m + d))
+        model = ModelState(
+            weights={"w0_label": rng.uniform(-limit, limit, (d, m))},
+            projections={"proj_node": rng.uniform(-limit, limit, (m, d))},
+            node_features=np.zeros((n, d)),
+            label_features=rng.normal(0.0, 1 / np.sqrt(d), (m, d)),
+            node_logits=rng.standard_normal((n, m)) * 3,
+            label_block=np.zeros((m, d)), dropout_rng=rng_stream(n, "dropout"))
+        blocks = kernels._row_blocks(m + n, d, kernels._BLOCK_VALUES)
+        sizes = [stop - start for start, stop in blocks]
+        assert len(blocks) > 1 and (sizes[-1] > sizes[0]) == folded
+        layers = [(op, "w0_label")]
+        stacked = np.vstack([model.label_features, np.maximum(
+            model.node_logits @ model.projections["proj_node"], 0.0)])
+        ref_rng = rng_stream(n, "dropout")
+        ref, ref_cache = gcn_layer_forward(
+            op, stacked, model.weights["w0_label"], activation="identity",
+            dropout=dropout, training=True, rng=ref_rng, weight_key="w0_label")
+        assert ref_cache.propagated_first
+        out, caches = forward_stack(layers, training._label_input(model),
+                                    model.weights, dropout, True,
+                                    model.dropout_rng)
+        assert out.tobytes() == ref.tobytes()
+        assert (caches[0].weight_input.tobytes()
+                == ref_cache.weight_input.tobytes())
+        assert (model.dropout_rng.bit_generator.state
+                == ref_rng.bit_generator.state)
 
 
 class TestSgdStep:
@@ -573,16 +643,23 @@ class TestFirstLayerReuse:
         self.model = init_model(self.g, self.cfg)
 
     def truncated_products(self, monkeypatch):
-        """Operators of every spmm shaped like a view's truncated one."""
+        """Operators of every first-layer product: each spmm shaped like a
+        view's truncated operator, and each operator `_propagate` streams
+        (whose column-block products add into one output)."""
         import mlgcn.kernels as kernels
         shapes = {self.ops.node.truncated.shape, self.ops.label.truncated.shape}
-        calls, spmm = [], kernels.spmm
+        calls, spmm, propagate = [], kernels.spmm, kernels._propagate
 
-        def counting(s, d):
-            if s.shape in shapes:
+        def counting(s, d, out=None):
+            if s.shape in shapes and out is None:
                 calls.append(s)
-            return spmm(s, d)
+            return spmm(s, d, out)
+
+        def streaming(op, *args):
+            calls.append(op)
+            return propagate(op, *args)
         monkeypatch.setattr(kernels, "spmm", counting)
+        monkeypatch.setattr(kernels, "_propagate", streaming)
         return calls
 
     @pytest.mark.parametrize("view", ["label", "node"])
@@ -692,17 +769,6 @@ class TestSparseInput:
     """One-hot X is stored as CSR; a view stacks sparse while any of its
     blocks is."""
 
-    def stacked_inputs(self, monkeypatch):
-        """Every layer's input `h`, in call order."""
-        import mlgcn.kernels as kernels
-        seen, layer = [], kernels.gcn_layer_forward
-
-        def recording(op, h, *args, **kwargs):
-            seen.append(h)
-            return layer(op, h, *args, **kwargs)
-        monkeypatch.setattr(kernels, "gcn_layer_forward", recording)
-        return seen
-
     def test_one_hot_x_is_csr(self):
         x, y = input_features(5, 2, TrainConfig())
         assert isinstance(x, SparseMatrix) and x.format == "csr"
@@ -716,7 +782,7 @@ class TestSparseInput:
         cfg = small_config()
         ops = build_operators(g)
         model = init_model(g, cfg)
-        seen = self.stacked_inputs(monkeypatch)
+        seen = record_layer_inputs(monkeypatch)
         label_logits, _ = forward_label_gcn(ops, model, cfg, training=True)
         node_logits, _ = forward_node_gcn(ops, model, cfg, training=True)
         label_h, node_h = seen[0], seen[1]
