@@ -171,7 +171,7 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
         # at its stored entries
         drawn_values = _stored_draws(rng, h) if sparse else rng.random(h.shape)
         mask = drawn_values >= dropout
-        hd = h.copy() if sparse else drawn_values  # into its spent draws
+        hd = h.copy() if sparse else drawn_values  # reuses the spent draws
         values = hd.data if sparse else hd
         np.multiply(values if sparse else h, mask, out=values)
         np.multiply(values, 1.0 / (1.0 - dropout), out=values)
