@@ -99,27 +99,17 @@ def parse_synthetic_spec(spec: str, seed: int) -> SyntheticConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _file_fingerprint(h: "hashlib._Hash", path: str):
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-
-
-def dataset_fingerprint(args, seed: int) -> str:
-    """Content hash of the dataset a run trains on, with a forced delimiter,
-    which can parse the same files into another graph."""
-    h = hashlib.sha256()
-    if args.synthetic is not None:
-        h.update(parse_synthetic_spec(args.synthetic, seed).canonical().encode())
-    else:
-        h.update(b"edges:")
-        _file_fingerprint(h, args.edges)
-        h.update(b"labels:")
-        _file_fingerprint(h, args.labels)
-        if args.delimiter is not None:
-            h.update(f"delimiter:{args.delimiter}".encode())
-    kind = "gaussian" if args.feature_dim else "one_hot"
-    h.update(f"features:{kind}:{args.feature_dim}".encode())
+def dataset_fingerprint(graph, feature_dim: int) -> str:
+    """Content hash of the network a run trains on (ids in index order,
+    both matrices' CSR arrays at fixed dtypes) and of its feature kind and
+    width; every source of one network hashes alike."""
+    h = hashlib.sha256(json.dumps([graph.node_ids, graph.label_ids]).encode())
+    for matrix in (graph.adjacency, graph.label_assignments):
+        for array, dtype in ((matrix.indptr, "<i8"), (matrix.indices, "<i8"),
+                             (matrix.data, "<f8")):
+            h.update(np.ascontiguousarray(array, dtype=dtype))
+    kind = "gaussian" if feature_dim else "one_hot"
+    h.update(f"features:{kind}:{feature_dim}".encode())
     return h.hexdigest()
 
 
@@ -291,8 +281,8 @@ def cmd_train(args) -> int:
     rule, threshold = parse_rule(args.rule)
     t_start = time.perf_counter()
 
-    fingerprint = dataset_fingerprint(args, config.seed)
     graph = build_graph(args, config.seed)
+    fingerprint = dataset_fingerprint(graph, config.feature_dim)
     try:
         split = split_dataset(graph, config.train_ratio, config.seed)
     except ValueError as exc:
@@ -357,12 +347,14 @@ def _checkpoint_scores(args):
         raise FingerprintMismatch(
             f"checkpoint was trained with --feature-dim {config.feature_dim}, "
             f"this run passes --feature-dim {args.feature_dim}")
-    actual = dataset_fingerprint(args, config.seed)
+    graph = build_graph(args, config.seed)
+    actual = dataset_fingerprint(graph, config.feature_dim)
     if actual != fingerprint:
         raise FingerprintMismatch(
-            f"checkpoint was trained on fingerprint {fingerprint[:12]}, "
-            f"dataset resolves to {actual[:12]}")
-    graph = build_graph(args, config.seed)
+            f"checkpoint was trained on n={model.node_features.shape[0]} "
+            f"m={model.label_features.shape[0]} (fingerprint "
+            f"{fingerprint[:12]}), the dataset has n={graph.node_count} "
+            f"m={graph.label_count} (fingerprint {actual[:12]})")
     split = split_dataset(graph, config.train_ratio, config.seed)
     return (config, graph, split, _final_scores(model, config, graph),
             graph.label_assignments.to_dense())

@@ -72,11 +72,6 @@ class SyntheticConfig:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0,1], got {v}")
 
-    def canonical(self) -> str:
-        return (f"synthetic:k={self.communities},size={self.community_size},"
-                f"p_intra={self.p_intra!r},p_inter={self.p_inter!r},"
-                f"rho={self.rho!r},seed={self.seed}")
-
 
 # size in characters of the pieces the parsers cut a text into at line ends
 _PIECE = 1 << 16

@@ -10,10 +10,10 @@ one-hot input features) always multiplies W first, and its dropout scales
 only its stored entries. `forward_stack` walks a stack of such layers and
 records everything the backward pass needs (the matrix W multiplies, the
 rectified output, dropout masks, as bytes); `backward` then walks the two
-layer stacks in reverse, in the order each layer's forward used. A forward
-that draws no dropout can hand the first layer a precomputed ``op @ H``
-(`propagated`); a dense first layer is handed ``op @ dropout(H)`` the same
-way from `_propagate`, which streams H in row blocks of about a MiB.
+layer stacks in reverse, in the order each layer's forward used. A dense
+first layer that propagates first is handed ``op @ dropout(H)`` from
+`_propagate`, which streams H in row blocks of about a MiB when it draws
+or writes them, or a caller's ``op @ H`` when nothing is drawn.
 Gradients never flow into the operators or the input feature blocks —
 those are constants.
 """
@@ -134,13 +134,9 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
     only those at its stored entries, to a copy; it always multiplies W
     first: ``h @ W`` costs nnz(h) per output column.
 
-    `propagated`, if given, is a precomputed ``op @ h``. It stands in for
-    the sparse product when the layer propagates first; a layer that
-    multiplies W first ignores it. With a dropout draw it must come without
-    a generator: it is then ``op @ dropout(h)`` over draws the caller took
-    (as `forward_stack` does for a first layer), and the layer draws
-    nothing and records no mask. With a generator it is refused, since it
-    would not carry the layer's own draw.
+    `propagated`, if given, is ``op @ dropout(h)`` over draws the caller
+    took (as `forward_stack` does for a first layer): the layer multiplies
+    it by W, draws nothing and records no mask.
     """
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
@@ -150,20 +146,16 @@ def gcn_layer_forward(op: SparseMatrix, h: np.ndarray | SparseMatrix,
     if activation not in ("relu", "identity"):
         raise ValueError(f"unknown activation {activation!r}")
 
-    drawn = training and dropout > 0.0
-    if propagated is not None:
-        if drawn and rng is not None:
-            raise ValueError("a precomputed op @ h cannot stand in for "
-                             "op @ dropout(h)")
-        if propagated.shape != (op.shape[0], h.shape[1]):
-            raise ValueError(f"precomputed product {propagated.shape} is not "
-                             f"op {op.shape} @ H {h.shape}")
+    if propagated is not None and propagated.shape != (op.shape[0],
+                                                       h.shape[1]):
+        raise ValueError(f"precomputed product {propagated.shape} is not "
+                         f"op {op.shape} @ H {h.shape}")
 
     sparse = sp.issparse(h)
-    first = not sparse and propagates_first(op.shape, op.nnz, w.shape)
+    first = propagated is not None or (
+        not sparse and propagates_first(op.shape, op.nnz, w.shape))
     mask, hd = None, h
-    # a product handed over with a draw (and no generator) carries it
-    if drawn and not (first and propagated is not None):
+    if training and dropout > 0.0 and propagated is None:
         if rng is None:
             raise ValueError("training dropout needs an rng")
         # a sparse h draws its whole shape, so a run gets the masks, and
@@ -200,7 +192,8 @@ def _row_blocks(rows: int, cols: int, values: int) -> list[tuple[int, int]]:
 
 def _propagate(op: SparseMatrix, h, shape: tuple[int, int], dropout: float,
                rng: np.random.Generator | None) -> np.ndarray:
-    """``op @ dropout(h)`` over row blocks of a dense first-layer input.
+    """``op @ dropout(h)`` of a dense first-layer input: for an array with
+    nothing to draw the whole CSR product, else over row blocks.
 
     `h` (`shape`) is an array or a row writer, ``h(start, stop, out)``,
     which writes rows [start, stop) into `out`. Each block is written into
@@ -211,6 +204,8 @@ def _propagate(op: SparseMatrix, h, shape: tuple[int, int], dropout: float,
     csr_matvecs does over the whole operator: the bits of the whole
     product, at any block size. No mask is kept.
     """
+    if not callable(h) and dropout == 0.0:
+        return spmm(op, h)
     csc, out = op.tocsc(), np.zeros((op.shape[0], shape[1]))
     blocks = _row_blocks(*shape, _BLOCK_VALUES)
     size = (max(stop - start for start, stop in blocks), shape[1])
@@ -308,36 +303,41 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h,
 
     Every layer but the last is rectified; dropout is drawn layer by layer
     in stack order. `h` is an array, a sparse matrix, a row writer (see
-    `_propagate`), or None when `propagated`, the first layer's ``op @ h``
-    (see `gcn_layer_forward`), is given. A dense first layer that
-    propagates first and draws dropout or reads a row writer takes ``op @
-    dropout(h)`` from `_propagate`, and itself sees a NaN stand-in of the
-    input's shape. Returns the output and the caches `backward_stack` needs.
+    `_propagate`), or None when `propagated` is given. A dense first layer
+    that propagates first is handed ``op @ dropout(h)`` from `_propagate`
+    or, in a forward that draws nothing, `propagated`, a precomputed ``op
+    @ h``; it sees a NaN stand-in of the input's shape. Any other first
+    layer, and a forward that draws, refuses `propagated`. Returns the
+    output and the caches `backward_stack` needs.
     """
-    if training and dropout > 0.0 and rng is None:
+    drawn = training and dropout > 0.0
+    if drawn and rng is None:
         raise ValueError("training dropout needs an rng")
+    if drawn and propagated is not None:
+        raise ValueError("a precomputed op @ h cannot stand in for "
+                         "op @ dropout(h)")
     caches = []
     for idx, (op, key) in enumerate(layers):
         activation = "identity" if idx == len(layers) - 1 else "relu"
-        w, layer_rng, product = weights[key], rng, None
+        w, product = weights[key], None
         if idx == 0:
-            product, shape = propagated, (op.shape[1], w.shape[0])
-            streamed = callable(h) or (training and dropout > 0.0)
-            if (product is None and streamed and not sp.issparse(h)
+            shape = (op.shape[1], w.shape[0])
+            if (not sp.issparse(h)
                     and propagates_first(op.shape, op.nnz, w.shape)):
                 # no mask of a first layer is read: the layer is handed
                 # the product, with the draws already taken
-                product = _propagate(op, h, shape, dropout if training
-                                     else 0.0, rng)
-                layer_rng = None
-            if callable(h) and product is None:  # W first: the whole input
+                product = propagated if propagated is not None else (
+                    _propagate(op, h, shape, dropout if drawn else 0.0, rng))
+                h = np.broadcast_to(np.nan, shape)
+            elif propagated is not None:
+                raise ValueError("only a dense first layer that propagates "
+                                 "first takes a precomputed op @ h")
+            elif callable(h):  # W first: the whole input
                 h, write = np.empty(shape), h
                 write(0, shape[0], h)
-            elif h is None or callable(h):
-                h = np.broadcast_to(np.nan, shape)
         h, cache = gcn_layer_forward(op, h, w, activation=activation,
                                      dropout=dropout, training=training,
-                                     rng=layer_rng, weight_key=key,
+                                     rng=rng, weight_key=key,
                                      propagated=product)
         if idx == 0:
             # backward_stack reads a mask only to pass the gradient below

@@ -43,7 +43,7 @@ __all__ = [
 
 VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 # values per row block of an optimizer step (at least one row)
 _STEP_CHUNK_VALUES = 1 << 16

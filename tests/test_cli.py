@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from mlgcn.cli import (EXIT_BAD_REF, EXIT_DIVERGED, EXIT_FINGERPRINT, EXIT_IO,
-                       EXIT_OK, EXIT_USAGE, main, make_parser, parse_rule,
-                       parse_synthetic_spec, train_config_from_args)
+                       EXIT_OK, EXIT_USAGE, dataset_fingerprint, main,
+                       make_parser, parse_rule, parse_synthetic_spec,
+                       train_config_from_args)
+from mlgcn.datasets import SyntheticConfig, generate_synthetic
 from mlgcn.training import VARIANTS, CheckpointError, TrainConfig, load_checkpoint
 
 EASY = "k=2,size=15,p-intra=0.5,p-inter=0.02,rho=1"
@@ -264,7 +267,7 @@ class TestTrain:
         assert ((out1 / "history.csv").read_bytes()
                 == (tmp_path / "o2" / "history.csv").read_bytes())
 
-    def test_manifest_records_a_forced_delimiter(self, tmp_path):
+    def test_manifest_records_a_forced_delimiter(self, tmp_path, capsys):
         # the first line splits at the tab when the delimiter is detected,
         # and at the comma when it is forced: two graphs from one file
         edges, labels = tmp_path / "edges", tmp_path / "labels"
@@ -296,9 +299,18 @@ class TestTrain:
         evaluate = ["eval", "--edges", str(edges), "--labels", str(labels),
                     "--checkpoint", str(out1 / "checkpoint.npz"),
                     "--metrics", str(tmp_path / "m.json")]
+        capsys.readouterr()
         assert run(evaluate + ["--delimiter", ","]) == EXIT_OK
+        # detected, the delimiter yields another graph; forced to a tab,
+        # it cannot parse the second line
         assert run(evaluate) == EXIT_FINGERPRINT
-        assert run(evaluate + ["--delimiter", "\t"]) == EXIT_FINGERPRINT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "n=5 m=2" in err and "n=6 m=2" in err
+        assert run(evaluate + ["--delimiter", "\t"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"parse error: {edges}: line 2: ")
 
     def test_divergence_exit_code(self, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -395,6 +407,78 @@ class TestEval:
                               captured["train"].embeddings)
 
 
+
+class TestGraphFingerprint:
+    """A checkpoint matches the graph a dataset parses to, whatever files,
+    encoding or spec string it comes from."""
+
+    EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c"),
+             ("e", "f"), ("f", "g"), ("g", "h"), ("h", "e"), ("e", "g")]
+    LABELS = [("a", "x"), ("b", "x"), ("c", "x"), ("c", "y"), ("d", "x"),
+              ("e", "y"), ("f", "y"), ("g", "y"), ("h", "y")]
+
+    def write(self, directory, sep=",", newline="\n", header=""):
+        paths = []
+        for name, pairs in (("edges", self.EDGES), ("labels", self.LABELS)):
+            path = directory / name
+            text = header + "".join(f"{a}{sep}{b}\n" for a, b in pairs)
+            path.write_bytes(text.replace("\n", newline).encode())
+            paths += [f"--{name}", str(path)]
+        return paths
+
+    def test_same_graph_from_other_encodings(self, tmp_path, capsys):
+        original = tmp_path / "original"
+        original.mkdir()
+        out = tmp_path / "run"
+        assert run(["train", *self.write(original), "--epochs", "2",
+                    "--hidden", "8", "--alpha", "0.5",
+                    "--out", str(out)]) == EXIT_OK
+        evaluate = ["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                    "--metrics", str(tmp_path / "m.json")]
+        copies = {"crlf": {"newline": "\r\n"},
+                  "tab_header": {"sep": "\t", "header": "# header\n"}}
+        for name, encoding in copies.items():
+            (tmp_path / name).mkdir()
+            dataset = self.write(tmp_path / name, **encoding)
+            assert run([*evaluate, *dataset]) == EXIT_OK, name
+        assert run([*evaluate, *self.write(original),
+                    "--delimiter", ","]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_regenerated_synthetic_spec(self, easy_run, tmp_path):
+        # EASY with its keys reordered, renamed and 1 written as 1.0
+        spec = "rho=1.0,p_inter=0.02,communities=2,p-intra=0.5,size=15"
+        assert run(["eval", "--checkpoint", str(easy_run / "checkpoint.npz"),
+                    "--synthetic", spec,
+                    "--metrics", str(tmp_path / "m.json")]) == EXIT_OK
+
+    def test_int32_and_int64_indices_hash_alike(self):
+        g = generate_synthetic(SyntheticConfig(community_size=10, seed=3))
+        copies = []
+        for dtype in (np.int32, np.int64):
+            matrices = {}
+            for name in ("adjacency", "label_assignments"):
+                m = getattr(g, name).copy()
+                m.indices, m.indptr = (m.indices.astype(dtype),
+                                       m.indptr.astype(dtype))
+                assert m.indices.dtype == m.indptr.dtype == dtype
+                matrices[name] = m
+            copies.append(dataclasses.replace(g, **matrices))
+        assert (dataset_fingerprint(copies[0], 0)
+                == dataset_fingerprint(copies[1], 0)
+                == dataset_fingerprint(g, 0))
+
+    def test_features_and_weights_change_the_hash(self):
+        g = generate_synthetic(SyntheticConfig(community_size=10, seed=3))
+        heavier = g.adjacency.copy()
+        heavier.data = heavier.data * 2.0
+        hashes = {dataset_fingerprint(g, 0), dataset_fingerprint(g, 8),
+                  dataset_fingerprint(g, 16),
+                  dataset_fingerprint(dataclasses.replace(
+                      g, adjacency=heavier), 0)}
+        assert len(hashes) == 4
+
+
 def _rewrite_checkpoint(src, dst, edit):
     with np.load(src) as data:
         arrays = dict(data)
@@ -474,6 +558,10 @@ BROKEN_CHECKPOINTS = {
                   "unsupported checkpoint version 3"),
     "version_4": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_4),
                   "unsupported checkpoint version 4"),
+    # version 5 had this layout, but fingerprinted the dataset's files
+    "version_5": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: meta.update(version=5)),
+        "unsupported checkpoint version 5 (this build reads version 6)"),
     "missing_weight_key": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: meta["weight_keys"].remove("w1_node")),
         "w1_node"),
@@ -746,8 +834,8 @@ def test_csv_fields_with_commas_keep_the_header_width(tmp_path, monkeypatch):
 # no numpy warning and no ResourceWarning. A case's argv is its
 # subcommand's good argv, then its dataset flags (EASY when None), then its
 # own flags; "{tmp}" is the case's scratch directory. eval and case-study
-# hash the dataset files before they parse them, so a file that no longer
-# parses is a fingerprint mismatch for them.
+# parse the dataset before they hash the graph, so a file that does not
+# parse is a parse error for them too.
 GOOD_ARGV = {
     "stats": ["stats"],
     "train": ["train", "--epochs", "2", "--hidden", "8", "--out", "{tmp}/t"],
@@ -759,7 +847,6 @@ GOOD_ARGV = {
                    "--labels-list", "home0", "--correlation-out", "{tmp}/c.csv"],
 }
 ALL = tuple(GOOD_ARGV)
-READS_FILES = ("stats", "train", "sweep")
 CHECKPOINT = ("eval", "case-study")
 
 
@@ -772,9 +859,9 @@ EXIT_CONTRACT = {
     "missing_file": (EXIT_IO, _files("absent", "absent"),
                      dict.fromkeys(ALL, [])),
     "edge_parse_error": (EXIT_IO, _files("broken", "labels"),
-                         dict.fromkeys(READS_FILES, [])),
+                         dict.fromkeys(ALL, [])),
     "label_parse_error": (EXIT_IO, _files("edges", "broken"),
-                          dict.fromkeys(READS_FILES, [])),
+                          dict.fromkeys(ALL, [])),
     "bad_flag_value": (EXIT_USAGE, None, {
         "stats": ["--seed", "x"], "train": ["--variant", "gcn"],
         "eval": ["--rule", "bogus"], "sweep": ["--optimizer", "sgd"],

@@ -226,10 +226,35 @@ class TestPrecomputedProduct:
         assert np.array_equal(ref_cache.weight_input, product)
 
     def test_rejected_with_a_dropout_draw(self):
+        # refused up front, before any layer draws
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="dropout"):
-            gcn_layer_forward(self.op, self.h, self.w, dropout=0.5,
-                              training=True, rng=np.random.default_rng(0),
+            forward_stack([(self.op, "w0")], self.h, {"w0": self.w},
+                          dropout=0.5, training=True, rng=rng,
+                          propagated=spmm(self.op, self.h))
+        assert rng.bit_generator.state == state
+
+    def test_rejected_by_other_first_layers(self):
+        # a narrowing W multiplies first, and a sparse input always does
+        narrow = np.random.default_rng(13).standard_normal((3, 1))
+        assert not propagates_first(self.op.shape, self.op.nnz, narrow.shape)
+        for h, w in ((self.h, narrow), (None, narrow),
+                     (SparseMatrix(sp.csr_array(self.h)), self.w)):
+            with pytest.raises(ValueError, match="precomputed"):
+                forward_stack([(self.op, "w0")], h, {"w0": w}, dropout=0.0,
+                              training=False, rng=None,
                               propagated=spmm(self.op, self.h))
+
+    def test_multiplied_by_a_narrowing_w(self):
+        # without it this layer would multiply W first
+        narrow = np.random.default_rng(13).standard_normal((3, 1))
+        assert not propagates_first(self.op.shape, self.op.nnz, narrow.shape)
+        product = spmm(self.op, self.h)
+        out, cache = gcn_layer_forward(self.op, self.h, narrow,
+                                       propagated=product)
+        assert cache.propagated_first and cache.weight_input is product
+        assert np.array_equal(out, np.maximum(product @ narrow, 0.0))
 
     def test_eval_mode_with_dropout_accepts_it(self):
         product = spmm(self.op, self.h)

@@ -643,23 +643,15 @@ class TestFirstLayerReuse:
         self.model = init_model(self.g, self.cfg)
 
     def truncated_products(self, monkeypatch):
-        """Operators of every first-layer product: each spmm shaped like a
-        view's truncated operator, and each operator `_propagate` streams
-        (whose column-block products add into one output)."""
+        """Operators of every first-layer product: `_propagate` makes each
+        one, whole or over row blocks."""
         import mlgcn.kernels as kernels
-        shapes = {self.ops.node.truncated.shape, self.ops.label.truncated.shape}
-        calls, spmm, propagate = [], kernels.spmm, kernels._propagate
+        calls, propagate = [], kernels._propagate
 
-        def counting(s, d, out=None):
-            if s.shape in shapes and out is None:
-                calls.append(s)
-            return spmm(s, d, out)
-
-        def streaming(op, *args):
+        def counting(op, *args):
             calls.append(op)
             return propagate(op, *args)
-        monkeypatch.setattr(kernels, "spmm", counting)
-        monkeypatch.setattr(kernels, "_propagate", streaming)
+        monkeypatch.setattr(kernels, "_propagate", counting)
         return calls
 
     @pytest.mark.parametrize("view", ["label", "node"])
@@ -704,6 +696,23 @@ class TestFirstLayerReuse:
         assert calls == [other.node.truncated]
         assert other_caches[0].weight_input is not caches[0].weight_input
         assert np.array_equal(again, logits)
+
+    def test_handed_product_refused_when_w_multiplies_first(self):
+        # at hidden 2 over 50-wide features the node view's first layer
+        # multiplies W first: handed a product, it would read only the
+        # NaN stand-in of its input
+        from mlgcn.kernels import spmm
+        g = generate_synthetic(SyntheticConfig(communities=4,
+                                               community_size=5))
+        ops = build_operators(g)
+        cfg = TrainConfig(hidden_dim=2, feature_dim=50, dropout=0)
+        model = init_model(g, cfg)
+        product = spmm(ops.node.truncated, node_view_input(model))
+        with pytest.raises(ValueError, match="precomputed"):
+            forward_node_gcn(ops, model, cfg, propagated=product)
+        logits, caches = forward_node_gcn(ops, model, cfg)
+        assert not caches[0].propagated_first
+        assert np.all(np.isfinite(logits))
 
     @pytest.mark.parametrize("freq_n,freq_m", [(10, 10), (2, 3)])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
