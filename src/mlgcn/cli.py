@@ -45,6 +45,8 @@ EXIT_FINGERPRINT = 3
 EXIT_BAD_REF = 4
 EXIT_USAGE = 64
 
+_TSV_BLOCK_ROWS = 1024  # embedding rows rendered per write
+
 
 class UsageError(Exception):
     pass
@@ -216,13 +218,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_atomic(path: str, text: str):
-    # written beside `path` and renamed over it; a failed write leaves
+def write_atomic(path: str, text):
+    # `text` is one string or an iterable of strings, written in order;
+    # written beside `path` and renamed over it, so a failed write leaves
     # `path` as it was and removes what it wrote
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for piece in [text] if isinstance(text, str) else text:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -251,11 +255,16 @@ def _write_csv(path: str, header: list, rows):
 
 
 def write_embeddings_tsv(path: str, node_ids, embeddings: np.ndarray):
-    # "%.17g" renders a float exactly as _fmt does
+    # "%.17g" renders a float exactly as _fmt does; rows are rendered
+    # `_TSV_BLOCK_ROWS` at a time, so no whole-table text is ever held
     row = "\t".join(["%.17g"] * embeddings.shape[1])
-    lines = [f"{node}\t{row % tuple(values)}"
-             for node, values in zip(node_ids, embeddings.tolist())]
-    write_atomic(path, "\n".join(lines) + "\n")
+
+    def pieces():
+        for a in range(0, len(embeddings), _TSV_BLOCK_ROWS):
+            b = a + _TSV_BLOCK_ROWS
+            yield "".join(f"{node}\t{row % tuple(values)}\n" for node, values
+                          in zip(node_ids[a:b], embeddings[a:b].tolist()))
+    write_atomic(path, pieces())
 
 
 def _report_dict(report) -> dict:

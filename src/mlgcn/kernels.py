@@ -83,7 +83,8 @@ class LayerCache:
     `pre_activation` keeps its name but holds the rectified output for a
     relu layer: backward reads only where z > 0, and relu(z) > 0 marks
     exactly those entries, NaN and -0.0 included. The same array is the
-    layer's return value, so nothing may write into either.
+    layer's return value. `backward_stack` consumes the cache, and may
+    write into a spent `weight_input` above a stack's first layer.
     """
 
     op: SparseMatrix
@@ -362,17 +363,22 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
     flows into the input features.
 
     The ReLU gate, the dropout mask and then its 1/(1-p) are applied in
-    place, but only to gradient arrays made here: `d_out` and the caches
-    are read, never written. Each layer's temporaries are dropped before
-    the next layer.
+    place; `d_out` is never written. The caches are consumed: each is
+    popped once its layer is done, and above the first layer the gradient
+    for the layer below goes into the spent ``weight_input`` (gated first
+    if it is that layer's output), so neither the first ``weight_input``
+    nor the stack's output is written.
     """
-    g, owned = d_out, False
-    for idx in range(len(caches) - 1, -1, -1):
-        cache = caches[idx]
+    if not caches:
+        raise ValueError("missing forward cache")
+    g, owned, gate = d_out, False, None
+    while caches:
+        cache = caches.pop()
         if cache.activation == "relu":
             # the cache holds relu(z), positive exactly where z is
-            g = np.multiply(g, cache.pre_activation > 0.0,
-                            out=g if owned else None)
+            g = np.multiply(g, cache.pre_activation > 0.0 if gate is None
+                            else gate, out=g if owned else None)
+        gate = None
         # gradient w.r.t. the product weight_input @ W
         d_prod = g if cache.propagated_first else spmm(cache.op.T, g)
         del g
@@ -381,9 +387,11 @@ def backward_stack(caches: list[LayerCache], d_out: np.ndarray,
             grads[cache.weight_key] += dw
         else:
             grads[cache.weight_key] = dw
-        if idx == 0:
+        if not caches:
             break
-        g = d_prod @ cache.weight.T
+        if cache.weight_input is caches[-1].pre_activation:
+            gate = cache.weight_input > 0.0
+        g = np.matmul(d_prod, cache.weight.T, out=cache.weight_input)
         del d_prod
         if cache.propagated_first:
             g = spmm(cache.op.T, g)
@@ -399,9 +407,10 @@ def backward(label_caches: list[LayerCache] | None,
              d_node_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of the collective loss w.r.t. every trainable weight.
 
-    `label_caches` is None when the model has no label stack.
+    `label_caches` is None when the model has no label stack. Both lists
+    are consumed (see `backward_stack`).
     """
-    if node_caches is None or (label_caches is not None and not label_caches):
+    if not node_caches or (label_caches is not None and not label_caches):
         raise ValueError("missing forward cache")
     grads: dict[str, np.ndarray] = {}
     if label_caches is not None:

@@ -285,16 +285,26 @@ def _label_input(model: ModelState):
     return write
 
 
+def _node_input(model: ModelState, config: TrainConfig):
+    """The node view's input: the raw node features over the injected
+    label block, or, without a label stack, the raw node features alone."""
+    blocks = [model.node_features]
+    if layer_table(config)["label"]:
+        blocks.append(model.label_block)
+    return _stacked(blocks)
+
+
 def _forward_view(operators: GraphOperators, model: ModelState,
                   config: TrainConfig, view: str, build_input,
                   training: bool, propagated: np.ndarray | None
                   ) -> tuple[np.ndarray, list[LayerCache]]:
     """Walk one view's stack over the input that `build_input()` makes,
-    or, handed the first layer's ``op @ H`` in `propagated`, over none."""
-    h = build_input() if propagated is None else None
-    return forward_stack(_stack(operators, config, view), h, model.weights,
-                         config.dropout, training, model.dropout_rng,
-                         propagated)
+    or, handed the first layer's ``op @ H`` in `propagated`, over none.
+    The input goes straight into the call: no local here outlives its use."""
+    return forward_stack(_stack(operators, config, view),
+                         build_input() if propagated is None else None,
+                         model.weights, config.dropout, training,
+                         model.dropout_rng, propagated)
 
 
 def forward_label_gcn(operators: GraphOperators, model: ModelState,
@@ -310,17 +320,15 @@ def forward_label_gcn(operators: GraphOperators, model: ModelState,
 
 def forward_node_gcn(operators: GraphOperators, model: ModelState,
                      config: TrainConfig, training: bool = False, *,
-                     propagated: np.ndarray | None = None
+                     propagated: np.ndarray | None = None,
+                     h: SparseMatrix | None = None
                      ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Node-view logits (n x m): from the raw node features over the
-    injected label block, or, for a model without a label stack (the
-    plain-GCN baseline), from the raw node features alone. `propagated` is
-    as for `forward_label_gcn`."""
-    blocks = [model.node_features]
-    if layer_table(config)["label"]:
-        blocks.append(model.label_block)
+    """Node-view logits (n x m) from `_node_input`. `propagated` is as for
+    `forward_label_gcn`; `h`, if given, is a sparse input that
+    `_node_input` built from the model's current blocks."""
     return _forward_view(operators, model, config, "node",
-                         lambda: _stacked(blocks), training, propagated)
+                         lambda: _node_input(model, config) if h is None
+                         else h, training, propagated)
 
 
 def inject_node_features(model: ModelState, node_logits: np.ndarray) -> np.ndarray:
@@ -431,7 +439,9 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     A view's first-layer ``op @ H`` changes only with its input, at an
     injection into that view. So each forward that draws no dropout is
     handed the product of its view's last such forward, and builds no
-    input, until an injection into the view drops that product.
+    input, until an injection into the view drops that product. A sparse
+    node-view input is built once per label block and handed to every
+    node forward; one that draws dropout masks a copy.
     """
     if split.train_nodes.size == 0:
         raise ValueError("no labeled nodes")
@@ -449,12 +459,16 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     embeddings = None
     node_forward = None  # (logits, caches) of the next node training forward
     products = {}  # view -> its first-layer op @ H, while its input holds
+    # the node view's one-hot input, rebuilt at each label injection
+    node_input = (_node_input(model, config)
+                  if sp.issparse(model.node_features) else None)
 
     def forward(view, training):
         drawn = training and config.dropout > 0.0
         fn = forward_label_gcn if view == "label" else forward_node_gcn
         out, caches = fn(operators, model, config, training=training,
-                         propagated=None if drawn else products.get(view))
+                         propagated=None if drawn else products.get(view),
+                         **({"h": node_input} if view == "node" else {}))
         if not drawn and caches[0].propagated_first:
             products[view] = caches[0].weight_input
         return out, caches
@@ -485,8 +499,16 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
             if epoch % config.update_freq_labels == 0 and not skip:
                 inject_label_features(model, label_logits)
                 products.pop("node", None)
+                if node_input is not None:
+                    node_input = _node_input(model, config)
 
         d_node = multi_label_loss_grad(node_logits, node_targets, train_mask)
+        # backward empties the cache lists; this keeps the caches until
+        # the step is done. Freed inside backward, they let the first
+        # step's Adam moments fill their holes, and glibc then trimmed and
+        # faulted back the heap above every epoch (about 10 MB an epoch on
+        # onehot_train, in half of its seeds)
+        spent = [*(label_caches or ()), *node_caches]
         try:
             grads = backward(label_caches, d_label, node_caches, d_node)
             sgd_step(model, grads, config, optimizer)
@@ -494,7 +516,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
             raise DivergenceError(epoch, str(exc)) from exc
         # spent: freeing them here keeps them out of the validation forward
         # and out of the next epoch's forwards, where memory peaks
-        del label_caches, node_caches, grads
+        del label_caches, node_caches, grads, spent
 
         if split.val_nodes.size:
             embeddings, caches = forward("node", training=False)

@@ -665,6 +665,49 @@ class TestFailedWrites:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+class TestStreamedWriter:
+    """`write_embeddings_tsv` renders rows in blocks and hands them to
+    `write_atomic` as pieces, which it writes in order."""
+
+    def test_blocks_give_the_whole_table_bytes(self, tmp_path, monkeypatch):
+        import mlgcn.cli as cli
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((10, 4)) * 10.0 ** rng.integers(
+            -300, 300, size=(10, 4))
+        table[0, :2] = [-0.0, np.nan]
+        ids = tuple(f"n{i}" for i in range(10))
+        # the whole-table rendering the writer had before it streamed
+        row = "\t".join(["%.17g"] * 4)
+        whole = "\n".join(f"{node}\t{row % tuple(values)}"
+                          for node, values in zip(ids, table.tolist())) + "\n"
+        monkeypatch.setattr(cli, "_TSV_BLOCK_ROWS", 3)
+        pieces = []
+        real = cli.write_atomic
+
+        def recording(path, text):
+            text = list(text)
+            pieces.extend(text)
+            real(path, iter(text))
+        monkeypatch.setattr(cli, "write_atomic", recording)
+        path = tmp_path / "embeddings.tsv"
+        cli.write_embeddings_tsv(str(path), ids, table)
+        assert path.read_bytes() == whole.encode("utf-8")
+        assert [piece.count("\n") for piece in pieces] == [3, 3, 3, 1]
+
+    def test_pieces_that_raise_keep_the_old_file(self, tmp_path):
+        from mlgcn.cli import write_atomic
+        path = tmp_path / "out.txt"
+        write_atomic(str(path), "old\n")
+
+        def pieces():
+            yield "new first piece\n"
+            raise OSError("no space left on device")
+        with pytest.raises(OSError, match="no space"):
+            write_atomic(str(path), pieces())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 class TestSweep:
     def test_grid_rows_with_std(self, tmp_path):
         out = tmp_path / "sweep"

@@ -578,9 +578,49 @@ class TestBackward:
         dl = single_label_loss_grad(z, np.eye(ol.shape[0]))
         dn = multi_label_loss_grad(ov, y, mask)
         g1 = backward(lc, dl, nc, dn)
+        # backward consumes its caches: the second call gets a fresh forward
+        *_, lc, nc = run_forward(
+            op_node, op_node_sq, op_label, op_label_sq, feats, weights, y, mask)
         g2 = backward(lc, 2.0 * dl, nc, 2.0 * dn)
         for key in g1:
             assert np.allclose(2.0 * g1[key], g2[key], atol=1e-12)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_consumed_caches_fail_loudly(self, dropout):
+        # backward consumes both cache lists, writes neither the first
+        # layers' input products nor the stacks' outputs, and a second call
+        # on the same lists raises a one-line ValueError
+        rng = np.random.default_rng(4)
+        n, m, d, hidden = 30, 4, 3, 12
+        x = rng.standard_normal((n + m, d))
+        weights, outs, stacks, upstream = {}, {}, {}, {}
+        for view, rows in (("label", m), ("node", n)):
+            layers = [(random_op(rng, rows, n + m), f"w0_{view}"),
+                      (random_op(rng, rows, rows), f"w1_{view}")]
+            weights[f"w0_{view}"] = rng.standard_normal((d, hidden))
+            weights[f"w1_{view}"] = rng.standard_normal((hidden, m))
+            outs[view], stacks[view] = forward_stack(
+                layers, x, weights, dropout, True, np.random.default_rng(5))
+            assert stacks[view][0].propagated_first
+            upstream[view] = rng.standard_normal((rows, m))
+        kept = [a for view in stacks
+                for a in (outs[view], stacks[view][0].weight_input)]
+        kept_bytes = [a.tobytes() for a in kept]
+        grads = backward(stacks["label"], upstream["label"], stacks["node"],
+                         upstream["node"])
+        assert set(grads) == set(weights)
+        assert stacks == {"label": [], "node": []}
+        assert [a.tobytes() for a in kept] == kept_bytes
+        again = [
+            lambda: backward(stacks["label"], upstream["label"],
+                             stacks["node"], upstream["node"]),
+            lambda: backward(None, None, stacks["node"], upstream["node"]),
+            lambda: backward_stack(stacks["node"], upstream["node"], {}),
+        ]
+        for call in again:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == "missing forward cache"
 
     def test_dropout_mask_replayed_from_cache(self):
         rng = np.random.default_rng(9)
@@ -687,11 +727,6 @@ def stored_bytes(a):
     return a.data.tobytes() if sp.issparse(a) else a.tobytes()
 
 
-def cache_bytes(caches):
-    return [tuple(map(stored_bytes, (c.weight_input, c.pre_activation,
-                                     c.mask, c.weight))) for c in caches]
-
-
 class TestInPlaceTemporaries:
     """The rectifier, the backward gates, the dropout masks and the sparse
     row-block draws work in place, and give the out-of-place bits."""
@@ -756,7 +791,9 @@ class TestInPlaceTemporaries:
                                       activations, dropout, training)
         if dropout and training and len(widths) > 2:
             assert caches[-1].mask is not None
-        kept, d_out = cache_bytes(caches), upstream.tobytes()
+        d_out = upstream.tobytes()
+        kept = [caches[0].weight_input, caches[-1].pre_activation]
+        kept_bytes = list(map(stored_bytes, kept))
         grads, ref_grads = {}, {}
         backward_stack(caches, upstream, grads)
         reference_backward_stack(ref_caches, upstream.copy(), ref_grads)
@@ -764,7 +801,12 @@ class TestInPlaceTemporaries:
         for key in grads:
             assert grads[key].tobytes() == ref_grads[key].tobytes()
         assert upstream.tobytes() == d_out
-        assert cache_bytes(caches) == kept
+        # the caches are consumed, but the first layer's input product
+        # and the stack's output are never written
+        assert caches == []
+        assert list(map(stored_bytes, kept)) == kept_bytes
+        with pytest.raises(ValueError, match="missing forward cache"):
+            backward_stack(caches, upstream, {})
 
     def test_gate_of_nan_and_signed_zeros(self):
         # z holds NaN, both zeros and both signs; relu(z) > 0 marks z > 0
@@ -866,12 +908,13 @@ class TestInPlaceTemporaries:
         assert x.tobytes() == before
 
     # the peaks a training forward, and then `backward`, reach over their
-    # inputs, in n x hidden float64 arrays: calibrated at 3.31 and 4.42
-    # with dropout 0.5 and at 1.31 and 2.42 without (5.31 and 6.45, 2.31
-    # and 4.45 when every step took a fresh array), so one more n x hidden
-    # copy in either breaks its bound
-    @pytest.mark.parametrize("dropout,bounds", [(0.5, (3.75, 5.0)),
-                                                (0.0, (1.75, 3.0))])
+    # inputs, in n x hidden float64 arrays: calibrated at 2.44 and 2.44
+    # with dropout 0.5 and at 1.31 and 1.44 without (2.44 and 3.55, 1.31
+    # and 2.42 while backward allocated each input gradient anew; 5.31 and
+    # 6.45, 2.31 and 4.45 when every step took a fresh array), so one more
+    # n x hidden copy in either breaks its bound
+    @pytest.mark.parametrize("dropout,bounds", [(0.5, (2.75, 2.75)),
+                                                (0.0, (1.75, 1.75))])
     def test_memory_guard(self, dropout, bounds):
         n, d, hidden, m = 3000, 64, 256, 8
         rng = np.random.default_rng(0)
@@ -887,15 +930,40 @@ class TestInPlaceTemporaries:
             _, caches = forward_stack(list(zip(ops, weights)), x, weights,
                                       dropout, True, np.random.default_rng(2))
             forward_peak = tracemalloc.get_traced_memory()[1]
+            orders = [c.propagated_first for c in caches]
             tracemalloc.reset_peak()
             backward(None, None, caches, upstream)
             backward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert caches[0].propagated_first and not caches[1].propagated_first
+        assert orders == [True, False]
         unit = n * hidden * 8
         assert (forward_peak - base) / unit <= bounds[0]
         assert (backward_peak - base) / unit <= bounds[1]
+
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_backward_allocates_under_one_activation(self, dropout):
+        # backward writes each input gradient into the activation it is
+        # done with, so what it allocates stays below one n x hidden array
+        n, d, hidden, m = 3000, 64, 256, 8
+        rng = np.random.default_rng(1)
+        ops = [SparseMatrix(sp.random(n, n, density=0.002, random_state=k,
+                                      format="csr")) for k in range(2)]
+        weights = {"w0": rng.standard_normal((d, hidden)),
+                   "w1": rng.standard_normal((hidden, m))}
+        x = rng.standard_normal((n, d))
+        upstream = rng.standard_normal((n, m))
+        _, caches = forward_stack(list(zip(ops, weights)), x, weights,
+                                  dropout, True, np.random.default_rng(2))
+        assert [c.propagated_first for c in caches] == [True, False]
+        tracemalloc.start()
+        try:
+            backward(None, None, caches, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * hidden * 8
 
 
 class TestStreamedFirstLayer:
@@ -1026,7 +1094,8 @@ class TestStreamedFirstLayer:
             top.mask / (1.0 - p), top.activation, top.weight_key,
             top.propagated_first)]
         grads, want = {}, {}
-        backward_stack(caches, upstream, grads)
+        # the reference first: backward_stack consumes the caches it shares
         reference_backward_stack(floats, upstream, want)
+        backward_stack(caches, upstream, grads)
         for key in weights:
             assert grads[key].tobytes() == want[key].tobytes()

@@ -785,6 +785,28 @@ class TestSparseInput:
         x, _ = input_features(5, 2, TrainConfig(feature_dim=3))
         assert isinstance(x, np.ndarray)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_node_input_built_once_per_label_injection(self, monkeypatch,
+                                                       dropout):
+        # train keeps the node view's sparse [X; label block] until a label
+        # injection replaces the block; a forward that draws masks a copy
+        g = small_graph(seed=33)
+        split = split_dataset(g, 0.25, seed=33)
+        assert split.val_nodes.size
+        built, stacked = [], training._stacked
+
+        def recording(blocks):
+            built.append(blocks[0].shape[0])
+            return stacked(blocks)
+        monkeypatch.setattr(training, "_stacked", recording)
+        epochs, freq_m = 7, 3
+        cfg = small_config(epochs=epochs, dropout=dropout, update_freq_nodes=2,
+                           update_freq_labels=freq_m)
+        train(g, split, cfg)
+        # the node view's blocks start with X's n rows, the label view's
+        # with Y's m
+        assert built.count(g.node_count) == 1 + len(range(0, epochs, freq_m))
+
     def test_view_inputs_stack_sparse_until_injected(self, monkeypatch):
         g = small_graph(seed=31)
         n, m = g.node_count, g.label_count
