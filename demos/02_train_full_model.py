@@ -29,7 +29,7 @@ for epoch in (0, 1, 25, 50, 100, 150, 200, 250, 299):
 decrease = 1.0 - history.total_loss[-1] / history.total_loss[0]
 print(f"\ntraining loss decreased {decrease:.1%} over {config.epochs} epochs")
 
-truth = graph.label_assignments.to_dense()
+truth = graph.label_indicators()
 for rule in ("top_k_true", "threshold"):
     report = evaluate(result.embeddings, truth, split.test_nodes, rule=rule)
     print(f"test {report.decision_rule}: micro-F1 {report.micro_f1:.4f}, "

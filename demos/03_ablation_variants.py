@@ -27,7 +27,7 @@ scores = {v: {"micro": [], "macro": []} for v in VARIANTS}
 for seed in SEEDS:
     graph = generate_synthetic(SyntheticConfig(seed=seed))
     split = split_dataset(graph, alpha=0.2, seed=seed)
-    truth = graph.label_assignments.to_dense()
+    truth = graph.label_indicators()
     for variant in VARIANTS:
         result = train(graph, split, TrainConfig(seed=seed, variant=variant))
         report = evaluate(result.embeddings, truth, split.test_nodes)

@@ -14,7 +14,7 @@ from mlgcn import (SyntheticConfig, TrainConfig, evaluate,
 seed = 1
 graph = generate_synthetic(SyntheticConfig(seed=seed))
 split = split_dataset(graph, alpha=0.2, seed=seed)
-truth = graph.label_assignments.to_dense()
+truth = graph.label_indicators()
 
 corr = label_correlation_matrix(graph.label_assignments)
 print("pair-wise label correlation matrix (unit diagonal, scaled to [0,1]):")

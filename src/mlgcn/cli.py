@@ -23,11 +23,13 @@ import io
 import itertools
 import json
 import os
+import platform
 import sys
 import time
 import typing
 
 import numpy as np
+import scipy
 
 from .datasets import (ParseError, SyntheticConfig, dataset_stats,
                        generate_synthetic, load_dataset)
@@ -267,6 +269,31 @@ def write_embeddings_tsv(path: str, node_ids, embeddings: np.ndarray):
     write_atomic(path, pieces())
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set so far, in MiB; None on a platform
+    without `resource`."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _numeric_environment() -> dict:
+    """What a run's bits depend on besides its inputs: the numpy, scipy and
+    BLAS builds, and the thread-count variables that BLAS reads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):  # numpy before 1.25 has no mode="dicts"
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas,
+            "threads": {k: v for k, v in sorted(os.environ.items())
+                        if k.endswith("_NUM_THREADS")}}
+
+
 def _report_dict(report) -> dict:
     return {
         "micro_f1": report.micro_f1,
@@ -342,6 +369,13 @@ def cmd_train(args) -> int:
         },
         "split_sizes": split.sizes(),
         "wall_clock_seconds": time.perf_counter() - t_start,
+        # what the run's memory went to, read after every other artifact
+        "memory": {
+            "peak_rss_mb": _peak_rss_mb(),
+            "feature_dim": result.model.node_features.shape[1],
+            "operators": result.operator_sizes,
+        },
+        "environment": _numeric_environment(),
     }
     write_atomic(paths["manifest"], json.dumps(manifest, indent=2) + "\n")
     print(f"final total loss {result.history.total_loss[-1]:.6f}; "
@@ -366,7 +400,7 @@ def _checkpoint_scores(args):
             f"m={graph.label_count} (fingerprint {actual[:12]})")
     split = split_dataset(graph, config.train_ratio, config.seed)
     return (config, graph, split, _final_scores(model, config, graph),
-            graph.label_assignments.to_dense())
+            graph.label_indicators())
 
 
 def _final_scores(model, config, graph) -> np.ndarray:
@@ -474,7 +508,7 @@ def cmd_sweep(args) -> int:
                 result = train(run_graph, split, config, rule=rule,
                                threshold=threshold)
                 rep = evaluate(result.embeddings,
-                               run_graph.label_assignments.to_dense(),
+                               run_graph.label_indicators(),
                                split.test_nodes, rule=rule, threshold=threshold)
                 micro.append(rep.micro_f1)
                 macro.append(rep.macro_f1)

@@ -162,11 +162,12 @@ class _Index(dict):
 
 
 def _codes(index: _Index, ids: list[str]) -> np.ndarray:
-    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    # int32, the index dtype of any graph with fewer than 2**31 nodes
+    return np.fromiter(map(index.__getitem__, ids), np.int32, len(ids))
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
 
 
 def _text(stream: TextIO | str) -> str:
@@ -225,10 +226,11 @@ def parse_edge_list(stream: TextIO | str, node_index: dict[str, int],
     """Parse an edge file into undirected weighted records.
 
     Node ids get indices through `node_index`, new ids appended in order of
-    first appearance. Returns (src, dst, weight) arrays, one entry per line
-    that is not a self-loop; a missing weight defaults to 1.0. Repeated
-    pairs stay repeated here: `_assemble_graph` sums them. The stream is
-    read whole; a regular one (see `_regular_tokens`) is parsed in bulk.
+    first appearance. Returns (src, dst, weight) arrays, int32, int32 and
+    float64, one entry per line that is not a self-loop; a missing weight
+    defaults to 1.0. Repeated pairs stay repeated here: `_assemble_graph`
+    sums them. The stream is read whole; a regular one (see
+    `_regular_tokens`) is parsed in bulk.
     """
     text = _text(stream)
     bulk = _bulk_edges(text, node_index, delimiter)
@@ -253,15 +255,15 @@ def parse_edge_list(stream: TextIO | str, node_index: dict[str, int],
         src.append(index(a, len(node_index)))
         dst.append(index(b, len(node_index)))
         weight.append(w)
-    return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+    return (np.array(src, dtype=np.int32), np.array(dst, dtype=np.int32),
             np.array(weight, dtype=np.float64))
 
 
 def parse_label_assignments(stream: TextIO | str, node_index: dict[str, int],
                             label_index: dict[str, int],
                             delimiter: str | None = None):
-    """Parse a label file into (node, label) index arrays, one entry per
-    line, with ids indexed through `node_index` and `label_index` as in
+    """Parse a label file into (node, label) int32 index arrays, one entry
+    per line, with ids indexed through `node_index` and `label_index` as in
     `parse_edge_list`, which also reads its stream."""
     text = _text(stream)
     bulk = _bulk_labels(text, node_index, label_index, delimiter)
@@ -273,7 +275,7 @@ def parse_label_assignments(stream: TextIO | str, node_index: dict[str, int],
     for _, (v, lab) in _records(text, delimiter, (2,)):
         nodes.append(node(v, len(node_index)))
         labels.append(label(lab, len(label_index)))
-    return np.array(nodes, dtype=np.int64), np.array(labels, dtype=np.int64)
+    return np.array(nodes, dtype=np.int32), np.array(labels, dtype=np.int32)
 
 
 def _assemble_graph(node_ids, label_ids, edges, pairs) -> MultiLabelGraph:

@@ -33,6 +33,12 @@ class MultiLabelGraph:
     node_ids: tuple[str, ...] = field(repr=False)
     label_ids: tuple[str, ...] = field(repr=False)
 
+    def label_indicators(self) -> np.ndarray:
+        """The label assignments as a dense n x m bool array, True at each
+        stored entry, made without a float64 dense copy; float arithmetic
+        reads True and False as exactly 1.0 and 0.0."""
+        return self.label_assignments.astype(bool).toarray()
+
 
 @dataclass(frozen=True)
 class DataSplit:

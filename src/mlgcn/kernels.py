@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .matrices import SparseMatrix
+from .matrices import SparseMatrix, index_array
 
 __all__ = [
     "LayerCache", "spmm", "relu", "sigmoid", "propagates_first",
@@ -270,12 +270,14 @@ def single_label_loss_grad(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def multi_label_loss(o: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
-    """Summed binary cross-entropy on logits over the masked node rows.
+    """Summed binary cross-entropy on logits over the node rows that the
+    integer array `mask` lists (a bool mask raises ValueError). `targets`
+    may be float or bool indicators.
 
     Each term is (1-y)*o + log(1+exp(-o)), evaluated through the
     overflow-safe split log(1+exp(-o)) = max(-o,0) + log1p(exp(-|o|)).
     """
-    mask = np.asarray(mask, dtype=np.int64)
+    mask = index_array(mask, "mask")
     if mask.size == 0:
         raise ValueError("no labeled nodes")
     om = o[mask]
@@ -286,8 +288,9 @@ def multi_label_loss(o: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> fl
 
 def multi_label_loss_grad(o: np.ndarray, targets: np.ndarray,
                           mask: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the logits: sigmoid(o) - y on masked rows, 0 elsewhere."""
-    mask = np.asarray(mask, dtype=np.int64)
+    """Gradient w.r.t. the logits: sigmoid(o) - y on the rows `mask` lists,
+    0 elsewhere."""
+    mask = index_array(mask, "mask")
     if mask.size == 0:
         raise ValueError("no labeled nodes")
     g = np.zeros_like(o)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .graph import DataSplit, MultiLabelGraph
 from .kernels import sigmoid
-from .matrices import SparseMatrix
+from .matrices import SparseMatrix, index_array
 from .operators import build_label_cooccurrence
 from .rng import rng_stream
 
@@ -94,8 +94,9 @@ def predict_labels(scores: np.ndarray, rule: str = "top_k_true",
 
 def compute_f1(pred: np.ndarray, truth: np.ndarray, subset: np.ndarray,
                decision_rule: str = "") -> EvaluationReport:
-    """Per-label confusion counts over a node subset plus pooled scores."""
-    subset = np.asarray(subset, dtype=np.int64)
+    """Per-label confusion counts over a node subset, an integer index
+    array, plus pooled scores; `truth` may be float or bool indicators."""
+    subset = index_array(subset, "subset")
     if subset.size == 0:
         raise ValueError("empty evaluation subset")
     if pred.shape != truth.shape:
@@ -141,7 +142,7 @@ def evaluate(scores: np.ndarray, truth: np.ndarray, subset: np.ndarray,
     every row and scoring the subset."""
     if np.shape(truth) != np.shape(scores):
         raise ValueError("truth shape must match scores")
-    subset = np.asarray(subset, dtype=np.int64)
+    subset = index_array(subset, "subset")
     rows = np.asarray(truth)[subset]
     pred = predict_labels(scores[subset], rule=rule, truth=rows,
                           threshold=threshold)

@@ -25,7 +25,7 @@ from .matrices import SparseMatrix
 __all__ = [
     "NormalizedOperator", "GraphOperators", "build_label_cooccurrence",
     "build_node_node_label_adj", "build_label_label_node_adj",
-    "normalize_symmetric", "build_operators",
+    "normalize_symmetric", "build_operators", "operator_sizes",
 ]
 
 
@@ -115,3 +115,16 @@ def build_operators(g: MultiLabelGraph, variant: str = "full",
         node=NormalizedOperator(truncated=node_trunc, intra=node_intra),
         cooccurrence=c,
     )
+
+
+def operator_sizes(operators: GraphOperators) -> dict[str, dict[str, int]]:
+    """nnz and index bytes (``indptr`` plus ``indices``) of each view's two
+    propagation operators, keyed ``{view}_{name}``."""
+    sizes = {}
+    for view in ("node", "label"):
+        for name in ("truncated", "intra"):
+            op = getattr(getattr(operators, view), name)
+            sizes[f"{view}_{name}"] = {
+                "nnz": int(op.nnz),
+                "index_bytes": int(op.indptr.nbytes + op.indices.nbytes)}
+    return sizes

@@ -30,7 +30,7 @@ from .kernels import (LayerCache, backward, forward_stack, multi_label_loss,
                       single_label_loss_grad, softmax_rows)
 from .matrices import SparseMatrix
 from .metrics import evaluate
-from .operators import GraphOperators, build_operators
+from .operators import GraphOperators, build_operators, operator_sizes
 from .rng import rng_stream
 
 __all__ = [
@@ -149,13 +149,6 @@ class ModelState:
     label_block: np.ndarray     # attribute features of the node view (starts as raw Y)
     dropout_rng: np.random.Generator
 
-    def node_block(self) -> np.ndarray | SparseMatrix:
-        """The label view's attribute block: the raw X before any node
-        injection, else relu(node_logits @ proj_node), a new n x d array."""
-        if self.node_logits is None:
-            return self.node_features
-        return relu(self.node_logits @ self.projections["proj_node"])
-
 
 @dataclass
 class TrainHistory:
@@ -175,6 +168,7 @@ class TrainResult:
     history: TrainHistory
     embeddings: np.ndarray  # final eval-mode node logits, n x m
     optimizer: _Optimizer   # its step count and Adam moments go into checkpoints
+    operator_sizes: dict[str, dict[str, int]]  # see operators.operator_sizes
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -452,7 +446,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     optimizer = _Optimizer(config)
     history = TrainHistory()
 
-    node_targets = graph.label_assignments.to_dense()
+    node_targets = graph.label_indicators()
     label_targets = np.eye(graph.label_count)
     train_mask = split.train_nodes
     # the last epoch's eval-mode validation forward doubles as the final one
@@ -537,7 +531,8 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     if embeddings is None:
         embeddings, _ = forward("node", training=False)
     return TrainResult(model=model, history=history, embeddings=embeddings,
-                       optimizer=optimizer)
+                       optimizer=optimizer,
+                       operator_sizes=operator_sizes(operators))
 
 
 # -- checkpointing ----------------------------------------------------------

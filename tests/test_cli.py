@@ -13,6 +13,8 @@ from mlgcn.cli import (EXIT_BAD_REF, EXIT_DIVERGED, EXIT_FINGERPRINT, EXIT_IO,
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
 from mlgcn.training import VARIANTS, CheckpointError, TrainConfig, load_checkpoint
 
+from helpers import node_block
+
 EASY = "k=2,size=15,p-intra=0.5,p-inter=0.02,rho=1"
 EASY_TRAIN = ["--synthetic", EASY, "--epochs", "150", "--hidden", "32",
               "--dropout", "0", "--optimizer", "adam", "--lr", "0.02",
@@ -224,6 +226,41 @@ class TestTrain:
         for key in ("checkpoint", "history", "embeddings", "manifest"):
             assert (out / manifest["artifacts"][key].split("/")[-1]).exists()
 
+    @pytest.mark.parametrize("feature_dim", [0, 5])
+    def test_manifest_explains_memory_and_environment(self, tmp_path,
+                                                      monkeypatch,
+                                                      feature_dim):
+        import scipy
+
+        from mlgcn.operators import build_operators
+        monkeypatch.setenv("MLGCN_TEST_NUM_THREADS", "3")
+        out = tmp_path / "o"
+        assert run(["train", "--synthetic", "k=2,size=10", "--epochs", "2",
+                    "--hidden", "8", "--feature-dim", str(feature_dim),
+                    "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        graph = generate_synthetic(parse_synthetic_spec("k=2,size=10", 0))
+        memory = manifest["memory"]
+        assert memory["peak_rss_mb"] > 0
+        assert memory["feature_dim"] == (
+            feature_dim or graph.node_count + graph.label_count)
+        ops = build_operators(graph)
+        assert list(memory["operators"]) == [
+            "node_truncated", "node_intra", "label_truncated", "label_intra"]
+        for key, sizes in memory["operators"].items():
+            view, name = key.split("_")
+            op = getattr(getattr(ops, view), name)
+            # int32 indptr (rows + 1) and indices (nnz)
+            assert sizes == {"nnz": op.nnz,
+                             "index_bytes": 4 * (op.shape[0] + 1 + op.nnz)}
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads"}
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["blas"]
+        assert env["threads"]["MLGCN_TEST_NUM_THREADS"] == "3"
+        assert all(k.endswith("_NUM_THREADS") for k in env["threads"])
+
     def test_adam_checkpoint_keeps_optimizer_state(self, tmp_path):
         out = tmp_path / "o"
         assert run(["train", "--synthetic", "k=2,size=10", "--epochs", "3",
@@ -392,14 +429,14 @@ class TestEval:
                     "--skip-epoch0-injection", "--hidden", "8",
                     "--out", str(out)]) == EXIT_OK
         checkpoint = out / "checkpoint.npz"
-        x = captured["train"].model.node_block()
+        x = node_block(captured["train"].model)
         assert x is captured["train"].model.node_features
         with np.load(checkpoint) as data:  # refuses pickled objects
             assert not ({"node_block", "node_logits", "label_block"}
                         & set(data.files))
         # X is rebuilt and loads back sparse, as training stacks it
         loaded, *_ = load_checkpoint(checkpoint)
-        assert loaded.node_block() is loaded.node_features
+        assert node_block(loaded) is loaded.node_features
         assert run(["eval", "--synthetic", spec, "--checkpoint",
                     str(checkpoint), "--metrics",
                     str(tmp_path / "m.json")]) == EXIT_OK

@@ -443,6 +443,24 @@ class TestMultiLabelLoss:
         with pytest.raises(ValueError, match="no labeled nodes"):
             multi_label_loss(np.zeros((2, 2)), np.zeros((2, 2)), np.array([], dtype=int))
 
+    # a bool mask [False, False, True] used to index rows 0, 0 and 1 (loss
+    # 0.040 instead of row 2's 1.386), and floats were truncated
+    @pytest.mark.parametrize("mask", [[False, False, True], [2.0], [1.5]])
+    def test_loss_refuses_non_integer_masks(self, mask):
+        o = np.array([[4.0], [4.0], [0.0]])
+        y = np.array([[1.0], [1.0], [0.0]])
+        assert multi_label_loss(o, y, [2]) == pytest.approx(np.log(2.0))
+        with pytest.raises(ValueError, match="must hold integers"):
+            multi_label_loss(o, y, mask)
+
+    @pytest.mark.parametrize("mask", [[False, False, True], [2.0], [1.5]])
+    def test_gradient_refuses_non_integer_masks(self, mask):
+        o = np.array([[4.0], [4.0], [0.0]])
+        y = np.array([[1.0], [1.0], [0.0]])
+        assert multi_label_loss_grad(o, y, [2])[2, 0] == 0.5
+        with pytest.raises(ValueError, match="must hold integers"):
+            multi_label_loss_grad(o, y, mask)
+
     def test_matches_naive_sigmoid_oracle(self):
         # the naive formula cancels catastrophically in float64 near |o|=30,
         # so the oracle evaluates it literally in 50-digit decimal arithmetic

@@ -41,6 +41,28 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix.from_coo(2, 2, [0], [-1], [1.0])
 
+    # coordinates were cast: [0.7, 1.2] and [1.9, 0.0] built entries at
+    # (0, 1) and (1, 0), and a bool array read as rows 0 and 1
+    @pytest.mark.parametrize("rows,cols", [
+        ([0.7, 1.2], [1.9, 0.0]), ([0.0, 1.0], [1, 0]),
+        ([0, 1], [False, True]), ([True, False], [1, 0])])
+    def test_rejects_non_integer_coordinates(self, rows, cols):
+        with pytest.raises(ValueError, match="must hold integers"):
+            SparseMatrix.from_coo(2, 2, rows, cols, [1.0, 2.0])
+
+    def test_empty_coordinates_build_an_empty_matrix(self):
+        s = SparseMatrix.from_coo(2, 3, [], [], [])
+        assert s.shape == (2, 3) and s.nnz == 0
+
+    def test_range_checks_before_narrowing(self):
+        # 2**31 narrowed to int32 would wrap to -2**31, and 2**32 to 0
+        for big in (2**31, 2**32):
+            with pytest.raises(ValueError, match="out of range"):
+                SparseMatrix.from_coo(2, 2, [big], [0], [1.0])
+            with pytest.raises(ValueError, match="out of range"):
+                SparseMatrix.from_coo(2, 2, np.array([0], np.uint64),
+                                      np.array([big], np.uint64), [1.0])
+
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError):
             SparseMatrix.from_coo(1, 1, [0], [0], [np.nan])

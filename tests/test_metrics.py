@@ -134,6 +134,15 @@ class TestComputeF1:
         with pytest.raises(ValueError, match="empty evaluation subset"):
             compute_f1(np.zeros((2, 2)), np.zeros((2, 2)), np.array([], dtype=int))
 
+    # a bool subset [False, False, True] used to score rows 0, 0 and 1, with
+    # subset_size 3
+    @pytest.mark.parametrize("subset", [[False, False, True], [2.0], [0.5]])
+    def test_refuses_non_integer_subsets(self, subset):
+        truth = np.array([[1, 0], [1, 0], [0, 1]])
+        assert compute_f1(truth, truth, [2]).subset_size == 1
+        with pytest.raises(ValueError, match="must hold integers"):
+            compute_f1(truth, truth, subset)
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -245,3 +254,11 @@ class TestEvaluate:
                 pred, truth, subset, decision_rule=tag)
         with pytest.raises(ValueError, match="empty evaluation subset"):
             evaluate(scores, truth, np.array([], dtype=int), rule=rule)
+
+    @pytest.mark.parametrize("subset", [[False, False, True], [2.0], [0.5]])
+    def test_refuses_non_integer_subsets(self, subset):
+        truth = np.array([[1, 0], [1, 0], [0, 1]])
+        scores = np.array([[2.0, -1.0], [1.0, 0.0], [0.0, 3.0]])
+        assert evaluate(scores, truth, [2]).subset_size == 1
+        with pytest.raises(ValueError, match="must hold integers"):
+            evaluate(scores, truth, subset)

@@ -20,6 +20,8 @@ from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
 from mlgcn.matrices import SparseMatrix
 from mlgcn.rng import rng_stream
 
+from helpers import node_block
+
 
 def small_graph(seed=0, size=8, rho=0.7):
     return generate_synthetic(SyntheticConfig(communities=2,
@@ -40,7 +42,7 @@ def dense(block):
 
 def label_view_input(model):
     """Raw label features over the injected node block."""
-    return np.vstack([model.label_features, dense(model.node_block())])
+    return np.vstack([model.label_features, dense(node_block(model))])
 
 
 def node_view_input(model):
@@ -155,7 +157,7 @@ class TestInitModel:
         x, y = raw_features(g, cfg)
         assert np.array_equal(model.node_features.toarray(), x.toarray())
         assert np.array_equal(model.label_features, y)
-        assert np.array_equal(model.node_block().toarray(), x.toarray())
+        assert np.array_equal(node_block(model).toarray(), x.toarray())
         assert np.array_equal(model.label_block, y)
 
     def test_weights_take_the_feature_width(self):
@@ -295,7 +297,7 @@ class TestInjections:
         model = init_model(g, small_config())
         inject_node_features(model, np.zeros((g.node_count, g.label_count)))
         inject_label_features(model, np.zeros((g.label_count, g.label_count)))
-        assert np.all(model.node_block() == 0)
+        assert np.all(node_block(model) == 0)
         assert np.all(model.label_block == 0)
 
     def test_hand_product(self):
@@ -308,7 +310,7 @@ class TestInjections:
         assert kept is model.node_logits and kept is not logits
         assert np.array_equal(kept, logits)
         oracle = np.maximum(logits @ model.projections["proj_node"], 0.0)
-        assert np.array_equal(model.node_block(), oracle)
+        assert np.array_equal(node_block(model), oracle)
 
     def test_stacks_keep_raw_primary_blocks(self):
         # each view's input is the raw features, untouched by injections,
@@ -322,7 +324,7 @@ class TestInjections:
         x, y = raw_features(g, cfg)
         label_logits, _ = forward_label_gcn(ops, model, cfg)
         oracle = (ops.label.truncated.to_dense()
-                  @ np.vstack([y, model.node_block()]) @ model.weights["w0_label"])
+                  @ np.vstack([y, node_block(model)]) @ model.weights["w0_label"])
         assert np.abs(label_logits - oracle).max() <= 1e-12
         node_logits, _ = forward_node_gcn(ops, model, cfg)
         hidden = np.maximum(ops.node.truncated.to_dense()
@@ -988,7 +990,7 @@ class TestTrain:
                                                    split.train_nodes))
             sgd_step(model, grads, cfg)
         assert losses == result.history.total_loss
-        assert np.array_equal(model.node_block(), result.model.node_block())
+        assert np.array_equal(node_block(model), node_block(result.model))
         assert np.array_equal(model.label_block, result.model.label_block)
         for key in model.weights:
             assert np.array_equal(model.weights[key], result.model.weights[key])
@@ -1107,7 +1109,7 @@ class TestTrain:
                            update_freq_labels=99, skip_epoch0_injection=True)
         result = train(g, split, cfg)
         x, y = raw_features(g, cfg)
-        assert np.array_equal(result.model.node_block().toarray(), x.toarray())
+        assert np.array_equal(node_block(result.model).toarray(), x.toarray())
         assert np.array_equal(result.model.label_block, y)
 
     def test_large_frequencies_without_skip_fire_only_at_epoch0(self):
@@ -1122,7 +1124,7 @@ class TestTrain:
         node_logits, _ = forward_node_gcn(ops, model0, cfg, training=False)
         label_logits, _ = forward_label_gcn(ops, model0, cfg, training=False)
         assert np.array_equal(
-            result.model.node_block(),
+            node_block(result.model),
             np.maximum(node_logits @ model0.projections["proj_node"], 0.0))
         assert np.array_equal(
             result.model.label_block,
@@ -1135,7 +1137,7 @@ class TestTrain:
         result = train(g, split, cfg)
         assert result.history.label_loss == [0.0] * 4
         x, y = raw_features(g, cfg)
-        assert np.array_equal(result.model.node_block().toarray(), x.toarray())
+        assert np.array_equal(node_block(result.model).toarray(), x.toarray())
         assert np.array_equal(result.model.label_block, y)
 
     def test_node_variant_runs_with_stripped_label_view(self):
@@ -1200,7 +1202,7 @@ class TestCheckpoint:
         for key in result.model.projections:
             assert np.array_equal(model.projections[key],
                                   result.model.projections[key])
-        assert np.array_equal(model.node_block(), result.model.node_block())
+        assert np.array_equal(node_block(model), node_block(result.model))
         assert np.array_equal(model.label_block, result.model.label_block)
         assert np.array_equal(model.node_features.toarray(),
                               result.model.node_features.toarray())
@@ -1275,12 +1277,12 @@ class TestCheckpoint:
             assert loaded.node_logits.dtype == model.node_logits.dtype
             assert loaded.node_logits.shape == model.node_logits.shape
             assert loaded.node_logits.tobytes() == model.node_logits.tobytes()
-            assert (loaded.node_block().tobytes()
-                    == model.node_block().tobytes())
+            assert (node_block(loaded).tobytes()
+                    == node_block(model).tobytes())
         else:
             assert "node_logits" not in files
             assert loaded.node_logits is None
-            assert loaded.node_block() is loaded.node_features
+            assert node_block(loaded) is loaded.node_features
         block, loaded_block = model.label_block, loaded.label_block
         assert (block is not model.label_features) == injected
         if injected:
