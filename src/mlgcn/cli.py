@@ -318,6 +318,7 @@ def cmd_train(args) -> int:
     t_start = time.perf_counter()
 
     graph = build_graph(args, config.seed)
+    load_s = time.perf_counter() - t_start
     fingerprint = dataset_fingerprint(graph, config.feature_dim)
     try:
         split = split_dataset(graph, config.train_ratio, config.seed)
@@ -358,6 +359,8 @@ def cmd_train(args) -> int:
             "delimiter": args.delimiter,
             "feature_dim": args.feature_dim,
             "fingerprint": fingerprint,
+            "source": graph.source,
+            "load_s": load_s,
         },
         "rule": args.rule,
         "seed": config.seed,

@@ -226,6 +226,29 @@ class TestTrain:
         for key in ("checkpoint", "history", "embeddings", "manifest"):
             assert (out / manifest["artifacts"][key].split("/")[-1]).exists()
 
+    def test_manifest_records_where_the_graph_came_from(self, tmp_path):
+        # the first file train parses and writes the graph's sidecar, the
+        # second reads it; history and embeddings are the same bytes
+        (tmp_path / "e").write_text("".join(f"{i},{(i + 1) % 10}\n"
+                                            for i in range(10)))
+        (tmp_path / "l").write_text("".join(f"{i},{'ab'[i % 3 == 0]}\n"
+                                            for i in range(10)))
+        runs = [(["--edges", str(tmp_path / "e"), "--labels",
+                  str(tmp_path / "l")], source)
+                for source in ("parsed", "cache")]
+        runs.append((["--synthetic", "k=2,size=10"], "synthetic"))
+        artifacts = []
+        for i, (data, source) in enumerate(runs):
+            out = tmp_path / f"o{i}"
+            assert run(["train", *data, "--epochs", "2", "--hidden", "8",
+                        "--alpha", "0.5", "--out", str(out)]) == EXIT_OK
+            dataset = json.loads((out / "manifest.json").read_text())["dataset"]
+            assert dataset["source"] == source
+            assert 0 < dataset["load_s"] < 60
+            artifacts.append([(out / name).read_bytes()
+                              for name in ("history.csv", "embeddings.tsv")])
+        assert artifacts[0] == artifacts[1]
+
     @pytest.mark.parametrize("feature_dim", [0, 5])
     def test_manifest_explains_memory_and_environment(self, tmp_path,
                                                       monkeypatch,

@@ -1,5 +1,6 @@
 import io
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -345,6 +346,257 @@ class TestBulkPath:
         assert list(nodes.items()) == list(per_line.items())
         assert list(nodes)[:3] == ["b7", "a0", "b0"]
         assert src[:2].tolist() == [1, 3]
+
+
+SIDECAR = ".mlgcn-graph.npz"
+
+
+class TestDecoding:
+    """Files are read as bytes and decoded as text-mode reading decodes
+    them, but for a leading byte-order mark."""
+
+    @pytest.mark.parametrize("data", [
+        b"a,b\nb,c\n", b"a,b\r\nb,c\r\n", b"a,b\rb,c\r", b"a,b\r\r\nb\n\r",
+        b"\xc3\xa9,x\r", b"", b"\r", b"x\xc2\x85y\xe2\x80\xa8z\n"])
+    def test_as_text_mode(self, data):
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+            assert datasets._decode(data) == fh.read()
+        assert datasets._decode(b"\xef\xbb\xbf" + data) == \
+            datasets._decode(data)
+
+    @pytest.mark.parametrize("data", [b"a,\xff\n", b"\xef\xbb,x\n",
+                                      b"a,\xed\xa0\x80\n"])
+    def test_invalid_utf8_raises_as_text_mode(self, data):
+        with pytest.raises(UnicodeDecodeError):
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        with pytest.raises(UnicodeDecodeError):
+            datasets._decode(data)
+
+    @pytest.mark.parametrize("kind", ["edges", "labels"])
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path,
+                                                         kind):
+        # the mark used to be read into the first id, as a node of its own
+        texts = {"edges": "a,b\nb,c\nc,a\n", "labels": "a,x\nb,y\nc,x\n"}
+        plain = load_text(tmp_path, texts["edges"], texts["labels"])
+        assert dataset_stats(plain) == datasets.DatasetStats(3, 3, 2, 0)
+        for name, text in texts.items():
+            mark = "\ufeff" * (name == kind)
+            (tmp_path / f"bom-{name}").write_text(mark + text,
+                                                  encoding="utf-8")
+        marked = load_dataset(tmp_path / "bom-edges", tmp_path / "bom-labels")
+        _same_graph(marked, plain)
+
+
+def _load_files(tmp_path, edges, labels, delimiter=None):
+    (tmp_path / "e").write_text(edges)
+    (tmp_path / "l").write_text(labels)
+    return load_dataset(tmp_path / "e", tmp_path / "l", delimiter)
+
+
+def _unparsed(monkeypatch):
+    """Make any parse fail, so that a load that returns read the sidecar."""
+    def unused(*args):
+        raise AssertionError("a load with a valid sidecar parsed its files")
+    monkeypatch.setattr(datasets, "_parse_file", unused)
+
+
+class TestGraphCache:
+    """`load_dataset` keeps the parsed graph in `<edge file>.mlgcn-graph.npz`
+    under a key of both files' bytes and the delimiter."""
+
+    @pytest.mark.parametrize("header", [[], ["# header"]],
+                             ids=["bulk", "per_line"])
+    def test_hit_gives_the_parsed_graph(self, tmp_path, monkeypatch,
+                                        header):
+        from mlgcn.cli import dataset_fingerprint
+        edges, labels = _regular_files(seed=7, lines=6000)
+        (tmp_path / "e").write_text("\n".join(header + edges) + "\n")
+        (tmp_path / "l").write_text("\n".join(header + labels) + "\n")
+        parsed = load_dataset(tmp_path / "e", tmp_path / "l")
+        assert parsed.source == "parsed"
+        assert (tmp_path / ("e" + SIDECAR)).is_file()
+        _unparsed(monkeypatch)
+        cached = load_dataset(str(tmp_path / "e"), str(tmp_path / "l"))
+        assert cached.source == "cache"
+        _same_graph(cached, parsed)
+        assert cached.adjacency.indptr.dtype == np.int32
+        for width in (0, 16):
+            assert (dataset_fingerprint(cached, width)
+                    == dataset_fingerprint(parsed, width))
+        assert validate_graph(cached) == []
+
+    @pytest.mark.parametrize("changed", ["e", "l"])
+    def test_same_size_and_mtime_is_still_a_miss(self, tmp_path, changed):
+        # the key is the files' bytes, not their metadata
+        first = _load_files(tmp_path, "a,b\nb,c\n", "a,x\nc,y\n")
+        path = tmp_path / changed
+        stat = os.stat(path)
+        text = path.read_text()
+        path.write_text(text.replace("b", "d") if changed == "e"
+                        else text.replace("y", "x"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(path).st_size == stat.st_size
+        second = load_dataset(tmp_path / "e", tmp_path / "l")
+        assert second.source == "parsed"
+        assert second.node_ids != first.node_ids if changed == "e" \
+            else second.label_ids != first.label_ids
+
+    def test_delimiter_and_label_file_are_part_of_the_key(self, tmp_path):
+        # one sidecar per edge file: alternating inputs parse every time
+        (tmp_path / "e").write_text("a b,c\nc,d\n")
+        (tmp_path / "l").write_text("a b,x\n")
+        (tmp_path / "l2").write_text("c,y\n")
+        sources = [load_dataset(tmp_path / "e", tmp_path / labels,
+                                delimiter).source
+                   for labels, delimiter in (
+                       ("l", None), ("l", None), ("l", ","), ("l", ","),
+                       ("l2", ","), ("l", ","), ("l", None))]
+        assert sources == ["parsed", "cache", "parsed", "cache", "parsed",
+                           "parsed", "parsed"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["e", "e" + SIDECAR, "l", "l2"]
+
+    @staticmethod
+    def _rewrite(sidecar, edit):
+        with np.load(sidecar) as stored:
+            arrays = dict(stored)
+        edit(arrays)
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "garbage", "empty", "npy", "pickled", "directory",
+        "wrong_key", "short_indptr", "index_out_of_range", "one_id_short",
+        "float32_values"])
+    def test_damaged_sidecar_is_a_miss_and_rewritten(self, tmp_path,
+                                                     monkeypatch, damage):
+        fresh = _load_files(tmp_path, "1,2\n2,3\n3,1\n", "1,a\n2,b\n")
+        sidecar = tmp_path / ("e" + SIDECAR)
+        good = sidecar.read_bytes()
+        if damage == "truncated":
+            sidecar.write_bytes(good[:len(good) // 2])
+        elif damage == "garbage":
+            sidecar.write_bytes(np.random.default_rng(0).bytes(len(good)))
+        elif damage == "empty":
+            sidecar.write_bytes(b"")
+        elif damage == "npy":
+            np.save(sidecar.open("wb"), np.arange(3))
+        elif damage == "pickled":
+            self._rewrite(sidecar, lambda a: a.update(
+                node_ids=np.array([{"x": 1}], dtype=object)))
+        elif damage == "directory":
+            sidecar.unlink()
+            sidecar.mkdir()
+        elif damage == "wrong_key":
+            other = tmp_path / "other"
+            other.mkdir()
+            _load_files(other, "1,2\n", "1,a\n")
+            sidecar.write_bytes((other / ("e" + SIDECAR)).read_bytes())
+        elif damage == "short_indptr":
+            self._rewrite(sidecar, lambda a: a.update(
+                adjacency_indptr=a["adjacency_indptr"][:-1]))
+        elif damage == "index_out_of_range":
+            # only scipy's full format check looks at the indices' values
+            self._rewrite(sidecar, lambda a: a["adjacency_indices"].__setitem__(
+                0, 7))
+        elif damage == "one_id_short":
+            self._rewrite(sidecar, lambda a: a.update(
+                node_ids=np.frombuffer(b"1\n2", np.uint8)))
+        elif damage == "float32_values":
+            self._rewrite(sidecar, lambda a: a.update(
+                adjacency_data=a["adjacency_data"].astype(np.float32)))
+        again = load_dataset(tmp_path / "e", tmp_path / "l")
+        assert again.source == "parsed"
+        _same_graph(again, fresh)
+        if damage == "directory":
+            # a sidecar path that cannot be replaced is left alone
+            assert sidecar.is_dir()
+            assert sorted(p.name for p in tmp_path.iterdir()) == \
+                ["e", "e" + SIDECAR, "l"]
+            return
+        assert sidecar.read_bytes() == good
+        _unparsed(monkeypatch)
+        assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
+
+    def test_cache_version_is_part_of_the_key(self, tmp_path, monkeypatch):
+        _load_files(tmp_path, "1,2\n", "1,a\n")
+        assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
+        monkeypatch.setattr(datasets, "_GRAPH_CACHE_VERSION",
+                            datasets._GRAPH_CACHE_VERSION + 1)
+        assert load_dataset(tmp_path / "e", tmp_path / "l").source == "parsed"
+        assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root writes into a read-only directory")
+    def test_read_only_directory(self, tmp_path):
+        (tmp_path / "e").write_text("1,2\n")
+        (tmp_path / "l").write_text("1,a\n")
+        tmp_path.chmod(0o555)
+        try:
+            for _ in range(2):
+                g = load_dataset(tmp_path / "e", tmp_path / "l")
+                assert g.source == "parsed" and g.node_ids == ("1", "2")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["e", "l"]
+        finally:
+            tmp_path.chmod(0o755)
+
+    @pytest.mark.parametrize("stage", ["open", "write", "replace"])
+    def test_failed_write_is_ignored_and_cleaned_up(self, tmp_path,
+                                                    monkeypatch, stage):
+        # an i/o error while writing (a full disk, a read-only directory)
+        # costs the next load a parse and leaves no file behind
+        if stage == "open":
+            real_open = open
+
+            def failing_open(path, mode="r", *args, **kwargs):
+                if "x" in mode:
+                    raise PermissionError("read-only directory")
+                return real_open(path, mode, *args, **kwargs)
+            monkeypatch.setattr(datasets, "open", failing_open,
+                                raising=False)
+        elif stage == "write":
+            def failing_savez(file, *args, **kwargs):
+                file.write(b"partial")
+                raise OSError("no space left on device")
+            monkeypatch.setattr(np, "savez", failing_savez)
+        else:
+            def failing_replace(src, dst):
+                raise OSError("rename refused")
+            monkeypatch.setattr(os, "replace", failing_replace)
+        for _ in range(2):
+            g = _load_files(tmp_path, "1,2\n", "1,a\n")
+            assert g.source == "parsed" and g.node_ids == ("1", "2")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e", "l"]
+
+    @pytest.mark.parametrize("edges,labels,error", [
+        ("1,2\nbroken\n", "1,a\n", ParseError),
+        ("1,2\n", "1,a,b\n", ParseError),
+        ("1,2\n", "# none\n", ValueError),
+        ("1,\xff\n", "1,a\n", UnicodeDecodeError)])
+    def test_failed_parse_writes_no_sidecar(self, tmp_path, edges, labels,
+                                            error):
+        (tmp_path / "e").write_bytes(edges.encode("latin-1"))
+        (tmp_path / "l").write_text(labels)
+        with pytest.raises(error):
+            load_dataset(tmp_path / "e", tmp_path / "l")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e", "l"]
+
+    def test_checkpoint_trained_on_a_miss_evals_on_a_hit(self, tmp_path,
+                                                         monkeypatch, capsys):
+        from mlgcn.cli import EXIT_OK, main
+        edges, labels = tmp_path / "e", tmp_path / "l"
+        edges.write_text("".join(f"{i},{(i + 1) % 16}\n{i},{(i + 5) % 16}\n"
+                                 for i in range(16)))
+        labels.write_text("".join(f"{i},{'ab'[i % 2]}\n" for i in range(16)))
+        data = ["--edges", str(edges), "--labels", str(labels)]
+        out = tmp_path / "run"
+        assert main(["train", *data, "--epochs", "2", "--hidden", "8",
+                     "--alpha", "0.5", "--out", str(out)]) == EXIT_OK
+        assert (tmp_path / ("e" + SIDECAR)).is_file()
+        _unparsed(monkeypatch)
+        assert main(["eval", *data, "--checkpoint", str(out / "checkpoint.npz"),
+                     "--metrics", str(out / "metrics.json")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestDatasetStats:
