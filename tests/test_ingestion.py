@@ -387,12 +387,6 @@ class TestDecoding:
         _same_graph(marked, plain)
 
 
-def _load_files(tmp_path, edges, labels, delimiter=None):
-    (tmp_path / "e").write_text(edges)
-    (tmp_path / "l").write_text(labels)
-    return load_dataset(tmp_path / "e", tmp_path / "l", delimiter)
-
-
 def _unparsed(monkeypatch):
     """Make any parse fail, so that a load that returns read the sidecar."""
     def unused(*args):
@@ -428,7 +422,7 @@ class TestGraphCache:
     @pytest.mark.parametrize("changed", ["e", "l"])
     def test_same_size_and_mtime_is_still_a_miss(self, tmp_path, changed):
         # the key is the files' bytes, not their metadata
-        first = _load_files(tmp_path, "a,b\nb,c\n", "a,x\nc,y\n")
+        first = load_text(tmp_path, "a,b\nb,c\n", "a,x\nc,y\n")
         path = tmp_path / changed
         stat = os.stat(path)
         text = path.read_text()
@@ -438,8 +432,8 @@ class TestGraphCache:
         assert os.stat(path).st_size == stat.st_size
         second = load_dataset(tmp_path / "e", tmp_path / "l")
         assert second.source == "parsed"
-        assert second.node_ids != first.node_ids if changed == "e" \
-            else second.label_ids != first.label_ids
+        ids = "node_ids" if changed == "e" else "label_ids"
+        assert getattr(second, ids) != getattr(first, ids)
 
     def test_delimiter_and_label_file_are_part_of_the_key(self, tmp_path):
         # one sidecar per edge file: alternating inputs parse every time
@@ -470,7 +464,7 @@ class TestGraphCache:
         "float32_values"])
     def test_damaged_sidecar_is_a_miss_and_rewritten(self, tmp_path,
                                                      monkeypatch, damage):
-        fresh = _load_files(tmp_path, "1,2\n2,3\n3,1\n", "1,a\n2,b\n")
+        fresh = load_text(tmp_path, "1,2\n2,3\n3,1\n", "1,a\n2,b\n")
         sidecar = tmp_path / ("e" + SIDECAR)
         good = sidecar.read_bytes()
         if damage == "truncated":
@@ -480,7 +474,8 @@ class TestGraphCache:
         elif damage == "empty":
             sidecar.write_bytes(b"")
         elif damage == "npy":
-            np.save(sidecar.open("wb"), np.arange(3))
+            with sidecar.open("wb") as fh:
+                np.save(fh, np.arange(3))
         elif damage == "pickled":
             self._rewrite(sidecar, lambda a: a.update(
                 node_ids=np.array([{"x": 1}], dtype=object)))
@@ -490,7 +485,7 @@ class TestGraphCache:
         elif damage == "wrong_key":
             other = tmp_path / "other"
             other.mkdir()
-            _load_files(other, "1,2\n", "1,a\n")
+            load_text(other, "1,2\n", "1,a\n")
             sidecar.write_bytes((other / ("e" + SIDECAR)).read_bytes())
         elif damage == "short_indptr":
             self._rewrite(sidecar, lambda a: a.update(
@@ -519,7 +514,7 @@ class TestGraphCache:
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
 
     def test_cache_version_is_part_of_the_key(self, tmp_path, monkeypatch):
-        _load_files(tmp_path, "1,2\n", "1,a\n")
+        load_text(tmp_path, "1,2\n", "1,a\n")
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
         monkeypatch.setattr(datasets, "_GRAPH_CACHE_VERSION",
                             datasets._GRAPH_CACHE_VERSION + 1)
@@ -564,7 +559,7 @@ class TestGraphCache:
                 raise OSError("rename refused")
             monkeypatch.setattr(os, "replace", failing_replace)
         for _ in range(2):
-            g = _load_files(tmp_path, "1,2\n", "1,a\n")
+            g = load_text(tmp_path, "1,2\n", "1,a\n")
             assert g.source == "parsed" and g.node_ids == ("1", "2")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e", "l"]
 
