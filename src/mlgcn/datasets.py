@@ -9,10 +9,6 @@ Lines starting with '#' are comments; the delimiter is auto-detected among
 comma, tab and whitespace unless forced. The parsers read a stream whole;
 regular files (two ids a line, see `_regular_tokens`) are parsed in bulk,
 anything else line by line, with the same results and errors.
-
-`load_dataset` keeps each graph it parses in a sidecar beside the edge
-file, keyed by the bytes of both files and the delimiter, and reads it
-back instead of parsing while the key matches.
 """
 
 from __future__ import annotations
@@ -286,8 +282,7 @@ def parse_label_assignments(stream: TextIO | str, node_index: dict[str, int],
     return np.array(nodes, dtype=np.int32), np.array(labels, dtype=np.int32)
 
 
-def _assemble_graph(node_ids, label_ids, edges, pairs,
-                    source: str | None = None) -> MultiLabelGraph:
+def _assemble_graph(node_ids, label_ids, edges, pairs, source=None) -> MultiLabelGraph:
     """Build the graph from index arrays: `edges` is (src, dst, weight) with
     repeated pairs summed here, `pairs` is (node, label) with repeats
     counted once."""
@@ -314,70 +309,62 @@ def _decode(data: bytes) -> str:
     return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _parse_file(path, data: bytes, parse, *args):
-    """`parse(text, *args)` over the decoded bytes of the file at `path`; a
+def _parse_file(path, text: str, parse, *args):
+    """`parse(text, *args)` over the decoded text of the file at `path`; a
     ParseError is re-raised naming the file."""
     try:
-        return parse(_decode(data), *args)
+        return parse(text, *args)
     except ParseError as exc:
         raise ParseError(exc.line_no, exc.message, path) from None
 
 
-# in every sidecar key: raise it when the parse's result or the sidecar's
-# layout changes, so that every existing sidecar stops matching
-_GRAPH_CACHE_VERSION = 1
-_IDS, _MATRICES = ("node_ids", "label_ids"), ("adjacency", "label_assignments")
-_CSR = ("data", "indices", "indptr")  # scipy's order
+# every key starts with a digest of the code that decides the parsed graph
+# and the sidecar's layout, so a change to it misses every older sidecar
+_CODE_DIGEST = hashlib.sha256(b"".join(
+    Path(__file__).with_name(name).read_bytes()
+    for name in ("datasets.py", "graph.py", "matrices.py"))).digest()
+_MATRICES = ("adjacency", "label_assignments")
 
 
 def _read_sidecar(path: str, key: bytes) -> MultiLabelGraph | None:
-    """The graph stored at `path` under `key`, loaded without pickle and
-    with each matrix through scipy's full format check; None for a sidecar
-    that is missing, damaged or stored under another key."""
+    """The graph stored at `path` under `key`, checked in full, or None."""
     try:
-        with np.load(path, allow_pickle=False) as stored:
-            if stored["key"].tobytes() != key:
+        with np.load(path, allow_pickle=False) as s:
+            if s["key"].tobytes() != key:
                 return None
             # ids are stored "\n"-joined: no id holds a line end
-            ids = [tuple(stored[name].tobytes().decode().split("\n"))
-                   for name in _IDS]
+            ids = [tuple(s[name].tobytes().decode().split("\n"))
+                   for name in ("node_ids", "label_ids")]
             n, m = map(len, ids)
-            matrices = [SparseMatrix(tuple(stored[f"{name}_{part}"]
-                                           for part in _CSR), shape=shape)
-                        for name, shape in zip(_MATRICES, ((n, n), (n, m)))]
-            for matrix in matrices:
-                matrix.check_format(full_check=True)
-    except Exception:
-        # zipfile and numpy fail on a damaged or foreign file with many
-        # types (BadZipFile, EOFError, ValueError, NotImplementedError,
-        # RuntimeError, TypeError, ...); each means: parse the files again
+            a, b = (SparseMatrix((s[f"{name}_data"], s[f"{name}_indices"],
+                                  s[f"{name}_indptr"]), shape=shape)
+                    for name, shape in zip(_MATRICES, ((n, n), (n, m))))
+            a.check_format(full_check=True)
+            b.check_format(full_check=True)
+    except Exception:  # zipfile and numpy raise many types on a bad file
         return None
-    if any(matrix.dtype != np.float64 for matrix in matrices):
-        return None
-    return MultiLabelGraph(n, m, *matrices, *ids, source="cache")
+    if a.dtype == b.dtype == np.float64:
+        return MultiLabelGraph(n, m, a, b, *ids, source="cache")
+    return None
 
 
 def _write_sidecar(path: str, key: bytes, g: MultiLabelGraph) -> None:
-    """Store `g` under `key` at `path` through a uniquely named temporary
-    file renamed over it. A failed write is ignored and removes that file:
-    the next load parses again."""
-    arrays = {"key": np.frombuffer(key, np.uint8)}
-    for name in _IDS:
-        arrays[name] = np.frombuffer("\n".join(getattr(g, name)).encode(),
-                                     np.uint8)
-    for name in _MATRICES:
-        arrays.update((f"{name}_{part}", getattr(getattr(g, name), part))
-                      for part in _CSR)
+    """Store `g` under `key` at `path` through a temporary file; a failed
+    write is ignored and leaves no file behind."""
+    arrays = {f"{name}_{part}": getattr(getattr(g, name), part)
+              for name in _MATRICES for part in ("data", "indices", "indptr")}
+    for name in ("node_ids", "label_ids"):
+        arrays[name] = np.frombuffer("\n".join(getattr(g, name)).encode(), np.uint8)
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            np.savez(fh, **arrays)
+            np.savez(fh, key=np.frombuffer(key, np.uint8), **arrays)
         os.replace(tmp, path)
-    except BaseException as exc:
+    except OSError:
+        pass
+    finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        if not isinstance(exc, OSError):
-            raise
 
 
 def load_dataset(edge_path, label_path,
@@ -386,33 +373,33 @@ def load_dataset(edge_path, label_path,
 
     External ids map to dense indices in first-appearance order (edge file
     first); nodes present only in the label file become isolated nodes.
-    The graph is read from the sidecar `<edge_path>.mlgcn-graph.npz` when
-    that holds the key of both files' bytes and `delimiter`; otherwise the
-    files are parsed and the sidecar is rewritten (a file that fails to
-    parse writes none). The graph's `source` says which.
+    The graph is read from the sidecar `<edge_path>.mlgcn-graph.npz` while
+    that holds the key of the code, `delimiter` and both files' bytes;
+    otherwise the files are parsed and a sidecar is written.
     """
-    files = Path(edge_path).read_bytes(), Path(label_path).read_bytes()
-    # sha256 over the cache version, the delimiter and each file's bytes
-    # after their length
-    h = hashlib.sha256(f"{_GRAPH_CACHE_VERSION} {ascii(delimiter)}".encode())
+    files = [Path(edge_path).read_bytes(), Path(label_path).read_bytes()]
+    h = hashlib.sha256(b"%s%a %d %d\n" % (_CODE_DIGEST, delimiter,
+                                            *map(len, files)))
     for data in files:
-        h.update(len(data).to_bytes(8, "little"))
         h.update(data)
-    key = h.digest()
-    sidecar = os.fspath(edge_path) + ".mlgcn-graph.npz"
+    key, sidecar = h.digest(), os.fspath(edge_path) + ".mlgcn-graph.npz"
     graph = _read_sidecar(sidecar, key)
-    if graph is None:
-        node_index: dict[str, int] = {}
-        label_index: dict[str, int] = {}
-        edges = _parse_file(edge_path, files[0], parse_edge_list, node_index,
-                            delimiter)
-        pairs = _parse_file(label_path, files[1], parse_label_assignments,
-                            node_index, label_index, delimiter)
-        if not label_index:
-            raise ValueError("no labels")
-        graph = _assemble_graph(list(node_index), list(label_index), edges,
-                                pairs, "parsed")
-        _write_sidecar(sidecar, key, graph)
+    if graph is not None:
+        return graph
+    # no bytes are kept through the parse, whose peak is the command's
+    texts = [_decode(data) for data in files]
+    del files, data
+    node_index: dict[str, int] = {}
+    label_index: dict[str, int] = {}
+    edges = _parse_file(edge_path, texts.pop(0), parse_edge_list, node_index,
+                        delimiter)
+    pairs = _parse_file(label_path, texts.pop(0), parse_label_assignments,
+                        node_index, label_index, delimiter)
+    if not label_index:
+        raise ValueError("no labels")
+    graph = _assemble_graph(list(node_index), list(label_index), edges, pairs,
+                            "parsed")
+    _write_sidecar(sidecar, key, graph)
     return graph
 
 

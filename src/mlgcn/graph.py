@@ -24,8 +24,6 @@ class MultiLabelGraph:
     `label_assignments` the n x m binary membership matrix, and the ids map
     indices back to the input's node and label names. The graph is the
     network only: the model's input features are built by `training`.
-    `source` records how it was obtained ("parsed" from files, "cache"
-    from their sidecar, "synthetic") and is not part of the network.
     """
 
     node_count: int
@@ -34,6 +32,7 @@ class MultiLabelGraph:
     label_assignments: SparseMatrix
     node_ids: tuple[str, ...] = field(repr=False)
     label_ids: tuple[str, ...] = field(repr=False)
+    # "parsed", "cache" or "synthetic": how it was obtained, not the network
     source: str | None = field(default=None, compare=False)
 
     def label_indicators(self) -> np.ndarray:

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import itertools
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,11 +515,18 @@ class TestGraphCache:
         _unparsed(monkeypatch)
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
 
-    def test_cache_version_is_part_of_the_key(self, tmp_path, monkeypatch):
+    def test_code_is_part_of_the_key(self, tmp_path, monkeypatch):
+        # the key's code part is derived from the source of the modules
+        # that parse and store the graph, so editing any of them (a parse
+        # fix, a new layout) misses every sidecar written before
+        package = Path(datasets.__file__).parent
+        assert datasets._CODE_DIGEST == hashlib.sha256(b"".join(
+            (package / name).read_bytes()
+            for name in ("datasets.py", "graph.py", "matrices.py"))).digest()
         load_text(tmp_path, "1,2\n", "1,a\n")
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
-        monkeypatch.setattr(datasets, "_GRAPH_CACHE_VERSION",
-                            datasets._GRAPH_CACHE_VERSION + 1)
+        monkeypatch.setattr(datasets, "_CODE_DIGEST",
+                            hashlib.sha256(b"edited source").digest())
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "parsed"
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
 
