@@ -15,7 +15,6 @@ fingerprint mismatch, 4 unknown reference (e.g. label id), 64 usage.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -33,6 +32,7 @@ import scipy
 
 from .datasets import (ParseError, SyntheticConfig, dataset_stats,
                        generate_synthetic, load_dataset)
+from .files import replacing
 from .metrics import (evaluate, label_correlation_matrix, per_label_breakdown,
                       split_dataset)
 from .operators import build_operators
@@ -221,19 +221,11 @@ def _fmt(x: float) -> str:
 
 
 def write_atomic(path: str, text):
-    # `text` is one string or an iterable of strings, written in order;
-    # written beside `path` and renamed over it, so a failed write leaves
-    # `path` as it was and removes what it wrote
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            for piece in [text] if isinstance(text, str) else text:
-                fh.write(piece)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    # `text` is one string or an iterable of strings, written in order
+    # through `files.replacing`
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
+        for piece in [text] if isinstance(text, str) else text:
+            fh.write(piece)
 
 
 def write_history_csv(path: str, history):

@@ -24,6 +24,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
+from .files import replacing
 from .graph import MultiLabelGraph
 from .matrices import SparseMatrix
 from .operators import build_label_cooccurrence
@@ -98,7 +99,8 @@ def _pieces(text: str) -> Iterator[str]:
 def _records(text: str, delimiter: str | None,
              arity: tuple[int, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for every record line: lines are
-    stripped, blank and '#' lines skipped, and the field count checked.
+    stripped, blank and '#' lines skipped, spaces around a separator
+    dropped, empty fields skipped, and the field count checked.
 
     This loop defines the file grammar and every `ParseError`; the bulk
     path (`_regular_tokens`) reads only files on which it gives the same
@@ -113,6 +115,8 @@ def _records(text: str, delimiter: str | None,
         if sep is None:
             sep = "\t" if "\t" in line else "," if "," in line else None
         fields = line.split(sep)
+        if sep is not None and " " in line:
+            fields = [f.strip(" ") for f in fields]
         if "" in fields:
             fields = [f for f in fields if f]
         if len(fields) not in arity:
@@ -329,7 +333,8 @@ _MATRICES = ("adjacency", "label_assignments")
 def _read_sidecar(path: str, key: bytes) -> MultiLabelGraph | None:
     """The graph stored at `path` under `key`, checked in full, or None."""
     try:
-        with np.load(path, allow_pickle=False) as s:
+        # np.load leaves a file it opened open when the archive is broken
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as s:
             if s["key"].tobytes() != key:
                 return None
             # ids are stored "\n"-joined: no id holds a line end
@@ -355,16 +360,8 @@ def _write_sidecar(path: str, key: bytes, g: MultiLabelGraph) -> None:
               for name in _MATRICES for part in ("data", "indices", "indptr")}
     for name in ("node_ids", "label_ids"):
         arrays[name] = np.frombuffer("\n".join(getattr(g, name)).encode(), np.uint8)
-    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-    try:
-        with open(tmp, "xb") as fh:
-            np.savez(fh, key=np.frombuffer(key, np.uint8), **arrays)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    with contextlib.suppress(OSError), replacing(path) as fh:
+        np.savez(fh, key=np.frombuffer(key, np.uint8), **arrays)
 
 
 def load_dataset(edge_path, label_path,

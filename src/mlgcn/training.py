@@ -14,9 +14,7 @@ weight shapes, both forwards and the training loop all derive from it.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -24,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .files import replacing
 from .graph import DataSplit, MultiLabelGraph
 from .kernels import (LayerCache, backward, forward_stack, multi_label_loss,
                       multi_label_loss_grad, relu, single_label_loss,
@@ -543,9 +542,8 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
     """Versioned npz dump of weights, projections, rng state, config, the
     dataset fingerprint and what injections put into the views: the node
     logits (n x m), once injected, and the label block, once replaced; what
-    is still the raw features is left for `load_checkpoint` to rebuild. It
-    is written beside `path` and renamed over it, so a failed write leaves
-    `path` as it was, and removes what it wrote."""
+    is still the raw features is left for `load_checkpoint` to rebuild. A
+    failed write leaves `path` as it was (`files.replacing`)."""
     injected = {}
     if model.node_logits is not None:
         injected["node_logits"] = model.node_logits
@@ -574,16 +572,9 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
             arrays[f"adam_m__{key}"] = a
         for key, a in optimizer.v.items():
             arrays[f"adam_v__{key}"] = a
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, __meta__=np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with replacing(path) as fh:
+        np.savez(fh, __meta__=np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path):

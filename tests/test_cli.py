@@ -682,19 +682,25 @@ class TestFailedWrites:
         assert (out / "checkpoint.npz").read_bytes() == before
         assert not list(out.glob("*.tmp"))
 
-    @pytest.mark.parametrize("stage", ["write", "replace"])
+    @pytest.mark.parametrize("stage", ["open", "write", "replace"])
     def test_text_artifact(self, easy_run, tmp_path, capsys, monkeypatch,
                            stage):
         import os
-        import mlgcn.cli as cli
+        import mlgcn.files as files
         metrics = tmp_path / "m.json"
         argv = ["eval", "--synthetic", EASY, "--checkpoint",
                 str(easy_run / "checkpoint.npz"), "--metrics", str(metrics)]
         assert run(argv) == EXIT_OK
         before = metrics.read_bytes()
         capsys.readouterr()
-        if stage == "write":
-            real_open = open
+        real_open = open
+        if stage == "open":
+            def failing_open(path, mode="r", *args, **kwargs):
+                if "x" in mode:
+                    raise PermissionError("read-only directory")
+                return real_open(path, mode, *args, **kwargs)
+            monkeypatch.setattr(files, "open", failing_open, raising=False)
+        elif stage == "write":
 
             class HalfWriter:
                 def __init__(self, fh):
@@ -712,8 +718,8 @@ class TestFailedWrites:
 
             def failing_open(path, mode="r", *args, **kwargs):
                 fh = real_open(path, mode, *args, **kwargs)
-                return HalfWriter(fh) if "w" in mode else fh
-            monkeypatch.setattr(cli, "open", failing_open, raising=False)
+                return HalfWriter(fh) if "x" in mode else fh
+            monkeypatch.setattr(files, "open", failing_open, raising=False)
         else:
             def failing_replace(src, dst):
                 raise OSError("rename refused")
@@ -723,6 +729,67 @@ class TestFailedWrites:
         assert len(err) == 1 and err[0].startswith("i/o error: ")
         assert metrics.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("planted", ["symlink", "directory"])
+    @pytest.mark.parametrize("artifact", ["checkpoint.npz", "metrics.json"])
+    def test_planted_temporary_name_is_neither_followed_nor_removed(
+            self, easy_run, tmp_path, capsys, monkeypatch, artifact, planted):
+        import os
+        import mlgcn.files as files
+        out = tmp_path / "run"
+        argv = (["train", *self.SPEC, "--epochs", "1", "--hidden", "8",
+                 "--out", str(out)] if artifact == "checkpoint.npz" else
+                ["eval", "--synthetic", EASY, "--checkpoint",
+                 str(easy_run / "checkpoint.npz"), "--metrics",
+                 str(out / "metrics.json")])
+        assert run(argv) == EXIT_OK
+        before = (out / artifact).read_bytes()
+        capsys.readouterr()
+        canary = tmp_path / "canary"
+        canary.write_bytes(b"canary\n")
+        # the writer's temporary name, forced to one that is already taken
+        monkeypatch.setattr(files.os, "urandom", lambda n: bytes(n))
+        tmp = out / f"{artifact}.{os.getpid()}-00000000.tmp"
+        if planted == "symlink":
+            tmp.symlink_to(canary)
+        else:
+            tmp.mkdir()
+            (tmp / "inside").write_bytes(b"kept\n")
+        assert run(argv) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ")
+        assert (out / artifact).read_bytes() == before
+        assert not (out / artifact).is_symlink()
+        assert canary.read_bytes() == b"canary\n"
+        if planted == "symlink":
+            assert tmp.is_symlink() and tmp.resolve() == canary.resolve()
+        else:
+            assert [p.name for p in tmp.iterdir()] == ["inside"]
+            assert (tmp / "inside").read_bytes() == b"kept\n"
+
+    def test_leftover_fixed_temporary_names_are_left_alone(self, tmp_path,
+                                                           capsys):
+        # older versions wrote through `<path>.tmp`; a directory or a
+        # symlink left at that name neither breaks nor redirects a write
+        out = tmp_path / "run"
+        out.mkdir()
+        canary = tmp_path / "canary"
+        canary.write_bytes(b"canary\n")
+        (out / "checkpoint.npz.tmp").mkdir()
+        (out / "metrics.json.tmp").symlink_to(canary)
+        data = ["--synthetic", "k=2,size=10"]
+        assert run(["train", *data, "--epochs", "1", "--hidden", "8",
+                    "--out", str(out)]) == EXIT_OK
+        assert run(["eval", *data, "--checkpoint", str(out / "checkpoint.npz"),
+                    "--metrics", str(out / "metrics.json")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert canary.read_bytes() == b"canary\n"
+        assert not (out / "metrics.json").is_symlink()
+        assert json.loads((out / "metrics.json").read_text())
+        assert (out / "checkpoint.npz.tmp").is_dir()
+        assert (out / "metrics.json.tmp").is_symlink()
+        assert sorted(p.name for p in out.glob("*.tmp")) == [
+            "checkpoint.npz.tmp", "metrics.json.tmp"]
 
 
 class TestStreamedWriter:

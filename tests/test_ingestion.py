@@ -1,13 +1,15 @@
+import gc
 import hashlib
 import io
 import itertools
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlgcn import datasets
+from mlgcn import datasets, files
 from mlgcn.datasets import (ParseError, SyntheticConfig, dataset_stats,
                             generate_synthetic, load_dataset, parse_edge_list,
                             parse_label_assignments)
@@ -83,6 +85,17 @@ class TestParseEdgeList:
         assert parse_edges(io.StringIO("a|b"), delimiter="|") == (
             ["a", "b"], [0], [1], [1.0])
 
+    @pytest.mark.parametrize("text,delimiter", [
+        ("1, 2\n2 ,3 , 1.5\n", None), ("1\t 2\n2 \t3\t 1.5\n", None),
+        ("1 ; 2\n2;3 ;1.5\n", ";")], ids=["comma", "tab", "forced"])
+    def test_spaces_around_a_delimiter_are_not_part_of_an_id(self, text,
+                                                             delimiter):
+        assert parse_edges(text, delimiter) == (
+            ["1", "2", "3"], [0, 1], [1, 2], [1.0, 1.5])
+        # spaces inside an id stay
+        assert parse_edges(text.replace("1", "x y", 1), delimiter)[0] == [
+            "x y", "2", "3"]
+
     def test_ids_continue_the_callers_index(self):
         nodes = {"x": 0}
         src, dst, _ = parse_edge_list("y,x", nodes)
@@ -136,6 +149,20 @@ class TestLoadDataset:
         # isolated node has no adjacency entries
         assert g.adjacency.to_dense()[2].sum() == 0
         assert validate_graph(g) == []
+
+    @pytest.mark.parametrize("sep,delimiter", [
+        (", ", None), ("\t ", None), (" ; ", ";")],
+        ids=["comma", "tab", "forced"])
+    def test_spaced_files_give_the_plain_graph(self, tmp_path, sep,
+                                               delimiter):
+        # a space after a comma used to start an id: "1, 2\n2, 3" held the
+        # five nodes 1, " 2", 2, " 3" and 3
+        plain = load_text(tmp_path, "1,2\n2,3\n", "1,a\n2,a\n3,a\n")
+        assert dataset_stats(plain) == datasets.DatasetStats(3, 2, 1, 0)
+        (tmp_path / "se").write_text(f"1{sep}2\n2{sep}3\n")
+        (tmp_path / "sl").write_text(f"1{sep}a\n2{sep}a\n3{sep}a\n")
+        spaced = load_dataset(tmp_path / "se", tmp_path / "sl", delimiter)
+        _same_graph(spaced, plain)
 
     def test_empty_label_file_rejected(self, tmp_path):
         (tmp_path / "e").write_text("1,2\n")
@@ -502,7 +529,15 @@ class TestGraphCache:
         elif damage == "float32_values":
             self._rewrite(sidecar, lambda a: a.update(
                 adjacency_data=a["adjacency_data"].astype(np.float32)))
-        again = load_dataset(tmp_path / "e", tmp_path / "l")
+        if damage == "truncated":
+            # numpy hands a file that starts as a zip to its archive reader,
+            # which raises on a truncated one without closing the file
+            assert sidecar.read_bytes()[:4] == b"PK\x03\x04"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            again = load_dataset(tmp_path / "e", tmp_path / "l")
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
         assert again.source == "parsed"
         _same_graph(again, fresh)
         if damage == "directory":
@@ -556,8 +591,7 @@ class TestGraphCache:
                 if "x" in mode:
                     raise PermissionError("read-only directory")
                 return real_open(path, mode, *args, **kwargs)
-            monkeypatch.setattr(datasets, "open", failing_open,
-                                raising=False)
+            monkeypatch.setattr(files, "open", failing_open, raising=False)
         elif stage == "write":
             def failing_savez(file, *args, **kwargs):
                 file.write(b"partial")
@@ -571,6 +605,27 @@ class TestGraphCache:
             g = load_text(tmp_path, "1,2\n", "1,a\n")
             assert g.source == "parsed" and g.node_ids == ("1", "2")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e", "l"]
+
+    @pytest.mark.parametrize("planted", ["symlink", "directory"])
+    def test_planted_temporary_name_is_neither_followed_nor_removed(
+            self, tmp_path, monkeypatch, planted):
+        # the writer's temporary name, forced to one that is already taken:
+        # the write fails as a full disk would, and the next load parses
+        monkeypatch.setattr(files.os, "urandom", lambda n: bytes(n))
+        tmp = tmp_path / f"e{SIDECAR}.{os.getpid()}-00000000.tmp"
+        canary = tmp_path / "canary"
+        canary.write_bytes(b"canary\n")
+        if planted == "symlink":
+            tmp.symlink_to(canary)
+        else:
+            tmp.mkdir()
+        for _ in range(2):
+            g = load_text(tmp_path, "1,2\n", "1,a\n")
+            assert g.source == "parsed" and g.node_ids == ("1", "2")
+        assert canary.read_bytes() == b"canary\n"
+        assert tmp.is_symlink() if planted == "symlink" else tmp.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["canary", "e", tmp.name, "l"]
 
     @pytest.mark.parametrize("edges,labels,error", [
         ("1,2\nbroken\n", "1,a\n", ParseError),
