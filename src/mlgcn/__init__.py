@@ -18,7 +18,7 @@ from .operators import (GraphOperators, NormalizedOperator,
                         build_node_node_label_adj, build_operators,
                         normalize_symmetric)
 from .training import (DivergenceError, ModelState, TrainConfig, TrainHistory,
-                       TrainResult, forward_label_gcn, forward_node_gcn,
+                       TrainState, forward_label_gcn, forward_node_gcn,
                        init_model, inject_label_features,
                        inject_node_features, input_features, load_checkpoint,
                        save_checkpoint, sgd_step, train)
@@ -33,7 +33,7 @@ __all__ = [
     "GraphOperators", "build_label_cooccurrence", "build_node_node_label_adj",
     "build_label_label_node_adj", "build_operators", "normalize_symmetric",
     "TrainConfig", "ModelState", "TrainHistory",
-    "TrainResult", "DivergenceError", "input_features", "init_model",
+    "TrainState", "DivergenceError", "input_features", "init_model",
     "forward_label_gcn", "forward_node_gcn", "inject_label_features",
     "inject_node_features",
     "sgd_step", "train", "save_checkpoint", "load_checkpoint",

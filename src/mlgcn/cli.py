@@ -35,7 +35,7 @@ from .datasets import (ParseError, SyntheticConfig, dataset_stats,
 from .files import replacing
 from .metrics import (evaluate, label_correlation_matrix, per_label_breakdown,
                       split_dataset)
-from .operators import build_operators
+from .operators import build_operators, operator_sizes
 from .training import (VARIANTS, DivergenceError, TrainConfig,
                        forward_node_gcn, load_checkpoint, save_checkpoint,
                        train)
@@ -368,7 +368,7 @@ def cmd_train(args) -> int:
         "memory": {
             "peak_rss_mb": _peak_rss_mb(),
             "feature_dim": result.model.node_features.shape[1],
-            "operators": result.operator_sizes,
+            "operators": operator_sizes(result.operators),
         },
         "environment": _numeric_environment(),
     }

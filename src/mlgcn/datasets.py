@@ -106,6 +106,8 @@ def _records(text: str, delimiter: str | None,
     path (`_regular_tokens`) reads only files on which it gives the same
     records."""
     expected = " or ".join(map(str, arity))
+    # beside a forced separator other than a tab, tabs are padding too
+    pad = " \t" if delimiter not in (None, "\t") else " "
     lines = chain.from_iterable(p.split("\n") for p in _pieces(text))
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -115,8 +117,8 @@ def _records(text: str, delimiter: str | None,
         if sep is None:
             sep = "\t" if "\t" in line else "," if "," in line else None
         fields = line.split(sep)
-        if sep is not None and " " in line:
-            fields = [f.strip(" ") for f in fields]
+        if sep is not None and (" " in line or pad != " " and "\t" in line):
+            fields = [f.strip(pad) for f in fields]
         if "" in fields:
             fields = [f for f in fields if f]
         if len(fields) not in arity:

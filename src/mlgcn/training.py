@@ -29,15 +29,15 @@ from .kernels import (LayerCache, backward, forward_stack, multi_label_loss,
                       single_label_loss_grad, softmax_rows)
 from .matrices import SparseMatrix
 from .metrics import evaluate
-from .operators import GraphOperators, build_operators, operator_sizes
+from .operators import GraphOperators, build_operators
 from .rng import rng_stream
 
 __all__ = [
-    "VARIANTS", "TrainConfig", "ModelState", "TrainHistory", "TrainResult",
+    "VARIANTS", "TrainConfig", "ModelState", "TrainHistory", "TrainState",
     "DivergenceError", "CheckpointError", "layer_table", "weight_shapes",
     "projection_shapes", "input_features", "init_model", "forward_label_gcn",
     "forward_node_gcn", "inject_label_features", "inject_node_features",
-    "sgd_step", "train", "save_checkpoint", "load_checkpoint",
+    "sgd_step", "train_epoch", "train", "save_checkpoint", "load_checkpoint",
 ]
 
 VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
@@ -127,7 +127,7 @@ def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
 class ModelState:
     """Trainable weights, frozen projections, the raw input features, what
     the injections put into each view, and the dropout stream. It caches
-    nothing: `train` keeps the first-layer products that it reuses.
+    nothing: `TrainState` keeps the first-layer products that it reuses.
 
     The raw features come from `input_features` and are never stored: a
     checkpoint rebuilds them from its config. The label view's attribute
@@ -159,15 +159,6 @@ class TrainHistory:
 
     def __len__(self) -> int:
         return len(self.total_loss)
-
-
-@dataclass
-class TrainResult:
-    model: ModelState
-    history: TrainHistory
-    embeddings: np.ndarray  # final eval-mode node logits, n x m
-    optimizer: _Optimizer   # its step count and Adam moments go into checkpoints
-    operator_sizes: dict[str, dict[str, int]]  # see operators.operator_sizes
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -287,19 +278,6 @@ def _node_input(model: ModelState, config: TrainConfig):
     return _stacked(blocks)
 
 
-def _forward_view(operators: GraphOperators, model: ModelState,
-                  config: TrainConfig, view: str, build_input,
-                  training: bool, propagated: np.ndarray | None
-                  ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Walk one view's stack over the input that `build_input()` makes,
-    or, handed the first layer's ``op @ H`` in `propagated`, over none.
-    The input goes straight into the call: no local here outlives its use."""
-    return forward_stack(_stack(operators, config, view),
-                         build_input() if propagated is None else None,
-                         model.weights, config.dropout, training,
-                         model.dropout_rng, propagated)
-
-
 def forward_label_gcn(operators: GraphOperators, model: ModelState,
                       config: TrainConfig, training: bool = False, *,
                       propagated: np.ndarray | None = None
@@ -307,8 +285,10 @@ def forward_label_gcn(operators: GraphOperators, model: ModelState,
     """Label-view logits (m x m) from the raw label features over the
     injected node block (`_label_input`), or from `propagated`, the first
     layer's ``op @ H`` over that input, when it is given."""
-    return _forward_view(operators, model, config, "label",
-                         lambda: _label_input(model), training, propagated)
+    return forward_stack(_stack(operators, config, "label"),
+                         _label_input(model) if propagated is None else None,
+                         model.weights, config.dropout, training,
+                         model.dropout_rng, propagated)
 
 
 def forward_node_gcn(operators: GraphOperators, model: ModelState,
@@ -316,12 +296,14 @@ def forward_node_gcn(operators: GraphOperators, model: ModelState,
                      propagated: np.ndarray | None = None,
                      h: SparseMatrix | None = None
                      ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Node-view logits (n x m) from `_node_input`. `propagated` is as for
-    `forward_label_gcn`; `h`, if given, is a sparse input that
-    `_node_input` built from the model's current blocks."""
-    return _forward_view(operators, model, config, "node",
-                         lambda: _node_input(model, config) if h is None
-                         else h, training, propagated)
+    """Node-view logits (n x m) from `_node_input`, built in the argument
+    list so no local outlives it, or from `h`, a sparse one built from the
+    current blocks; `propagated` is as for `forward_label_gcn`."""
+    return forward_stack(_stack(operators, config, "node"),
+                         None if propagated is not None else
+                         _node_input(model, config) if h is None else h,
+                         model.weights, config.dropout, training,
+                         model.dropout_rng, propagated)
 
 
 def inject_node_features(model: ModelState, node_logits: np.ndarray) -> np.ndarray:
@@ -413,125 +395,143 @@ def sgd_step(model: ModelState, grads: dict[str, np.ndarray],
     return model
 
 
-def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
-          rule: str = "top_k_true", threshold: float = 0.5) -> TrainResult:
-    """Run the full alternating schedule for `config.epochs` epochs.
-
-    Per epoch: label forward (skipped when there is no label stack, as in
-    the plain-GCN baseline, where the label loss is identically zero), node
-    forward with the masked multi-label loss, scheduled cross-injections,
-    one optimizer step on the summed loss, and an eval-mode validation
-    Micro-F1. Deterministic for a fixed (seed, config).
+@dataclass
+class TrainState:
+    """One run of the schedule: its operators, model, config, optimizer,
+    history and last eval-mode node logits, and what its forwards reuse.
 
     At dropout 0 a training forward draws nothing and computes what an
     eval-mode one does, and nothing between an epoch's validation forward
     and the next epoch's node forward changes the weights or the injected
-    blocks; so that validation forward, caches and all, doubles as the
-    next epoch's node-view training forward.
+    blocks; so that validation forward, caches and all, waits in
+    `node_forward` to double as the next epoch's node-view training forward.
 
     A view's first-layer ``op @ H`` changes only with its input, at an
     injection into that view. So each forward that draws no dropout is
-    handed the product of its view's last such forward, and builds no
-    input, until an injection into the view drops that product. A sparse
-    node-view input is built once per label block and handed to every
+    handed the product of its view's last such forward (`products`), and
+    builds no input, until `inject` drops that product. A sparse node-view
+    input is built once per label block (`node_input`) and handed to every
     node forward; one that draws dropout masks a copy.
     """
-    if split.train_nodes.size == 0:
-        raise ValueError("no labeled nodes")
-    coupled = bool(layer_table(config)["label"])
-    operators = build_operators(graph, config.variant,
-                                config.binarize_cooccurrence)
-    model = init_model(graph, config)
-    optimizer = _Optimizer(config)
-    history = TrainHistory()
 
-    node_targets = graph.label_indicators()
-    label_targets = np.eye(graph.label_count)
-    train_mask = split.train_nodes
-    # the last epoch's eval-mode validation forward doubles as the final one
-    embeddings = None
-    node_forward = None  # (logits, caches) of the next node training forward
-    products = {}  # view -> its first-layer op @ H, while its input holds
-    # the node view's one-hot input, rebuilt at each label injection
-    node_input = (_node_input(model, config)
-                  if sp.issparse(model.node_features) else None)
+    operators: GraphOperators
+    model: ModelState
+    config: TrainConfig
+    optimizer: _Optimizer
+    history: TrainHistory = field(default_factory=TrainHistory)
+    embeddings: np.ndarray | None = None  # eval-mode node logits, n x m
+    products: dict[str, np.ndarray] = field(default_factory=dict)
+    node_input: SparseMatrix | None = None
+    node_forward: tuple[np.ndarray, list[LayerCache]] | None = None
 
-    def forward(view, training):
-        drawn = training and config.dropout > 0.0
+    def __post_init__(self):
+        if sp.issparse(self.model.node_features):
+            self.node_input = _node_input(self.model, self.config)
+
+    def forward(self, view: str, training: bool):
+        drawn = training and self.config.dropout > 0.0
         fn = forward_label_gcn if view == "label" else forward_node_gcn
-        out, caches = fn(operators, model, config, training=training,
-                         propagated=None if drawn else products.get(view),
-                         **({"h": node_input} if view == "node" else {}))
+        out, caches = fn(self.operators, self.model, self.config,
+                         training=training,
+                         propagated=None if drawn else self.products.get(view),
+                         **({"h": self.node_input} if view == "node" else {}))
         if not drawn and caches[0].propagated_first:
-            products[view] = caches[0].weight_input
+            self.products[view] = caches[0].weight_input
         return out, caches
 
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-
-        label_loss, label_caches, d_label = 0.0, None, None
-        if coupled:
-            label_logits, label_caches = forward("label", training=True)
-            z = softmax_rows(label_logits)
-            label_loss = single_label_loss(z, label_targets)
-            d_label = single_label_loss_grad(z, label_targets)
-
-        node_logits, node_caches = node_forward or forward("node",
-                                                           training=True)
-        node_forward = None
-        node_loss = multi_label_loss(node_logits, node_targets, train_mask)
-        total = label_loss + node_loss
-        if not np.isfinite(total):
-            raise DivergenceError(epoch)
-
-        if coupled:
-            skip = config.skip_epoch0_injection and epoch == 0
-            if epoch % config.update_freq_nodes == 0 and not skip:
-                inject_node_features(model, node_logits)
-                products.pop("label", None)
-            if epoch % config.update_freq_labels == 0 and not skip:
-                inject_label_features(model, label_logits)
-                products.pop("node", None)
-                if node_input is not None:
-                    node_input = _node_input(model, config)
-
-        d_node = multi_label_loss_grad(node_logits, node_targets, train_mask)
-        # backward empties the cache lists; this keeps the caches until
-        # the step is done. Freed inside backward, they let the first
-        # step's Adam moments fill their holes, and glibc then trimmed and
-        # faulted back the heap above every epoch (about 10 MB an epoch on
-        # onehot_train, in half of its seeds)
-        spent = [*(label_caches or ()), *node_caches]
-        try:
-            grads = backward(label_caches, d_label, node_caches, d_node)
-            sgd_step(model, grads, config, optimizer)
-        except (FloatingPointError, ValueError) as exc:
-            raise DivergenceError(epoch, str(exc)) from exc
-        # spent: freeing them here keeps them out of the validation forward
-        # and out of the next epoch's forwards, where memory peaks
-        del label_caches, node_caches, grads, spent
-
-        if split.val_nodes.size:
-            embeddings, caches = forward("node", training=False)
-            if config.dropout == 0.0:
-                node_forward = embeddings, caches
-            del caches
-            val_f1 = evaluate(embeddings, node_targets, split.val_nodes,
-                              rule=rule, threshold=threshold).micro_f1
+    def inject(self, view: str, logits: np.ndarray):
+        """Inject the other view's logits into `view`; drop the view's
+        product and, for the node view, rebuild its one-hot input."""
+        if view == "label":
+            inject_node_features(self.model, logits)
         else:
-            val_f1 = float("nan")
+            inject_label_features(self.model, logits)
+            if self.node_input is not None:
+                self.node_input = _node_input(self.model, self.config)
+        self.products.pop(view, None)
 
-        history.label_loss.append(label_loss)
-        history.node_loss.append(node_loss)
-        history.total_loss.append(total)
-        history.val_micro_f1.append(val_f1)
-        history.epoch_seconds.append(time.perf_counter() - t0)
 
-    if embeddings is None:
-        embeddings, _ = forward("node", training=False)
-    return TrainResult(model=model, history=history, embeddings=embeddings,
-                       optimizer=optimizer,
-                       operator_sizes=operator_sizes(operators))
+def train_epoch(state: TrainState, epoch: int, targets: np.ndarray,
+                split: DataSplit, rule: str, threshold: float):
+    """One epoch, appended to `state.history`: label forward (skipped
+    without a label stack, as in the plain-GCN baseline, where the label
+    loss is identically zero), node forward with the masked multi-label
+    loss against `targets` (n x m), scheduled cross-injections, one
+    optimizer step on the summed loss, and an eval-mode validation Micro-F1."""
+    t0 = time.perf_counter()
+    config, train_mask = state.config, split.train_nodes
+    coupled = bool(layer_table(config)["label"])
+    label_loss, label_caches, d_label = 0.0, None, None
+    if coupled:
+        label_logits, label_caches = state.forward("label", training=True)
+        z, eye = softmax_rows(label_logits), np.eye(targets.shape[1])
+        label_loss = single_label_loss(z, eye)
+        d_label = single_label_loss_grad(z, eye)
+
+    node_logits, node_caches = (state.node_forward
+                                or state.forward("node", training=True))
+    state.node_forward = None
+    node_loss = multi_label_loss(node_logits, targets, train_mask)
+    total = label_loss + node_loss
+    if not np.isfinite(total):
+        raise DivergenceError(epoch)
+
+    if coupled and not (config.skip_epoch0_injection and epoch == 0):
+        if epoch % config.update_freq_nodes == 0:
+            state.inject("label", node_logits)
+        if epoch % config.update_freq_labels == 0:
+            state.inject("node", label_logits)
+
+    d_node = multi_label_loss_grad(node_logits, targets, train_mask)
+    # backward empties the cache lists; this keeps the caches until the
+    # step is done. Freed inside backward, they let the first step's Adam
+    # moments fill their holes, and glibc then trimmed and faulted back the
+    # heap above every epoch (about 10 MB an epoch on onehot_train, in half
+    # of its seeds)
+    spent = [*(label_caches or ()), *node_caches]
+    try:
+        grads = backward(label_caches, d_label, node_caches, d_node)
+        sgd_step(state.model, grads, config, state.optimizer)
+    except (FloatingPointError, ValueError) as exc:
+        raise DivergenceError(epoch, str(exc)) from exc
+    # spent: freeing them here keeps them out of the validation forward and
+    # out of the next epoch's forwards, where memory peaks
+    del label_caches, node_caches, grads, spent
+
+    if split.val_nodes.size:
+        state.embeddings, caches = state.forward("node", training=False)
+        if config.dropout == 0.0:
+            state.node_forward = state.embeddings, caches
+        del caches
+        val_f1 = evaluate(state.embeddings, targets, split.val_nodes,
+                          rule=rule, threshold=threshold).micro_f1
+    else:
+        val_f1 = float("nan")
+
+    state.history.label_loss.append(label_loss)
+    state.history.node_loss.append(node_loss)
+    state.history.total_loss.append(total)
+    state.history.val_micro_f1.append(val_f1)
+    state.history.epoch_seconds.append(time.perf_counter() - t0)
+
+
+def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
+          rule: str = "top_k_true", threshold: float = 0.5) -> TrainState:
+    """Run `config.epochs` epochs of `train_epoch`, deterministic for a
+    fixed (seed, config); the state it returns holds nothing for reuse."""
+    if split.train_nodes.size == 0:
+        raise ValueError("no labeled nodes")
+    state = TrainState(build_operators(graph, config.variant,
+                                       config.binarize_cooccurrence),
+                       init_model(graph, config), config, _Optimizer(config))
+    targets = graph.label_indicators()
+    for epoch in range(config.epochs):
+        train_epoch(state, epoch, targets, split, rule, threshold)
+    # the last epoch's validation forward doubles as the final one
+    if state.embeddings is None:
+        state.embeddings, _ = state.forward("node", training=False)
+    state.products, state.node_input, state.node_forward = {}, None, None
+    return state
 
 
 # -- checkpointing ----------------------------------------------------------

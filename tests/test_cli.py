@@ -792,6 +792,27 @@ class TestFailedWrites:
             "checkpoint.npz.tmp", "metrics.json.tmp"]
 
 
+class TestRewriteKeepsTheMode:
+    """A rewritten artifact keeps the permission bits of the file it
+    replaces; a new one gets the umask's default."""
+
+    @pytest.mark.parametrize("artifact", ["checkpoint.npz", "history.csv"])
+    def test_rerun_into_the_same_directory(self, tmp_path, artifact):
+        import stat
+        out = tmp_path / "run"
+        argv = ["train", "--synthetic", "k=2,size=10", "--epochs", "1",
+                "--hidden", "8", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        path = out / artifact
+        (tmp_path / "fresh").touch()
+        assert path.stat().st_mode == (tmp_path / "fresh").stat().st_mode
+        path.chmod(0o600)
+        before = path.stat().st_ino
+        assert run(argv) == EXIT_OK
+        assert path.stat().st_ino != before
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
 class TestStreamedWriter:
     """`write_embeddings_tsv` renders rows in blocks and hands them to
     `write_atomic` as pieces, which it writes in order."""

@@ -87,7 +87,9 @@ class TestParseEdgeList:
 
     @pytest.mark.parametrize("text,delimiter", [
         ("1, 2\n2 ,3 , 1.5\n", None), ("1\t 2\n2 \t3\t 1.5\n", None),
-        ("1 ; 2\n2;3 ;1.5\n", ";")], ids=["comma", "tab", "forced"])
+        ("1 ; 2\n2;3 ;1.5\n", ";"), ("1\t;2\n2;\t3 \t; 1.5\n", ";"),
+        ("1\t,2\n2 ,\t3,\t1.5\n", ",")],
+        ids=["comma", "tab", "forced", "forced-tab", "forced-comma-tab"])
     def test_spaces_around_a_delimiter_are_not_part_of_an_id(self, text,
                                                              delimiter):
         assert parse_edges(text, delimiter) == (
@@ -151,8 +153,9 @@ class TestLoadDataset:
         assert validate_graph(g) == []
 
     @pytest.mark.parametrize("sep,delimiter", [
-        (", ", None), ("\t ", None), (" ; ", ";")],
-        ids=["comma", "tab", "forced"])
+        (", ", None), ("\t ", None), (" ; ", ";"), ("\t;\t", ";"),
+        ("\t,", ",")],
+        ids=["comma", "tab", "forced", "forced-tab", "forced-comma-tab"])
     def test_spaced_files_give_the_plain_graph(self, tmp_path, sep,
                                                delimiter):
         # a space after a comma used to start an id: "1, 2\n2, 3" held the

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from mlgcn.graph import DataSplit
 from mlgcn.metrics import split_dataset
 from mlgcn.operators import build_operators
 from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
-                            TrainConfig, forward_label_gcn, forward_node_gcn,
-                            init_model, inject_label_features,
-                            inject_node_features, input_features, layer_table,
-                            _Optimizer, sgd_step, train)
+                            TrainConfig, TrainState, forward_label_gcn,
+                            forward_node_gcn, init_model,
+                            inject_label_features, inject_node_features,
+                            input_features, layer_table, _Optimizer, sgd_step,
+                            train, train_epoch)
 from mlgcn.matrices import SparseMatrix
 from mlgcn.rng import rng_stream
 
@@ -764,6 +767,70 @@ class TestFirstLayerReuse:
         assert shapes.count(self.ops.node.truncated.shape) == node
         assert handed["node"] and bool(handed["label"]) == (dropout == 0.0)
 
+    def test_inject_drops_only_its_views_product(self):
+        state = TrainState(self.ops, self.model, self.cfg,
+                           _Optimizer(self.cfg))
+        label_logits, _ = state.forward("label", training=False)
+        node_logits, _ = state.forward("node", training=False)
+        kept = dict(state.products)
+        assert sorted(kept) == ["label", "node"]
+        state.inject("label", node_logits)
+        assert list(state.products) == ["node"]
+        assert state.products["node"] is kept["node"]
+        assert np.array_equal(self.model.node_logits, node_logits)
+        state.forward("label", training=False)
+        kept = dict(state.products)
+        state.inject("node", label_logits)
+        assert list(state.products) == ["label"]
+        assert state.products["label"] is kept["label"]
+        assert state.node_input is None
+
+    def test_node_injection_rebuilds_the_one_hot_input(self):
+        cfg = small_config()
+        model = init_model(self.g, cfg)
+        state = TrainState(self.ops, model, cfg, _Optimizer(cfg))
+        first = state.node_input
+        assert isinstance(first, SparseMatrix)
+        assert np.array_equal(first.toarray(), node_view_input(model))
+        label_logits, _ = state.forward("label", training=False)
+        node_logits, _ = state.forward("node", training=False)
+        state.inject("label", node_logits)
+        assert state.node_input is first
+        state.inject("node", label_logits)
+        assert state.node_input is not first
+        assert np.array_equal(state.node_input.toarray(),
+                              node_view_input(model))
+        assert "node" not in state.products
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "before CPython 3.11 a caller keeps its call's arguments alive "
+        "until the call returns"))
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_node_input_dies_before_its_first_layer(self, monkeypatch,
+                                                    dropout):
+        # the dense node-view input is built in forward_stack's argument
+        # list: once the first layer has its op @ H, nothing holds the
+        # (n+m) x d input through the layer's GEMM
+        import mlgcn.kernels as kernels
+        refs, dead = [], []
+        build, layer = training._node_input, kernels.gcn_layer_forward
+
+        def building(*args):
+            h = build(*args)
+            refs.append(weakref.ref(h))
+            return h
+
+        def recording(op, *args, **kwargs):
+            if op.shape == self.ops.node.truncated.shape:
+                dead.append(refs[-1]() is None)
+            return layer(op, *args, **kwargs)
+        monkeypatch.setattr(training, "_node_input", building)
+        monkeypatch.setattr(kernels, "gcn_layer_forward", recording)
+        split = split_dataset(self.g, 0.25, seed=21)
+        train(self.g, split, small_config(feature_dim=3, hidden_dim=8,
+                                          epochs=3, dropout=dropout))
+        assert refs and dead and all(dead)
+
 
 def densified(model):
     """The same model with its one-hot X, and any block still equal to it,
@@ -1055,6 +1122,41 @@ class TestTrain:
         if dropout == 0.0 and feature_dim == 0:
             assert len(set(f1s)) > 1
         assert np.array_equal(embeddings, result.embeddings)
+
+    @pytest.mark.parametrize("feature_dim", [0, 3])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_is_its_epochs_over_one_state(self, dropout, feature_dim):
+        g = small_graph(seed=12, size=20)
+        split = split_dataset(g, 0.25, seed=12)
+        cfg = small_config(epochs=6, optimizer="adam", learning_rate=0.05,
+                           update_freq_nodes=3, update_freq_labels=2,
+                           dropout=dropout, feature_dim=feature_dim)
+        result = train(g, split, cfg)
+        state = TrainState(build_operators(g), init_model(g, cfg), cfg,
+                           _Optimizer(cfg))
+        targets = g.label_indicators()
+        for epoch in range(cfg.epochs):
+            train_epoch(state, epoch, targets, split, "top_k_true", 0.5)
+        for name in ("label_loss", "node_loss", "total_loss", "val_micro_f1"):
+            assert getattr(state.history, name) == getattr(result.history,
+                                                           name)
+        assert len(state.history.epoch_seconds) == cfg.epochs
+        assert state.embeddings.tobytes() == result.embeddings.tobytes()
+        assert state.optimizer.step_count == result.optimizer.step_count
+
+    @pytest.mark.parametrize("feature_dim", [0, 3])
+    def test_returned_state_holds_nothing_for_reuse(self, feature_dim):
+        # at dropout 0 every epoch keeps a product, and the last one a
+        # pending node forward; the one-hot run keeps its node input
+        g = small_graph(seed=21)
+        split = split_dataset(g, 0.25, seed=21)
+        assert split.val_nodes.size
+        result = train(g, split, small_config(feature_dim=feature_dim,
+                                              epochs=3))
+        assert result.products == {}
+        assert result.node_input is None and result.node_forward is None
+        assert result.embeddings.shape == (g.node_count, g.label_count)
+        assert len(result.history) == 3
 
     @pytest.mark.parametrize("dropout,forwards", [(0.0, 6), (0.5, 10)])
     def test_node_forwards_per_run(self, monkeypatch, dropout, forwards):
