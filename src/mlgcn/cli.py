@@ -91,6 +91,9 @@ def parse_synthetic_spec(spec: str, seed: int) -> SyntheticConfig:
         field = _SYNTH_KEYS.get(key.strip())
         if field is None:
             raise UsageError(f"unknown synthetic parameter {key!r}")
+        if field in kwargs:
+            raise UsageError(f"synthetic parameter {field!r} given more "
+                             f"than once (here as {key.strip()!r})")
         cast = int if field in ("communities", "community_size") else float
         try:
             kwargs[field] = cast(value)

@@ -76,6 +76,8 @@ class SyntheticConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0,1], got {v}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # size in characters of the pieces the parsers cut a text into at line ends
@@ -100,7 +102,8 @@ def _records(text: str, delimiter: str | None,
              arity: tuple[int, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for every record line: lines are
     stripped, blank and '#' lines skipped, spaces around a separator
-    dropped, empty fields skipped, and the field count checked.
+    dropped, empty fields skipped, the field count checked, and a tab
+    inside a field refused (it would make the tab-separated outputs ragged).
 
     This loop defines the file grammar and every `ParseError`; the bulk
     path (`_regular_tokens`) reads only files on which it gives the same
@@ -119,6 +122,8 @@ def _records(text: str, delimiter: str | None,
         fields = line.split(sep)
         if sep is not None and (" " in line or pad != " " and "\t" in line):
             fields = [f.strip(pad) for f in fields]
+            if pad != " " and any("\t" in f for f in fields):
+                raise ParseError(no, "a tab inside a field")
         if "" in fields:
             fields = [f for f in fields if f]
         if len(fields) not in arity:

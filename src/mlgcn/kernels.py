@@ -10,10 +10,10 @@ one-hot input features) always multiplies W first, and its dropout scales
 only its stored entries. `forward_stack` walks a stack of such layers and
 records everything the backward pass needs (the matrix W multiplies, the
 rectified output, dropout masks, as bytes); `backward` then walks the two
-layer stacks in reverse, in the order each layer's forward used. A dense
-first layer that propagates first is handed ``op @ dropout(H)`` from
-`_propagate`, which streams H in row blocks of about a MiB when it draws
-or writes them, or a caller's ``op @ H`` when nothing is drawn.
+layer stacks in reverse, in the order each layer's forward used. A row
+writer always propagates first; such a layer is handed ``op @ dropout(H)``
+from `_propagate`, which streams a writer or a drawn array in row blocks
+of about a MiB, or a caller's ``op @ H``.
 Gradients never flow into the operators or the input feature blocks —
 those are constants.
 """
@@ -38,7 +38,8 @@ __all__ = [
 
 LOG_CLAMP = 1e-12  # fixed probability floor before logs; not configurable
 
-# values per row block of a sparse input's dropout draw
+# values per row block of a sparse input's dropout draw (8 MiB): freeing that
+# buffer keeps glibc's mmap threshold above onehot_train's n x hidden arrays
 _DRAW_BLOCK_VALUES = 1 << 20
 # values per row block of a streamed first layer (1 MiB), and any block's
 # fewest rows: a short row block of a GEMM can get other bits than the whole
@@ -196,31 +197,31 @@ def _propagate(op: SparseMatrix, h, shape: tuple[int, int], dropout: float,
     """``op @ dropout(h)`` of a dense first-layer input: for an array with
     nothing to draw the whole CSR product, else over row blocks.
 
-    `h` (`shape`) is an array or a row writer, ``h(start, stop, out)``,
-    which writes rows [start, stop) into `out`. Each block is written into
-    a reused buffer, drawn in row order (so the generator ends where one
-    whole draw leaves it), masked in place, and its product with the
-    matching column block of one CSC copy of `op` added into the output.
-    csc_matvecs adds each output row's terms in column order, as
-    csr_matvecs does over the whole operator: the bits of the whole
-    product, at any block size. No mask is kept.
+    `h` (`shape`) is a row writer, ``h(start, stop, out)``, which writes
+    rows [start, stop) into `out`, or an array, written as its own rows.
+    Each block is written into a reused buffer, drawn in row order (so the
+    generator ends where one whole draw leaves it), masked in place, and its
+    product with the matching column block of one CSC copy of `op` added
+    into the output. csc_matvecs adds each output row's terms in column
+    order, as csr_matvecs does over the whole operator: the bits of the
+    whole product, at any block size. No mask is kept.
     """
     if not callable(h) and dropout == 0.0:
         return spmm(op, h)
+    write = h if callable(h) else (
+        lambda start, stop, out: np.copyto(out, h[start:stop]))
     csc, out = op.tocsc(), np.zeros((op.shape[0], shape[1]))
     blocks = _row_blocks(*shape, _BLOCK_VALUES)
     size = (max(stop - start for start, stop in blocks), shape[1])
-    written = np.empty(size) if callable(h) else None
+    written = np.empty(size)
     drawn = np.empty(size) if dropout > 0.0 else None
     for start, stop in blocks:
-        block = h[start:stop] if written is None else written[:stop - start]
-        if written is not None:
-            h(start, stop, block)
+        block = written[:stop - start]
+        write(start, stop, block)
         if drawn is not None:
             keep = rng.random(out=drawn[:stop - start])
             np.greater_equal(keep, dropout, out=keep)
-            block = np.multiply(block, keep, out=block if callable(h)
-                                else keep)
+            np.multiply(block, keep, out=block)
             np.multiply(block, 1.0 / (1.0 - dropout), out=block)
         lo, hi = csc.indptr[start], csc.indptr[stop]
         part = sp.csc_array((csc.data[lo:hi], csc.indices[lo:hi],
@@ -307,12 +308,12 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h,
 
     Every layer but the last is rectified; dropout is drawn layer by layer
     in stack order. `h` is an array, a sparse matrix, a row writer (see
-    `_propagate`), or None when `propagated` is given. A dense first layer
-    that propagates first is handed ``op @ dropout(h)`` from `_propagate`
-    or, in a forward that draws nothing, `propagated`, a precomputed ``op
-    @ h``; it sees a NaN stand-in of the input's shape. Any other first
-    layer, and a forward that draws, refuses `propagated`. Returns the
-    output and the caches `backward_stack` needs.
+    `_propagate`), or None when `propagated` is given. A first layer over a
+    writer, or an array that propagates first, is handed ``op @ dropout(h)``
+    from `_propagate` or, in a forward that draws nothing, `propagated`, a
+    precomputed ``op @ h``; it sees a NaN stand-in of the input's shape. Any
+    other first layer, and a forward that draws, refuses `propagated`.
+    Returns the output and `backward_stack`'s caches.
     """
     drawn = training and dropout > 0.0
     if drawn and rng is None:
@@ -326,8 +327,8 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h,
         w, product = weights[key], None
         if idx == 0:
             shape = (op.shape[1], w.shape[0])
-            if (not sp.issparse(h)
-                    and propagates_first(op.shape, op.nnz, w.shape)):
+            if callable(h) or (not sp.issparse(h) and propagates_first(
+                    op.shape, op.nnz, w.shape)):
                 # no mask of a first layer is read: the layer is handed
                 # the product, with the draws already taken
                 product = propagated if propagated is not None else (
@@ -336,9 +337,6 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h,
             elif propagated is not None:
                 raise ValueError("only a dense first layer that propagates "
                                  "first takes a precomputed op @ h")
-            elif callable(h):  # W first: the whole input
-                h, write = np.empty(shape), h
-                write(0, shape[0], h)
         h, cache = gcn_layer_forward(op, h, w, activation=activation,
                                      dropout=dropout, training=training,
                                      rng=rng, weight_key=key,

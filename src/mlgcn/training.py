@@ -101,6 +101,8 @@ class TrainConfig:
         if self.feature_dim < 0:
             raise ValueError("feature_dim must be >= 0 (0 selects one-hot "
                              "features)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
@@ -284,11 +286,11 @@ def forward_label_gcn(operators: GraphOperators, model: ModelState,
                       ) -> tuple[np.ndarray, list[LayerCache]]:
     """Label-view logits (m x m) from the raw label features over the
     injected node block (`_label_input`), or from `propagated`, the first
-    layer's ``op @ H`` over that input, when it is given."""
+    layer's ``op @ H`` over that input: a row writer's, handed over
+    unwritten beside it so that `forward_stack` takes the product."""
     return forward_stack(_stack(operators, config, "label"),
-                         _label_input(model) if propagated is None else None,
-                         model.weights, config.dropout, training,
-                         model.dropout_rng, propagated)
+                         _label_input(model), model.weights, config.dropout,
+                         training, model.dropout_rng, propagated)
 
 
 def forward_node_gcn(operators: GraphOperators, model: ModelState,

@@ -137,6 +137,20 @@ BAD_VALUES = {
     "bad_node_layers": (["sweep", "--synthetic", "k=2,size=10",
                          "--node-layers", "0", "--grid", "epochs=1",
                          "--out", "o"], "1 or 2"),
+    "repeated_synthetic_key": (["stats", "--synthetic", "k=2,k=3,size=10"],
+                               "'communities' given more than once"),
+    "repeated_synthetic_alias": (["train", "--synthetic",
+                                  "communities=2,size=10,k=3", "--out", "o"],
+                                 "'communities' given more than once "
+                                 "(here as 'k')"),
+    "negative_seed_stats": (["stats", "--synthetic", "k=2,size=10",
+                             "--seed", "-1"], "seed must be >= 0, got -1"),
+    "negative_seed_train": (["train", "--synthetic", "k=2,size=10",
+                             "--seed", "-2", "--out", "o"],
+                            "seed must be >= 0, got -2"),
+    "negative_seed_train_files": (["train", "--edges", "e", "--labels", "l",
+                                   "--seed", "-1", "--out", "o"],
+                                  "seed must be >= 0, got -1"),
     "repeated_grid_parameter": (["sweep", "--synthetic", "k=2,size=10",
                                  "--grid", "lr=0.1,0.2", "--grid", "lr=0.3",
                                  "--out", "o"], "'lr'"),
@@ -158,6 +172,24 @@ def test_bad_value_is_usage_error(tmp_path, monkeypatch, capsys, case):
     assert run(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and named in err
+
+
+def test_tab_inside_an_id_is_a_parse_error(tmp_path, capsys):
+    # under a forced ';' an inner tab stayed in the id "a\tb", whose
+    # embeddings.tsv row then held one field more than the others
+    edges, labels = tmp_path / "edges", tmp_path / "labels"
+    labels.write_text("c;x\nd;y\n")
+    for node, code in (("a\tb", EXIT_IO), ("ab", EXIT_OK)):
+        edges.write_text(f"{node};c\nc;d\nd;{node}\n")
+        out = tmp_path / node
+        assert run(["train", "--edges", str(edges), "--labels", str(labels),
+                    "--delimiter", ";", "--epochs", "2", "--hidden", "8",
+                    "--alpha", "0.5", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == f"parse error: {edges}: line 1: a tab inside a field\n"
+    assert not (tmp_path / "a\tb").exists()
+    rows = (tmp_path / "ab" / "embeddings.tsv").read_text().splitlines()
+    assert {len(row.split("\t")) for row in rows} == {3}
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -331,7 +363,7 @@ class TestTrain:
         # the first line splits at the tab when the delimiter is detected,
         # and at the comma when it is forced: two graphs from one file
         edges, labels = tmp_path / "edges", tmp_path / "labels"
-        edges.write_text("n1\tn2,n3\nn3,n4\nn4,n5\nn5,n6\nn6,n3\n")
+        edges.write_text("n1\t,n3\nn3,n4\nn4,n5\nn5,n6\nn6,n3\n")
         labels.write_text("n3,a\nn4,b\nn5,a\nn6,b\n")
         out1 = tmp_path / "o1"
         assert run(["train", "--edges", str(edges), "--labels", str(labels),
@@ -1071,6 +1103,11 @@ EXIT_CONTRACT = {
         CHECKPOINT, ["--checkpoint", "{tmp}/truncated.npz"])),
     "bad_grid_value": (EXIT_USAGE, None,
                        {"sweep": ["--grid", "dropout=0.5,1.5"]}),
+    "negative_seed": (EXIT_USAGE, None, {
+        "stats": ["--seed", "-1"], "train": ["--seed", "-1"],
+        "sweep": ["--seed", "-1"]}),
+    "negative_seed_on_files": (EXIT_USAGE, _files("edges", "labels"), {
+        "train": ["--seed", "-1"], "sweep": ["--seed", "-1"]}),
     "alpha_leaves_no_test_nodes": (EXIT_USAGE, ["--synthetic", "k=2,size=3"],
                                    {"train": ["--alpha", "0.95"],
                                     "sweep": ["--grid", "alpha=0.5,0.95"]}),

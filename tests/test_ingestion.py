@@ -98,6 +98,19 @@ class TestParseEdgeList:
         assert parse_edges(text.replace("1", "x y", 1), delimiter)[0] == [
             "x y", "2", "3"]
 
+    @pytest.mark.parametrize("delimiter", [";", ","])
+    def test_tab_inside_a_field_beside_a_forced_delimiter(self, delimiter):
+        # tabs around a forced separator are padding, but one inside an id
+        # would stay in it and make the tab-separated outputs ragged
+        text = "a\tb;c\nc;d\nd;a\tb\n".replace(";", delimiter)
+        with pytest.raises(ParseError, match="line 1: a tab inside a field"):
+            parse_edge_list(text, {}, delimiter)
+        with pytest.raises(ParseError, match="line 2: a tab inside a field"):
+            parse_label_assignments(f"c{delimiter}x\nd{delimiter}x\ty\n",
+                                    {}, {}, delimiter)
+        assert parse_edges(text.replace("a\tb", "a \t"), delimiter)[0] == [
+            "a", "c", "d"]
+
     def test_ids_continue_the_callers_index(self):
         nodes = {"x": 0}
         src, dst, _ = parse_edge_list("y,x", nodes)

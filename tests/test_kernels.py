@@ -1042,9 +1042,10 @@ class TestStreamedFirstLayer:
                 == whole_rng.bit_generator.state)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_row_writer_feeds_either_order(self, dropout):
-        # a row writer gives the bits of its rows handed over as an array,
-        # whether the first layer propagates first or multiplies W first
+    def test_row_writer_always_propagates_first(self, dropout):
+        # a row writer propagates first at a fan-out whose shapes would
+        # multiply W first too, and gives the bits of op @ dropout(x) over
+        # one whole draw of the same generator
         rng = np.random.default_rng(2)
         op = random_op(rng, 6, 9)
         x = rng.standard_normal((9, 4))
@@ -1054,15 +1055,47 @@ class TestStreamedFirstLayer:
         for fan_out, first in ((12, True), (2, False)):
             weights = {"w0": rng.standard_normal((4, fan_out))}
             assert propagates_first(op.shape, op.nnz, (4, fan_out)) == first
+            layer_rng, ref_rng = (np.random.default_rng(3),
+                                  np.random.default_rng(3))
             out, caches = forward_stack([(op, "w0")], write, weights, dropout,
-                                        True, np.random.default_rng(3))
-            ref, ref_caches = forward_stack([(op, "w0")], x, weights, dropout,
-                                            True, np.random.default_rng(3))
-            assert out.tobytes() == ref.tobytes()
-            assert (caches[0].weight_input.tobytes()
-                    == ref_caches[0].weight_input.tobytes())
+                                        True, layer_rng)
+            hd = x
+            if dropout:
+                hd = x * (ref_rng.random(x.shape) >= dropout) * (
+                    1.0 / (1.0 - dropout))
+            want = op @ hd
+            assert caches[0].propagated_first
+            assert caches[0].weight_input.tobytes() == want.tobytes()
+            assert out.tobytes() == (want @ weights["w0"]).tobytes()
+            assert (layer_rng.bit_generator.state
+                    == ref_rng.bit_generator.state)
         with pytest.raises(ValueError, match="needs an rng"):
             forward_stack([(op, "w0")], write, weights, 0.3, True, None)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_hidden_one_writer_is_never_written_whole(self, dropout):
+        # a hidden-1 label layer over a dense operator multiplies W first by
+        # its shapes; over a row writer it streams, so the forward holds
+        # row blocks and no (m+n) x d array
+        m, n, d = 8, 2000, 600
+        rng = np.random.default_rng(6)
+        op = random_op(rng, m, m + n, density=0.3)
+        x = rng.standard_normal((m + n, d))
+        weights = {"w0_label": rng.standard_normal((d, 1))}
+        assert not propagates_first(op.shape, op.nnz, (d, 1))
+
+        def write(start, stop, out):
+            out[...] = x[start:stop]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, caches = forward_stack([(op, "w0_label")], write, weights,
+                                      dropout, True, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert caches[0].propagated_first
+        assert peak - base < (m + n) * d * 8
 
     def test_short_last_block_joins_the_one_before(self):
         blocks = kernels._row_blocks

@@ -680,7 +680,8 @@ class TestFirstLayerReuse:
                 return fn(*args)
             monkeypatch.setattr(training, name, recording)
         out, caches = forward(ops, model, cfg, propagated=product)
-        assert built == []
+        # the label view's input is a row writer, made but never written
+        assert built == (["_label_input"] if view == "label" else [])
         assert out.tobytes() == ref.tobytes()
         assert len(caches) == len(ref_caches)
         for cache, want in zip(caches, ref_caches):
@@ -766,6 +767,31 @@ class TestFirstLayerReuse:
         assert shapes.count(self.ops.label.truncated.shape) == label
         assert shapes.count(self.ops.node.truncated.shape) == node
         assert handed["node"] and bool(handed["label"]) == (dropout == 0.0)
+
+    @pytest.mark.parametrize("feature_dim", [0, 3])
+    def test_hidden_one_label_writer_keeps_its_product(self, feature_dim):
+        # at hidden 1 the 2l label stack's first layer multiplies W first by
+        # its shapes, but over a row writer it propagates first: the product
+        # is kept and handed to the next label forward, which gives the
+        # bits of the first, and a whole run at dropout 0 reuses it
+        from mlgcn.kernels import propagates_first
+        cfg = small_config(variant="2l", hidden_dim=1, epochs=4,
+                           feature_dim=feature_dim, update_freq_nodes=2)
+        ops = build_operators(self.g, "2l")
+        model = init_model(self.g, cfg)
+        op = ops.label.truncated
+        assert not propagates_first(op.shape, op.nnz,
+                                    (model.label_features.shape[1], 1))
+        state = TrainState(ops, model, cfg, _Optimizer(cfg))
+        node_logits, _ = state.forward("node", training=False)
+        state.inject("label", node_logits)
+        first, caches = state.forward("label", training=True)
+        assert caches[0].propagated_first
+        assert state.products["label"] is caches[0].weight_input
+        again, _ = state.forward("label", training=True)
+        assert again.tobytes() == first.tobytes()
+        split = split_dataset(self.g, 0.25, seed=21)
+        assert len(train(self.g, split, cfg).history.epoch_seconds) == 4
 
     def test_inject_drops_only_its_views_product(self):
         state = TrainState(self.ops, self.model, self.cfg,
