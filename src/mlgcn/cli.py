@@ -35,10 +35,9 @@ from .datasets import (ParseError, SyntheticConfig, dataset_stats,
 from .files import replacing
 from .metrics import (evaluate, label_correlation_matrix, per_label_breakdown,
                       split_dataset)
-from .operators import build_operators, operator_sizes
+from .operators import operator_sizes
 from .training import (VARIANTS, DivergenceError, TrainConfig,
-                       forward_node_gcn, load_checkpoint, save_checkpoint,
-                       train)
+                       read_checkpoint, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -295,13 +294,16 @@ def _report_dict(report) -> dict:
         "macro_f1": report.macro_f1,
         "decision_rule": report.decision_rule,
         "subset_size": report.subset_size,
-        "per_label": [dataclasses.asdict(s) for s in report.per_label],
+        "per_label": [{"label": s.label, "tp": s.tp, "fp": s.fp, "fn": s.fn,
+                       "f1": s.f1} for s in report.per_label],
     }
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_stats(args) -> int:
+    if args.seed < 0:  # a file dataset never reads it
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     s = dataset_stats(build_graph(args, args.seed))
     print(f"{s.node_count} {s.edge_count} {s.label_count} {s.cooccurrence_count}")
     return EXIT_OK
@@ -340,7 +342,8 @@ def cmd_train(args) -> int:
         "manifest": os.path.join(args.out, "manifest.json"),
     }
     save_checkpoint(paths["checkpoint"], result.model, config,
-                    config.epochs, fingerprint, result.optimizer)
+                    config.epochs, fingerprint, result.optimizer,
+                    embeddings=result.embeddings)
     write_history_csv(paths["history"], result.history)
     write_embeddings_tsv(paths["embeddings"], graph.node_ids, result.embeddings)
 
@@ -382,30 +385,25 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint_scores(args):
-    """(config, graph, split, scores, truth) of a fingerprint-checked run."""
-    model, config, epoch, fingerprint = load_checkpoint(args.checkpoint)
+    """(config, graph, split, scores, truth) of a fingerprint-checked run;
+    the scores are the final node logits that train stored."""
+    meta, config, arrays, _ = read_checkpoint(args.checkpoint)
     if args.feature_dim != config.feature_dim:
         raise FingerprintMismatch(
             f"checkpoint was trained with --feature-dim {config.feature_dim}, "
             f"this run passes --feature-dim {args.feature_dim}")
     graph = build_graph(args, config.seed)
+    fingerprint = meta["fingerprint"]
     actual = dataset_fingerprint(graph, config.feature_dim)
     if actual != fingerprint:
         raise FingerprintMismatch(
-            f"checkpoint was trained on n={model.node_features.shape[0]} "
-            f"m={model.label_features.shape[0]} (fingerprint "
+            f"checkpoint was trained on n={meta['node_count']} "
+            f"m={meta['label_count']} (fingerprint "
             f"{fingerprint[:12]}), the dataset has n={graph.node_count} "
             f"m={graph.label_count} (fingerprint {actual[:12]})")
     split = split_dataset(graph, config.train_ratio, config.seed)
-    return (config, graph, split, _final_scores(model, config, graph),
+    return (config, graph, split, arrays["embeddings"],
             graph.label_indicators())
-
-
-def _final_scores(model, config, graph) -> np.ndarray:
-    operators = build_operators(graph, config.variant,
-                                config.binarize_cooccurrence)
-    scores, _ = forward_node_gcn(operators, model, config, training=False)
-    return scores
 
 
 def cmd_eval(args) -> int:

@@ -37,12 +37,13 @@ __all__ = [
     "DivergenceError", "CheckpointError", "layer_table", "weight_shapes",
     "projection_shapes", "input_features", "init_model", "forward_label_gcn",
     "forward_node_gcn", "inject_label_features", "inject_node_features",
-    "sgd_step", "train_epoch", "train", "save_checkpoint", "load_checkpoint",
+    "sgd_step", "train_epoch", "train", "save_checkpoint", "read_checkpoint",
+    "load_checkpoint",
 ]
 
 VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 # values per row block of an optimizer step (at least one row)
 _STEP_CHUNK_VALUES = 1 << 16
@@ -540,12 +541,15 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
 
 def save_checkpoint(path, model: ModelState, config: TrainConfig,
                     epoch: int, fingerprint: str,
-                    optimizer: _Optimizer | None = None):
+                    optimizer: _Optimizer | None = None, *,
+                    embeddings: np.ndarray):
     """Versioned npz dump of weights, projections, rng state, config, the
-    dataset fingerprint and what injections put into the views: the node
-    logits (n x m), once injected, and the label block, once replaced; what
-    is still the raw features is left for `load_checkpoint` to rebuild. A
-    failed write leaves `path` as it was (`files.replacing`)."""
+    dataset fingerprint, the model's final eval-mode node logits
+    (`embeddings`, n x m), which `eval` scores, and what injections put
+    into the views: the node logits (n x m), once injected, and the label
+    block, once replaced; what is still the raw features is left for
+    `load_checkpoint` to rebuild. A failed write leaves `path` as it was
+    (`files.replacing`)."""
     injected = {}
     if model.node_logits is not None:
         injected["node_logits"] = model.node_logits
@@ -564,7 +568,8 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
         "dropout_rng_state": model.dropout_rng.bit_generator.state,
         "optimizer_steps": optimizer.step_count if optimizer else 0,
     }
-    arrays = dict(injected)
+    arrays = {"embeddings": np.asarray(embeddings, dtype=np.float64),
+              **injected}
     for key, w in model.weights.items():
         arrays[f"weight__{key}"] = w
     for key, w in model.projections.items():
@@ -579,16 +584,18 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
             json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
-def load_checkpoint(path):
-    """Load a checkpoint; returns (model, config, epoch, fingerprint).
+def read_checkpoint(path):
+    """Read and check a checkpoint without building a model; returns
+    (meta, config, arrays, dropout_rng), where `arrays` holds the
+    embeddings, the listed injected arrays, and each weight and projection
+    under its `weight__` or `projection__` name.
 
-    `input_features` rebuilds the raw features for the stored n and m;
-    without stored node logits the label view reads the raw X, and an
-    unlisted label block is the raw Y itself. Raises CheckpointError for a
-    file that is not a complete checkpoint archive, lacks an entry, carries
-    an unknown config field or another version than this build writes, or
-    holds node logits, a label block, weights or projections of other
-    shapes than its config lays out.
+    Raises CheckpointError for a file that is not a complete checkpoint
+    archive, lacks an entry, carries an unknown config field, another
+    version than this build writes, counts, an epoch or a fingerprint of
+    the wrong type or a dropout rng state that does not load, or holds
+    embeddings, node logits, a label block, weights or projections of
+    other shapes than its config lays out.
     """
     try:
         # np.load leaves a file it opened open when the archive is broken
@@ -600,36 +607,58 @@ def load_checkpoint(path):
                     f"(this build reads version {CHECKPOINT_VERSION})")
             config = TrainConfig(**meta["config"])
             n, m = meta["node_count"], meta["label_count"]
-            x, y = input_features(n, m, config)
-            injected = {"node_logits": None, "label_block": y}
-            expected = {"node_logits": (n, m), "label_block": y.shape}
-            for name in meta["injected"]:
-                array = data[name]
-                if array.shape != expected[name]:
+            # a shape check passes a float or bool count that equals it
+            if not (type(n) is type(m) is type(meta["epoch"]) is int
+                    and isinstance(meta["fingerprint"], str)):
+                raise CheckpointError(f"{path}: bad counts, epoch or "
+                                      f"fingerprint in the metadata")
+            d = config.feature_dim or n + m  # as `input_features` lays out
+            injected = {"node_logits": (n, m), "label_block": (m, d)}
+            expected = {"embeddings": (n, m)}
+            expected.update((name, injected[name]) for name in meta["injected"])
+            arrays = {}
+            for name, shape in expected.items():
+                arrays[name] = data[name]
+                if arrays[name].shape != shape:
                     raise CheckpointError(
-                        f"{path}: injected {name} {array.shape} does not "
-                        f"match the expected {expected[name]}")
-                injected[name] = array
-            d = y.shape[1]
+                        f"{path}: {name} {arrays[name].shape} does not "
+                        f"match the expected {shape}")
             layouts = {"weight": weight_shapes(config, d, m),
                        "projection": projection_shapes(config, d, m)}
-            stored = {kind: {k: data[f"{kind}__{k}"]
-                             for k in meta[f"{kind}_keys"]}
-                      for kind in layouts}
             for kind, layout in layouts.items():
-                shapes = {k: a.shape for k, a in stored[kind].items()}
+                stored = {k: data[f"{kind}__{k}"] for k in meta[f"{kind}_keys"]}
+                shapes = {k: a.shape for k, a in stored.items()}
                 if shapes != layout:
                     raise CheckpointError(
                         f"{path}: {kind} shapes {shapes} do not match the "
                         f"{config.variant} layout {layout}")
-            model = ModelState(
-                weights=stored["weight"], projections=stored["projection"],
-                node_features=x, label_features=y, **injected,
-                dropout_rng=rng_stream(config.seed, "dropout"))
-            model.dropout_rng.bit_generator.state = meta["dropout_rng_state"]
-            return model, config, meta["epoch"], meta["fingerprint"]
+                arrays.update((f"{kind}__{k}", a) for k, a in stored.items())
+            dropout_rng = rng_stream(config.seed, "dropout")
+            dropout_rng.bit_generator.state = meta["dropout_rng_state"]
+            return meta, config, arrays, dropout_rng
     except CheckpointError:
         raise
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: not a readable checkpoint "
                               f"({type(exc).__name__}: {exc})") from exc
+
+
+def load_checkpoint(path):
+    """Load a checkpoint (`read_checkpoint`); returns (model, config,
+    epoch, fingerprint).
+
+    `input_features` rebuilds the raw features for the stored n and m;
+    without stored node logits the label view reads the raw X, and an
+    unlisted label block is the raw Y itself.
+    """
+    meta, config, arrays, dropout_rng = read_checkpoint(path)
+    x, y = input_features(meta["node_count"], meta["label_count"], config)
+    injected = {"node_logits": None, "label_block": y}
+    injected.update((name, arrays[name]) for name in meta["injected"])
+    model = ModelState(
+        weights={k: arrays[f"weight__{k}"] for k in meta["weight_keys"]},
+        projections={k: arrays[f"projection__{k}"]
+                     for k in meta["projection_keys"]},
+        node_features=x, label_features=y, **injected,
+        dropout_rng=dropout_rng)
+    return model, config, meta["epoch"], meta["fingerprint"]

@@ -13,7 +13,7 @@ from mlgcn.cli import (EXIT_BAD_REF, EXIT_DIVERGED, EXIT_FINGERPRINT, EXIT_IO,
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
 from mlgcn.training import VARIANTS, CheckpointError, TrainConfig, load_checkpoint
 
-from helpers import node_block
+from helpers import assert_stored_embeddings, node_block
 
 EASY = "k=2,size=15,p-intra=0.5,p-inter=0.02,rho=1"
 EASY_TRAIN = ["--synthetic", EASY, "--epochs", "150", "--hidden", "32",
@@ -145,6 +145,10 @@ BAD_VALUES = {
                                  "(here as 'k')"),
     "negative_seed_stats": (["stats", "--synthetic", "k=2,size=10",
                              "--seed", "-1"], "seed must be >= 0, got -1"),
+    # stats on files never reads the seed, and still refuses it
+    "negative_seed_stats_files": (["stats", "--edges", "e", "--labels", "l",
+                                   "--seed", "-1"],
+                                  "seed must be >= 0, got -1"),
     "negative_seed_train": (["train", "--synthetic", "k=2,size=10",
                              "--seed", "-2", "--out", "o"],
                             "seed must be >= 0, got -2"),
@@ -472,13 +476,12 @@ class TestEval:
         import mlgcn.cli as cli
         captured = {}
 
-        def capture(name, fn):
-            def wrapped(*args, **kwargs):
-                captured[name] = out = fn(*args, **kwargs)
-                return out
-            monkeypatch.setattr(cli, name, wrapped)
-        capture("train", cli.train)
-        capture("_final_scores", cli._final_scores)
+        train = cli.train
+
+        def capture(*args, **kwargs):
+            captured["train"] = out = train(*args, **kwargs)
+            return out
+        monkeypatch.setattr(cli, "train", capture)
         out, spec = tmp_path / "run", "k=2,size=10"
         assert run(["train", "--synthetic", spec, "--epochs", "1",
                     "--skip-epoch0-injection", "--hidden", "8",
@@ -492,12 +495,49 @@ class TestEval:
         # X is rebuilt and loads back sparse, as training stacks it
         loaded, *_ = load_checkpoint(checkpoint)
         assert node_block(loaded) is loaded.node_features
+        assert_stored_embeddings(
+            checkpoint, generate_synthetic(parse_synthetic_spec(spec, 0)),
+            captured["train"].embeddings)
         assert run(["eval", "--synthetic", spec, "--checkpoint",
                     str(checkpoint), "--metrics",
                     str(tmp_path / "m.json")]) == EXIT_OK
-        assert np.array_equal(captured["_final_scores"],
-                              captured["train"].embeddings)
 
+    def test_scores_without_building_a_model(self, easy_run, tmp_path,
+                                             monkeypatch):
+        # eval and case-study read the stored embeddings: they build no
+        # features, no operators and run no forward
+        import mlgcn.operators
+        import mlgcn.training
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint's model was rebuilt")
+        for module in (mlgcn.operators, mlgcn.training):
+            monkeypatch.setattr(module, "build_operators", refuse)
+        for name in ("input_features", "forward_node_gcn"):
+            monkeypatch.setattr(mlgcn.training, name, refuse)
+        checkpoint = ["--checkpoint", str(easy_run / "checkpoint.npz"),
+                      "--synthetic", EASY]
+        assert run(["eval", *checkpoint,
+                    "--metrics", str(tmp_path / "m.json")]) == EXIT_OK
+        assert run(["case-study", *checkpoint, "--labels-list", "home0",
+                    "--correlation-out", str(tmp_path / "c.csv")]) == EXIT_OK
+
+    def test_metrics_bytes_match_the_asdict_rendering(self, easy_run,
+                                                      tmp_path, monkeypatch):
+        import mlgcn.cli as cli
+        argv = ["eval", "--checkpoint", str(easy_run / "checkpoint.npz"),
+                "--synthetic", EASY, "--rule", "threshold:0.3", "--metrics"]
+        assert run([*argv, str(tmp_path / "plain.json")]) == EXIT_OK
+        monkeypatch.setattr(cli, "_report_dict", lambda report: {
+            "micro_f1": report.micro_f1,
+            "macro_f1": report.macro_f1,
+            "decision_rule": report.decision_rule,
+            "subset_size": report.subset_size,
+            "per_label": [dataclasses.asdict(s) for s in report.per_label],
+        })
+        assert run([*argv, str(tmp_path / "asdict.json")]) == EXIT_OK
+        assert ((tmp_path / "plain.json").read_bytes()
+                == (tmp_path / "asdict.json").read_bytes())
 
 
 class TestGraphFingerprint:
@@ -617,6 +657,19 @@ def _version_4(meta, arrays):
         logits @ arrays["projection__proj_node"], 0.0)
 
 
+def _version_5(meta, arrays):
+    # version 5 had version 6's layout, but fingerprinted the dataset's
+    # files
+    _version_6(meta, arrays)
+    meta["version"] = 5
+
+
+def _version_6(meta, arrays):
+    # version-6 checkpoints stored no embeddings
+    meta["version"] = 6
+    del arrays["embeddings"]
+
+
 def _drop_injected_node_logits(meta, arrays):
     # EASY_TRAIN injects at epoch 0, so meta lists the node logits
     assert "node_logits" in meta["injected"]
@@ -650,10 +703,25 @@ BROKEN_CHECKPOINTS = {
                   "unsupported checkpoint version 3"),
     "version_4": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_4),
                   "unsupported checkpoint version 4"),
-    # version 5 had this layout, but fingerprinted the dataset's files
-    "version_5": (lambda src, dst: _rewrite_checkpoint(
-        src, dst, lambda meta, arrays: meta.update(version=5)),
-        "unsupported checkpoint version 5 (this build reads version 6)"),
+    "version_5": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_5),
+                  "unsupported checkpoint version 5 (this build reads "
+                  "version 7)"),
+    "version_6": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_6),
+                  "unsupported checkpoint version 6 (this build reads "
+                  "version 7)"),
+    "missing_embeddings": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: arrays.pop("embeddings")),
+        "embeddings"),
+    "narrowed_embeddings": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: arrays.update(
+            embeddings=arrays["embeddings"][:, :-1])),
+        "embeddings (30, 3) does not match the expected (30, 4)"),
+    "float_node_count": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: meta.update(node_count=30.0)),
+        "bad counts"),
+    "bad_rng_state": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: meta.update(dropout_rng_state={})),
+        "state must be for a PCG64 RNG"),
     "missing_weight_key": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: meta["weight_keys"].remove("w1_node")),
         "w1_node"),
@@ -678,16 +746,20 @@ BROKEN_CHECKPOINTS = {
 class TestBrokenCheckpoint:
     @pytest.mark.parametrize("case", sorted(BROKEN_CHECKPOINTS))
     def test_one_line_error_exit_2(self, easy_run, tmp_path, capsys, case):
+        # eval and case-study refuse what load_checkpoint refuses, with its
+        # message
         write, expected = BROKEN_CHECKPOINTS[case]
         path = tmp_path / "broken.npz"
         write(easy_run / "checkpoint.npz", path)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError) as refused:
             load_checkpoint(path)
-        code = run(["eval", "--checkpoint", str(path), "--synthetic", EASY,
-                    "--metrics", str(tmp_path / "m.json")])
-        assert code == EXIT_IO
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and expected in err
+        assert expected in str(refused.value)
+        for argv in (["eval", "--metrics", str(tmp_path / "m.json")],
+                     ["case-study", "--labels-list", "home0",
+                      "--correlation-out", str(tmp_path / "c.csv")]):
+            code = run([*argv, "--checkpoint", str(path), "--synthetic", EASY])
+            assert code == EXIT_IO
+            assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 class TestFailedWrites:
@@ -1107,7 +1179,8 @@ EXIT_CONTRACT = {
         "stats": ["--seed", "-1"], "train": ["--seed", "-1"],
         "sweep": ["--seed", "-1"]}),
     "negative_seed_on_files": (EXIT_USAGE, _files("edges", "labels"), {
-        "train": ["--seed", "-1"], "sweep": ["--seed", "-1"]}),
+        "stats": ["--seed", "-1"], "train": ["--seed", "-1"],
+        "sweep": ["--seed", "-1"]}),
     "alpha_leaves_no_test_nodes": (EXIT_USAGE, ["--synthetic", "k=2,size=3"],
                                    {"train": ["--alpha", "0.95"],
                                     "sweep": ["--grid", "alpha=0.5,0.95"]}),

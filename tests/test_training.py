@@ -23,7 +23,7 @@ from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
 from mlgcn.matrices import SparseMatrix
 from mlgcn.rng import rng_stream
 
-from helpers import node_block
+from helpers import assert_stored_embeddings, node_block
 
 
 def small_graph(seed=0, size=8, rho=0.7):
@@ -1320,7 +1320,8 @@ class TestCheckpoint:
         cfg = small_config(epochs=4, seed=14, dropout=0.3)
         result = train(g, split, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, result.model, cfg, cfg.epochs, "abc123")
+        save_checkpoint(path, result.model, cfg, cfg.epochs, "abc123",
+                        embeddings=result.embeddings)
         model, config, epoch, fingerprint = load_checkpoint(path)
         assert config == cfg
         assert epoch == 4
@@ -1346,7 +1347,8 @@ class TestCheckpoint:
         cfg = small_config(epochs=3, seed=15)
         result = train(g, split, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, result.model, cfg, cfg.epochs, "fp")
+        save_checkpoint(path, result.model, cfg, cfg.epochs, "fp",
+                        embeddings=result.embeddings)
         model, config, _, _ = load_checkpoint(path)
         ops = build_operators(g, config.variant, config.binarize_cooccurrence)
         logits, _ = forward_node_gcn(ops, model, config, training=False)
@@ -1359,7 +1361,8 @@ class TestCheckpoint:
         cfg = small_config(epochs=3, seed=16, feature_dim=5)
         result = train(g, split, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, result.model, cfg, cfg.epochs, "fp")
+        save_checkpoint(path, result.model, cfg, cfg.epochs, "fp",
+                        embeddings=result.embeddings)
         with np.load(path) as data:
             assert "node_features" not in data.files
         model, config, _, _ = load_checkpoint(path)
@@ -1392,7 +1395,8 @@ class TestCheckpoint:
             raise AssertionError("a sparse matrix was densified")
         monkeypatch.setattr(SparseMatrix, "toarray", no_dense)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, cfg, cfg.epochs, "fp")
+        save_checkpoint(path, model, cfg, cfg.epochs, "fp",
+                        embeddings=result.embeddings)
         loaded, *_ = load_checkpoint(path)
         with np.load(path) as data:
             files = set(data.files)
@@ -1426,14 +1430,39 @@ class TestCheckpoint:
         logits, _ = forward_node_gcn(ops, loaded, cfg, training=False)
         assert np.array_equal(logits, result.embeddings)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("feature_dim", [0, 8])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stored_embeddings_are_the_eval_forward(self, tmp_path, variant,
+                                                    feature_dim, dropout):
+        # eval and case-study score the stored embeddings, so they must be
+        # the logits that train returned and that an eval-mode forward of
+        # the stored model computes
+        from mlgcn.training import save_checkpoint
+        g = small_graph(seed=19)
+        split = split_dataset(g, 0.25, seed=19)
+        # both injections fire at epoch 2 of 4, mid-run
+        cfg = small_config(epochs=4, seed=19, variant=variant,
+                           feature_dim=feature_dim, dropout=dropout,
+                           update_freq_nodes=2, update_freq_labels=2,
+                           skip_epoch0_injection=True)
+        state = train(g, split, cfg)
+        coupled = bool(layer_table(cfg)["label"])
+        assert (state.model.node_logits is not None) == coupled
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, state.model, cfg, cfg.epochs, "fp",
+                        state.optimizer, embeddings=state.embeddings)
+        assert_stored_embeddings(path, g, state.embeddings)
+
     def test_failed_write_keeps_the_existing_checkpoint(self, tmp_path,
                                                         monkeypatch):
         from mlgcn.training import save_checkpoint
         g = small_graph(seed=18)
         cfg = small_config(epochs=1, seed=18)
         model = init_model(g, cfg)
+        embeddings = np.zeros((g.node_count, g.label_count))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, cfg, 1, "fp")
+        save_checkpoint(path, model, cfg, 1, "fp", embeddings=embeddings)
         before = path.read_bytes()
 
         def failing_savez(file, *args, **kwargs):
@@ -1441,7 +1470,8 @@ class TestCheckpoint:
             raise OSError("no space left")
         monkeypatch.setattr(np, "savez", failing_savez)
         with pytest.raises(OSError, match="no space left"):
-            save_checkpoint(path, model, cfg, 2, "other")
+            save_checkpoint(path, model, cfg, 2, "other",
+                            embeddings=embeddings)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
 
