@@ -17,11 +17,12 @@ from .operators import (GraphOperators, NormalizedOperator,
                         build_label_cooccurrence, build_label_label_node_adj,
                         build_node_node_label_adj, build_operators,
                         normalize_symmetric)
-from .training import (DivergenceError, ModelState, TrainConfig, TrainHistory,
-                       TrainState, forward_label_gcn, forward_node_gcn,
-                       init_model, inject_label_features,
-                       inject_node_features, input_features, load_checkpoint,
-                       save_checkpoint, sgd_step, train)
+from .training import (CheckpointError, DivergenceError, ModelState,
+                       TrainConfig, TrainHistory, TrainState,
+                       forward_label_gcn, forward_node_gcn, init_model,
+                       inject_label_features, inject_node_features,
+                       input_features, load_checkpoint, save_checkpoint,
+                       sgd_step, train)
 
 __version__ = "0.1.0"
 
@@ -33,9 +34,9 @@ __all__ = [
     "GraphOperators", "build_label_cooccurrence", "build_node_node_label_adj",
     "build_label_label_node_adj", "build_operators", "normalize_symmetric",
     "TrainConfig", "ModelState", "TrainHistory",
-    "TrainState", "DivergenceError", "input_features", "init_model",
-    "forward_label_gcn", "forward_node_gcn", "inject_label_features",
-    "inject_node_features",
+    "TrainState", "DivergenceError", "CheckpointError", "input_features",
+    "init_model", "forward_label_gcn", "forward_node_gcn",
+    "inject_label_features", "inject_node_features",
     "sgd_step", "train", "save_checkpoint", "load_checkpoint",
     "EvaluationReport", "LabelScore", "split_dataset", "predict_labels",
     "compute_f1", "per_label_breakdown", "label_correlation_matrix",

@@ -6,19 +6,20 @@ input features are built from the train config by `training`.
 File formats are one record per line. Edge files carry ``src<delim>dst``
 with an optional third weight field; label files carry ``node<delim>label``.
 Lines starting with '#' are comments; the delimiter is auto-detected among
-comma, tab and whitespace unless forced. The parsers read a stream whole;
-regular files (two ids a line, see `_regular_tokens`) are parsed in bulk,
-anything else line by line, with the same results and errors.
+comma, tab and whitespace unless forced. The parsers read a stream whole
+and go through it line by line (`_records`); `load_dataset` keeps the
+parsed graph in a sidecar file, so a pair of files is parsed once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -80,7 +81,7 @@ class SyntheticConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-# size in characters of the pieces the parsers cut a text into at line ends
+# size in characters of the pieces `_records` cuts a text into at line ends
 _PIECE = 1 << 16
 
 
@@ -104,10 +105,7 @@ def _records(text: str, delimiter: str | None,
     stripped, blank and '#' lines skipped, spaces around a separator
     dropped, empty fields skipped, the field count checked, and a tab
     inside a field refused (it would make the tab-separated outputs ragged).
-
-    This loop defines the file grammar and every `ParseError`; the bulk
-    path (`_regular_tokens`) reads only files on which it gives the same
-    records."""
+    This loop defines the file grammar and every `ParseError`."""
     expected = " or ".join(map(str, arity))
     # beside a forced separator other than a tab, tabs are padding too
     pad = " \t" if delimiter not in (None, "\t") else " "
@@ -131,109 +129,8 @@ def _records(text: str, delimiter: str | None,
         yield no, fields
 
 
-# bytes an id may hold in a regular file, by separator: ASCII but NUL,
-# whitespace, '#' and the separator itself
-_ID_BYTES = {sep: bytes(c for c in range(1, 128)
-                        if not chr(c).isspace() and chr(c) not in "#" + sep)
-             for sep in (",", "\t")}
-
-
-def _regular_tokens(text: str, delimiter: str | None
-                    ) -> Iterator[list[str] | None]:
-    """Yield the ids of each piece of a regular text, two a line in line
-    order, or None in place of the first piece that is not regular.
-
-    A regular text is ASCII with no '#', NUL or whitespace other than "\n"
-    and the separator, and every line holds two non-empty ids split by one
-    separator: ',' or, when the text holds a tab, '\t', unless
-    `delimiter` forces either. On such a text `_records` gives each line's
-    ids as they are, so these tokens are its records."""
-    sep = delimiter
-    if sep is None:
-        sep = "\t" if "\t" in text else ","
-    if sep not in _ID_BYTES or not text.isascii():
-        yield None
-        return
-    ids, line = _ID_BYTES[sep], (sep + "\n").encode()
-    for piece in _pieces(text):
-        raw = piece.encode()
-        # once the ids are deleted, one separator a line must be left, each
-        # line but the last ending in a newline, and no line may start or
-        # end with its separator
-        if (raw.translate(None, ids) != line * piece.count("\n") + line[:1]
-                or raw.startswith(line[:1]) or raw.endswith(line[:1])
-                or line in raw or line[::-1] in raw):
-            yield None
-            return
-        yield piece.replace("\n", sep).split(sep)
-
-
-class _Index(dict):
-    """Id -> index map that gives a missing id the next index on lookup."""
-
-    def __missing__(self, key):
-        self[key] = code = len(self)
-        return code
-
-
-def _codes(index: _Index, ids: list[str]) -> np.ndarray:
-    # int32, the index dtype of any graph with fewer than 2**31 nodes
-    return np.fromiter(map(index.__getitem__, ids), np.int32, len(ids))
-
-
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
-
-
 def _text(stream: TextIO | str) -> str:
     return stream if isinstance(stream, str) else stream.read()
-
-
-def _bulk_edges(text: str, node_index: dict[str, int],
-                delimiter: str | None):
-    """`parse_edge_list` on a regular text, piece by piece at C speed; None,
-    with `node_index` untouched, if the text is not regular."""
-    index = _Index(node_index)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    for tokens in _regular_tokens(text, delimiter):
-        if tokens is None:
-            return None
-        known = len(index)
-        pairs = _codes(index, tokens).reshape(-1, 2)
-        loop = pairs[:, 0] == pairs[:, 1]
-        if loop.any():
-            if pairs[loop, 0].max() >= known:
-                # an id new to this piece was indexed at a self-loop line,
-                # maybe ahead of its first kept line: index the piece again
-                # without its self-loop lines
-                while len(index) > known:
-                    index.popitem()
-                tokens = list(compress(tokens, np.repeat(~loop, 2).tolist()))
-                pairs = _codes(index, tokens).reshape(-1, 2)
-            else:
-                pairs = pairs[~loop]
-        src_parts.append(pairs[:, 0])
-        dst_parts.append(pairs[:, 1])
-    node_index.update(index)
-    src, dst = _concat(src_parts), _concat(dst_parts)
-    return src, dst, np.ones(src.size)
-
-
-def _bulk_labels(text: str, node_index: dict[str, int],
-                 label_index: dict[str, int], delimiter: str | None):
-    """`parse_label_assignments` on a regular text, as `_bulk_edges`."""
-    nodes, labels = _Index(node_index), _Index(label_index)
-    members: list[np.ndarray] = []
-    groups: list[np.ndarray] = []
-    for tokens in _regular_tokens(text, delimiter):
-        if tokens is None:
-            return None
-        members.append(_codes(nodes, tokens[0::2]))
-        groups.append(_codes(labels, tokens[1::2]))
-    node_index.update(nodes)
-    label_index.update(labels)
-    return _concat(members), _concat(groups)
 
 
 def parse_edge_list(stream: TextIO | str, node_index: dict[str, int],
@@ -244,13 +141,9 @@ def parse_edge_list(stream: TextIO | str, node_index: dict[str, int],
     first appearance. Returns (src, dst, weight) arrays, int32, int32 and
     float64, one entry per line that is not a self-loop; a missing weight
     defaults to 1.0. Repeated pairs stay repeated here: `_assemble_graph`
-    sums them. The stream is read whole; a regular one (see
-    `_regular_tokens`) is parsed in bulk.
+    sums them. The stream is read whole.
     """
     text = _text(stream)
-    bulk = _bulk_edges(text, node_index, delimiter)
-    if bulk is not None:
-        return bulk
     src: list[int] = []
     dst: list[int] = []
     weight: list[float] = []
@@ -281,9 +174,6 @@ def parse_label_assignments(stream: TextIO | str, node_index: dict[str, int],
     per line, with ids indexed through `node_index` and `label_index` as in
     `parse_edge_list`, which also reads its stream."""
     text = _text(stream)
-    bulk = _bulk_labels(text, node_index, label_index, delimiter)
-    if bulk is not None:
-        return bulk
     nodes: list[int] = []
     labels: list[int] = []
     node, label = node_index.setdefault, label_index.setdefault
@@ -329,11 +219,31 @@ def _parse_file(path, text: str, parse, *args):
         raise ParseError(exc.line_no, exc.message, path) from None
 
 
-# every key starts with a digest of the code that decides the parsed graph
-# and the sidecar's layout, so a change to it misses every older sidecar
-_CODE_DIGEST = hashlib.sha256(b"".join(
-    Path(__file__).with_name(name).read_bytes()
-    for name in ("datasets.py", "graph.py", "matrices.py"))).digest()
+@functools.cache
+def _code_digest() -> bytes | None:
+    """A digest of the source that decides the parsed graph and the
+    sidecar's layout, so that a change to it misses every older sidecar;
+    None where the source cannot be read (a bytecode-only or zipped
+    install), which parses every load and keeps no sidecar."""
+    try:
+        return hashlib.sha256(b"".join(
+            Path(__file__).with_name(name).read_bytes()
+            for name in ("datasets.py", "graph.py", "matrices.py"))).digest()
+    except OSError:
+        return None
+
+
+def _sidecar_key(files: list[bytes], delimiter: str | None) -> bytes | None:
+    """The key of the code, `delimiter` and `files`; None without the code."""
+    code = _code_digest()
+    if code is None:
+        return None
+    h = hashlib.sha256(b"%s%a %d %d\n" % (code, delimiter, *map(len, files)))
+    for data in files:
+        h.update(data)
+    return h.digest()
+
+
 _MATRICES = ("adjacency", "label_assignments")
 
 
@@ -379,20 +289,18 @@ def load_dataset(edge_path, label_path,
     first); nodes present only in the label file become isolated nodes.
     The graph is read from the sidecar `<edge_path>.mlgcn-graph.npz` while
     that holds the key of the code, `delimiter` and both files' bytes;
-    otherwise the files are parsed and a sidecar is written.
+    otherwise the files are parsed and a sidecar is written (neither without
+    the code's source, see `_code_digest`).
     """
     files = [Path(edge_path).read_bytes(), Path(label_path).read_bytes()]
-    h = hashlib.sha256(b"%s%a %d %d\n" % (_CODE_DIGEST, delimiter,
-                                            *map(len, files)))
-    for data in files:
-        h.update(data)
-    key, sidecar = h.digest(), os.fspath(edge_path) + ".mlgcn-graph.npz"
-    graph = _read_sidecar(sidecar, key)
+    key = _sidecar_key(files, delimiter)
+    sidecar = os.fspath(edge_path) + ".mlgcn-graph.npz"
+    graph = None if key is None else _read_sidecar(sidecar, key)
     if graph is not None:
         return graph
     # no bytes are kept through the parse, whose peak is the command's
     texts = [_decode(data) for data in files]
-    del files, data
+    del files
     node_index: dict[str, int] = {}
     label_index: dict[str, int] = {}
     edges = _parse_file(edge_path, texts.pop(0), parse_edge_list, node_index,
@@ -403,7 +311,8 @@ def load_dataset(edge_path, label_path,
         raise ValueError("no labels")
     graph = _assemble_graph(list(node_index), list(label_index), edges, pairs,
                             "parsed")
-    _write_sidecar(sidecar, key, graph)
+    if key is not None:
+        _write_sidecar(sidecar, key, graph)
     return graph
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mlgcn
 from mlgcn.cli import (EXIT_BAD_REF, EXIT_DIVERGED, EXIT_FINGERPRINT, EXIT_IO,
                        EXIT_OK, EXIT_USAGE, dataset_fingerprint, main,
                        make_parser, parse_rule, parse_synthetic_spec,
@@ -760,6 +761,15 @@ class TestBrokenCheckpoint:
             code = run([*argv, "--checkpoint", str(path), "--synthetic", EASY])
             assert code == EXIT_IO
             assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+    def test_package_exports_the_error(self, easy_run, tmp_path):
+        # a caller of mlgcn.load_checkpoint catches what it raises without
+        # reaching into mlgcn.training
+        path = tmp_path / "truncated.npz"
+        _truncated(easy_run / "checkpoint.npz", path)
+        with pytest.raises(mlgcn.CheckpointError):
+            mlgcn.load_checkpoint(path)
+        assert "CheckpointError" in mlgcn.__all__
 
 
 class TestFailedWrites:

@@ -81,7 +81,7 @@ class TestRule:
 class TestBuiltMatrices:
     @pytest.mark.parametrize("header", ["", "# header\n"])
     def test_load_dataset(self, tmp_path, header):
-        # a '# header' line sends the files through the per-line parser
+        # the same files with and without a '# header' line
         (tmp_path / "e.csv").write_text(header + EDGES)
         (tmp_path / "l.csv").write_text(header + LABELS)
         g = load_dataset(tmp_path / "e.csv", tmp_path / "l.csv")

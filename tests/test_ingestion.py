@@ -1,8 +1,12 @@
+import collections
 import gc
 import hashlib
 import io
 import itertools
 import os
+import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -269,12 +273,12 @@ class TestIngestionOracle:
 
 
 def _regular_files(seed, lines=60_000):
-    """Regular edge and label file lines (two ids, no comments, blanks,
+    """Edge and label file lines of two ids each (no comments, blanks,
     spaces or weights): duplicate pairs in both orientations, self-loops
     (the ids "first" and "later" appear first in a self-loop line, in the
     first piece and past it, then after "first2" and "later2" in kept
     lines, and "ghost" appears only in self-loops) and label-only
-    nodes. Enough lines that the bulk path cuts the edge file into pieces."""
+    nodes. Enough lines that the parser cuts the edge file into pieces."""
     rng = np.random.default_rng(seed)
     ids = [f"n{i}" for i in rng.permutation(3000)]
     ends = rng.integers(0, len(ids), size=(lines, 2))
@@ -301,41 +305,47 @@ def _same_graph(a, b):
             assert u.dtype == v.dtype and np.array_equal(u, v)
 
 
-class TestBulkPath:
-    """Regular files take the bulk path; a '# header' line sends the same
-    file through the per-line loop, which must give the same graph."""
+class TestGrammar:
+    """The file grammar on texts of many pieces (`datasets._PIECE`), and on
+    small texts with and without a comment line."""
 
     @pytest.mark.parametrize("sep,final_newline,crlf,forced", [
         (",", True, False, False), (",", False, True, True),
         ("\t", True, True, False), ("\t", False, False, True)])
-    def test_same_graph_as_per_line(self, tmp_path, monkeypatch, sep,
-                                    final_newline, crlf, forced):
+    def test_self_loops_and_repeated_pairs(self, tmp_path, sep,
+                                           final_newline, crlf, forced):
         edges, labels = _regular_files(seed=len(sep) + 2 * crlf)
         delimiter = sep if forced else None
         end = "\r\n" if crlf else "\n"
 
-        def write(name, rows, header):
-            text = end.join(r.replace(",", sep) for r in header + rows)
+        def write(name, rows):
+            text = end.join(r.replace(",", sep) for r in rows)
             path = tmp_path / name
             path.write_bytes((text + end * final_newline).encode())
             return path
 
-        per_line = load_dataset(write("e#", edges, ["# header"]),
-                                write("l#", labels, ["# header"]), delimiter)
-        ids = per_line.node_ids
+        g = load_dataset(write("e", edges), write("l", labels), delimiter)
+        ids = g.node_ids
         assert "ghost" not in ids and ids[-1] == "label_only"
         # ids first met in a self-loop line are indexed at their first kept
         # line, after the other end of it
         for name in ("first", "later"):
             assert ids.index(name) == ids.index(name + "2") + 1
-
-        def unused(*args):
-            raise AssertionError("a regular file reached the per-line loop")
-
-        monkeypatch.setattr(datasets, "_records", unused)
-        bulk = load_dataset(write("e", edges, []), write("l", labels, []),
-                            delimiter)
-        _same_graph(bulk, per_line)
+        # every line of a pair adds 1.0 to its weight, in either orientation
+        listed = collections.Counter(tuple(r.split(",")) for r in edges)
+        summed = collections.Counter()
+        for (u, v), c in listed.items():
+            if u != v:
+                summed[u, v] += c
+                summed[v, u] += c
+        a = g.adjacency.tocoo()
+        weights = {(ids[i], ids[j]): w
+                   for i, j, w in zip(a.row, a.col, a.data)}
+        assert weights == summed
+        both = [(u, v) for (u, v), c in listed.items()
+                if u != v and c == 1 and listed[v, u] == 1]
+        assert both and all(weights[pair] == 2.0 for pair in both)
+        assert g.label_assignments.nnz == len(set(labels))
 
     @pytest.mark.parametrize("text", [
         "", "\n", "1,2", "1,1\n", "1,1\n1,2\n", "1,2\n3,\n", ",2\n",
@@ -379,16 +389,13 @@ class TestBulkPath:
             f"line {bad}: expected {'2 or 3' if parse == 'edges' else 2} "
             "fields, got 4")
 
-    def test_failed_bulk_path_leaves_the_index_alone(self):
-        # the bulk path gives up at the second piece's blank line; the
-        # per-line loop then indexes from the caller's dict as it was
+    def test_index_order_across_pieces_and_a_blank_line(self):
+        # new ids follow the caller's, in line order, through a blank line
+        # in the second piece
         rows = [f"a{i},b{i}" for i in range(20_000)]
         rows[15_000] = ""
-        text = "\n".join(rows)
-        nodes, per_line = {"b7": 0}, {"b7": 0}
-        src, _, _ = parse_edge_list(text, nodes)
-        parse_edge_list("# header\n" + text, per_line)
-        assert list(nodes.items()) == list(per_line.items())
+        nodes = {"b7": 0}
+        src, _, _ = parse_edge_list("\n".join(rows), nodes)
         assert list(nodes)[:3] == ["b7", "a0", "b0"]
         assert src[:2].tolist() == [1, 3]
 
@@ -443,8 +450,7 @@ class TestGraphCache:
     """`load_dataset` keeps the parsed graph in `<edge file>.mlgcn-graph.npz`
     under a key of both files' bytes and the delimiter."""
 
-    @pytest.mark.parametrize("header", [[], ["# header"]],
-                             ids=["bulk", "per_line"])
+    @pytest.mark.parametrize("header", [[], ["# header"]])
     def test_hit_gives_the_parsed_graph(self, tmp_path, monkeypatch,
                                         header):
         from mlgcn.cli import dataset_fingerprint
@@ -571,15 +577,62 @@ class TestGraphCache:
         # that parse and store the graph, so editing any of them (a parse
         # fix, a new layout) misses every sidecar written before
         package = Path(datasets.__file__).parent
-        assert datasets._CODE_DIGEST == hashlib.sha256(b"".join(
+        assert datasets._code_digest() == hashlib.sha256(b"".join(
             (package / name).read_bytes()
             for name in ("datasets.py", "graph.py", "matrices.py"))).digest()
         load_text(tmp_path, "1,2\n", "1,a\n")
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
-        monkeypatch.setattr(datasets, "_CODE_DIGEST",
-                            hashlib.sha256(b"edited source").digest())
+        edited = hashlib.sha256(b"edited source").digest()
+        monkeypatch.setattr(datasets, "_code_digest", lambda: edited)
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "parsed"
         assert load_dataset(tmp_path / "e", tmp_path / "l").source == "cache"
+
+    @pytest.mark.parametrize("source", ["missing", "unreadable"])
+    def test_without_the_code_source_every_load_parses(self, tmp_path,
+                                                       monkeypatch, request,
+                                                       source):
+        # a bytecode-only or zipped install has no .py files to key a
+        # sidecar on: it imports, parses every load and writes no sidecar
+        request.addfinalizer(datasets._code_digest.cache_clear)
+        datasets._code_digest.cache_clear()
+        if source == "missing":
+            monkeypatch.setattr(datasets, "__file__",
+                                str(tmp_path / "gone" / "datasets.pyc"))
+        else:
+            read_bytes = Path.read_bytes
+
+            def refused(path):
+                if path.suffix == ".py":
+                    raise PermissionError(f"cannot read {path}")
+                return read_bytes(path)
+            monkeypatch.setattr(Path, "read_bytes", refused)
+        for _ in range(2):
+            g = load_text(tmp_path, "1,2\n", "1,a\n")
+            assert g.source == "parsed" and g.node_ids == ("1", "2")
+        assert datasets._code_digest() is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e", "l"]
+
+    def test_bytecode_only_package(self, tmp_path):
+        # the package compiled in place and stripped of its .py files, as a
+        # bytecode-only install ships it, imports and runs `stats`
+        package = tmp_path / "site" / "mlgcn"
+        shutil.copytree(Path(datasets.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "-b",
+                        str(package)], check=True)
+        for source in package.glob("*.py"):
+            source.unlink()
+        (tmp_path / "e").write_text("1,2\n2,3\n")
+        (tmp_path / "l").write_text("1,a\n3,b\n")
+        stats = ("import mlgcn.cli as cli; assert cli.__file__[-4:] == '.pyc';"
+                 " cli.main(['stats', '--edges', 'e', '--labels', 'l'])")
+        env = dict(os.environ, PYTHONPATH=str(tmp_path / "site"))
+        for _ in range(2):
+            run = subprocess.run([sys.executable, "-c", stats], cwd=tmp_path,
+                                 env=env, capture_output=True, text=True)
+            assert (run.returncode, run.stdout, run.stderr) == (
+                0, "3 2 2 0\n", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e", "l", "site"]
 
     @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                         reason="root writes into a read-only directory")
