@@ -164,8 +164,6 @@ _TRAIN_FLAGS = {
     "dropout": ("dropout", "dropout rate"),
     "decay": ("weight_decay", "weight decay"),
     "variant": ("variant", "model variant: " + ", ".join(VARIANTS)),
-    "label-layers": ("label_gcn_layers", "label-view layers: 1 or 2"),
-    "node-layers": ("node_gcn_layers", "node-view layers: 1 or 2"),
     "optimizer": ("optimizer", "gd or adam"),
     "seed": ("seed", "seed of every random stream"),
     "skip-epoch0-injection": ("skip_epoch0_injection",

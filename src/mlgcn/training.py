@@ -7,7 +7,7 @@ attribute feature block on its schedule, and takes one optimizer step on the
 summed objective. Injected blocks are constants for backprop, and the fixed
 random projections that produce them are never trained.
 
-`layer_table` is the one place that lays out each variant's layer stacks;
+`layer_table` lays out each variant's stacks from the one table `_STACKS`;
 weight shapes, both forwards and the training loop all derive from it.
 `input_features` is the one place that builds the raw input features.
 """
@@ -41,9 +41,18 @@ __all__ = [
     "load_checkpoint",
 ]
 
-VARIANTS = ("full", "node", "1n", "2l", "gcn_baseline")
+# variant -> the operator names of its label and node stacks, first to last
+_STACKS = {
+    "full": (["truncated"], ["truncated", "intra"]),
+    "node": (["truncated"], ["truncated", "intra"]),
+    "1n": (["truncated"], ["truncated"]),
+    "2l": (["truncated", "intra"], ["truncated", "intra"]),
+    "gcn_baseline": ([], ["intra", "intra"]),
+}
 
-CHECKPOINT_VERSION = 7
+VARIANTS = tuple(_STACKS)
+
+CHECKPOINT_VERSION = 8
 
 # values per row block of an optimizer step (at least one row)
 _STEP_CHUNK_VALUES = 1 << 16
@@ -71,8 +80,6 @@ class TrainConfig:
     update_freq_labels: int = 50  # M: label logits -> node-view attributes
     dropout: float = 0.5
     weight_decay: float = 0.0
-    node_gcn_layers: int = 2
-    label_gcn_layers: int = 1
     variant: str = "full"
     seed: int = 0
     optimizer: str = "gd"
@@ -93,8 +100,6 @@ class TrainConfig:
             raise ValueError("update frequencies must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.node_gcn_layers not in (1, 2) or self.label_gcn_layers not in (1, 2):
-            raise ValueError("layer counts must be 1 or 2")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.optimizer not in ("gd", "adam"):
@@ -107,21 +112,9 @@ class TrainConfig:
 
 
 def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
-    """The layer layout of each view's stack: per layer, first to last, the
-    name of the view's operator it applies and the key of its weight.
-
-    The stacks start with the truncated operator and continue with the
-    intra-view one; `1n` and `2l` override the node and label layer counts.
-    The plain-GCN baseline has no label stack, and its node stack applies
-    the intra-node operator `node_gcn_layers` times.
-    """
-    if config.variant == "gcn_baseline":
-        names = {"label": [], "node": ["intra"] * config.node_gcn_layers}
-    else:
-        label = 2 if config.variant == "2l" else config.label_gcn_layers
-        node = 1 if config.variant == "1n" else config.node_gcn_layers
-        names = {"label": ["truncated", "intra"][:label],
-                 "node": ["truncated", "intra"][:node]}
+    """Each view's stack as `_STACKS` names it for the variant: per layer,
+    first to last, the name of the view's operator and its weight's key."""
+    names = dict(zip(("label", "node"), _STACKS[config.variant]))
     return {view: [(name, f"w{i}_{view}") for i, name in enumerate(ops)]
             for view, ops in names.items()}
 
@@ -393,7 +386,10 @@ class _Optimizer:
 
 def sgd_step(model: ModelState, grads: dict[str, np.ndarray],
              config: TrainConfig, optimizer: _Optimizer | None = None) -> ModelState:
-    """One optimizer step; raises on NaN gradients."""
+    """One optimizer step; raises on NaN gradients, and on an Adam step
+    without `optimizer`, whose moments a fresh one would restart."""
+    if optimizer is None and config.optimizer == "adam":
+        raise ValueError("an adam step needs the run's optimizer")
     (optimizer or _Optimizer(config)).step(model, grads)
     return model
 

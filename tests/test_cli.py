@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import mlgcn
-from mlgcn.cli import (EXIT_BAD_REF, EXIT_DIVERGED, EXIT_FINGERPRINT, EXIT_IO,
-                       EXIT_OK, EXIT_USAGE, dataset_fingerprint, main,
+from mlgcn.cli import (_TRAIN_FLAGS, EXIT_BAD_REF, EXIT_DIVERGED,
+                       EXIT_FINGERPRINT, EXIT_IO, EXIT_OK, EXIT_USAGE,
+                       dataset_fingerprint, main,
                        make_parser, parse_rule, parse_synthetic_spec,
                        train_config_from_args)
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
@@ -133,11 +134,13 @@ BAD_VALUES = {
                      "--out", "o"], "'gcn'"),
     "bad_optimizer": (["train", "--synthetic", "k=2,size=10",
                        "--optimizer", "sgd", "--out", "o"], "'sgd'"),
+    # the variant lays out the stacks; there are no layer-count flags
     "bad_label_layers": (["train", "--synthetic", "k=2,size=10",
-                          "--label-layers", "3", "--out", "o"], "1 or 2"),
+                          "--label-layers", "3", "--out", "o"],
+                         "unrecognized arguments: --label-layers"),
     "bad_node_layers": (["sweep", "--synthetic", "k=2,size=10",
                          "--node-layers", "0", "--grid", "epochs=1",
-                         "--out", "o"], "1 or 2"),
+                         "--out", "o"], "unrecognized arguments: --node-layers"),
     "repeated_synthetic_key": (["stats", "--synthetic", "k=2,k=3,size=10"],
                                "'communities' given more than once"),
     "repeated_synthetic_alias": (["train", "--synthetic",
@@ -242,14 +245,6 @@ class TestTrain:
         for line in lines[1:]:
             assert line.split(",")[1] == "0"
 
-    def test_baseline_with_one_node_layer(self, tmp_path):
-        code = run(["train", "--synthetic", "k=2,size=10", "--epochs", "2",
-                    "--variant", "gcn_baseline", "--node-layers", "1",
-                    "--out", str(tmp_path / "o")])
-        assert code == EXIT_OK
-        lines = (tmp_path / "o" / "history.csv").read_text().splitlines()
-        assert [line.split(",")[1] for line in lines[1:]] == ["0", "0"]
-
     def test_manifest_contents_and_artifacts(self, tmp_path):
         out = tmp_path / "o"
         run(["train", "--synthetic", "k=2,size=10", "--epochs", "3",
@@ -338,28 +333,31 @@ class TestTrain:
                             == data[f"weight__{key}"].shape)
 
     def test_manifest_reproduces_run(self, tmp_path):
+        # every config field has exactly one flag: the train flags' table
+        # names each field but feature_dim once, and --feature-dim is that one
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        named = [field for field, _ in _TRAIN_FLAGS.values()]
+        assert len(set(named)) == len(named)
+        assert set(named) | {"feature_dim"} == fields
+        assert "feature_dim" not in named
         out1 = tmp_path / "o1"
         run(["train", "--synthetic", "k=2,size=12,rho=0.7", "--epochs", "6",
-             "--hidden", "8", "--seed", "11", "--out", str(out1)])
+             "--hidden", "8", "--seed", "11", "--skip-epoch0-injection",
+             "--out", str(out1)])
         manifest = json.loads((out1 / "manifest.json").read_text())
-        # rebuild the command line from the manifest alone
+        # rebuild the command line from the manifest alone, one flag per
+        # field; a store-true flag only when its field is true
         cfg = manifest["config"]
+        assert set(cfg) == fields
         argv = ["train", "--synthetic", manifest["dataset"]["synthetic"],
-                "--seed", str(manifest["seed"]),
-                "--epochs", str(cfg["epochs"]),
-                "--hidden", str(cfg["hidden_dim"]),
-                "--lr", str(cfg["learning_rate"]),
-                "--alpha", str(cfg["train_ratio"]),
-                "--freq-n", str(cfg["update_freq_nodes"]),
-                "--freq-m", str(cfg["update_freq_labels"]),
-                "--dropout", str(cfg["dropout"]),
-                "--decay", str(cfg["weight_decay"]),
-                "--variant", cfg["variant"],
-                "--label-layers", str(cfg["label_gcn_layers"]),
-                "--node-layers", str(cfg["node_gcn_layers"]),
-                "--optimizer", cfg["optimizer"],
-                "--rule", manifest["rule"],
-                "--out", str(tmp_path / "o2")]
+                "--feature-dim", str(cfg["feature_dim"]),
+                "--rule", manifest["rule"], "--out", str(tmp_path / "o2")]
+        for flag, (field, _) in _TRAIN_FLAGS.items():
+            if isinstance(cfg[field], bool):
+                argv += [f"--{flag}"] if cfg[field] else []
+            else:
+                argv += [f"--{flag}", str(cfg[field])]
+        assert "--skip-epoch0-injection" in argv
         assert run(argv) == EXIT_OK
         assert ((out1 / "history.csv").read_bytes()
                 == (tmp_path / "o2" / "history.csv").read_bytes())
@@ -667,8 +665,15 @@ def _version_5(meta, arrays):
 
 def _version_6(meta, arrays):
     # version-6 checkpoints stored no embeddings
+    _version_7(meta, arrays)
     meta["version"] = 6
     del arrays["embeddings"]
+
+
+def _version_7(meta, arrays):
+    # version-7 configs carried the node and label stacks' depths
+    meta["version"] = 7
+    meta["config"].update(node_gcn_layers=2, label_gcn_layers=1)
 
 
 def _drop_injected_node_logits(meta, arrays):
@@ -706,10 +711,13 @@ BROKEN_CHECKPOINTS = {
                   "unsupported checkpoint version 4"),
     "version_5": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_5),
                   "unsupported checkpoint version 5 (this build reads "
-                  "version 7)"),
+                  "version 8)"),
     "version_6": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_6),
                   "unsupported checkpoint version 6 (this build reads "
-                  "version 7)"),
+                  "version 8)"),
+    "version_7": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_7),
+                  "unsupported checkpoint version 7 (this build reads "
+                  "version 8)"),
     "missing_embeddings": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: arrays.pop("embeddings")),
         "embeddings"),

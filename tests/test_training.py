@@ -68,34 +68,36 @@ class TestTrainConfig:
         assert cfg.update_freq_labels == 50
         assert cfg.dropout == 0.5
         assert cfg.weight_decay == 0.0
-        assert cfg.node_gcn_layers == 2
-        assert cfg.label_gcn_layers == 1
         assert cfg.variant == "full"
         assert cfg.optimizer == "gd"
 
-    def test_variant_presets_override_layer_counts(self):
-        def ops(**kw):
-            return {view: [name for name, _ in layers]
-                    for view, layers in layer_table(TrainConfig(**kw)).items()}
-        full = {"label": ["truncated"], "node": ["truncated", "intra"]}
-        assert ops() == ops(variant="node") == full
-        assert ops(variant="1n", node_gcn_layers=2) == {
-            "label": ["truncated"], "node": ["truncated"]}
-        assert ops(variant="2l", label_gcn_layers=1) == {
-            "label": ["truncated", "intra"], "node": ["truncated", "intra"]}
-        assert ops(label_gcn_layers=2, node_gcn_layers=1) == {
-            "label": ["truncated", "intra"], "node": ["truncated"]}
-        assert ops(variant="gcn_baseline") == {
-            "label": [], "node": ["intra", "intra"]}
-        assert ops(variant="gcn_baseline", node_gcn_layers=1) == {
-            "label": [], "node": ["intra"]}
-        assert layer_table(TrainConfig(variant="2l"))["label"] == [
-            ("truncated", "w0_label"), ("intra", "w1_label")]
+    def test_each_variant_lays_out_its_stacks(self):
+        # the layouts each variant had when depths were config fields, at
+        # their defaults (two node layers, one label layer)
+        full = {"label": [("truncated", "w0_label")],
+                "node": [("truncated", "w0_node"), ("intra", "w1_node")]}
+        assert {v: layer_table(TrainConfig(variant=v)) for v in VARIANTS} == {
+            "full": full,
+            "node": full,
+            "1n": {"label": [("truncated", "w0_label")],
+                   "node": [("truncated", "w0_node")]},
+            "2l": {"label": [("truncated", "w0_label"), ("intra", "w1_label")],
+                   "node": [("truncated", "w0_node"), ("intra", "w1_node")]},
+            "gcn_baseline": {"label": [],
+                             "node": [("intra", "w0_node"),
+                                      ("intra", "w1_node")]},
+        }
+
+    @pytest.mark.parametrize("removed", ["node_gcn_layers",
+                                         "label_gcn_layers"])
+    def test_layer_counts_are_not_config_fields(self, removed):
+        with pytest.raises(TypeError, match=removed):
+            TrainConfig(**{removed: 2})
 
     @pytest.mark.parametrize("kw", [
         dict(learning_rate=-0.1), dict(epochs=0), dict(train_ratio=0.0),
         dict(train_ratio=1.0), dict(update_freq_nodes=0), dict(dropout=1.0),
-        dict(node_gcn_layers=3), dict(variant="bogus"), dict(optimizer="sgd"),
+        dict(variant="bogus"), dict(optimizer="sgd"),
         dict(feature_dim=-1),
     ])
     def test_invalid_configs_rejected(self, kw):
@@ -189,13 +191,9 @@ class TestInitModel:
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("node_layers", [1, 2])
-@pytest.mark.parametrize("label_layers", [1, 2])
-def test_init_weights_are_the_weights_the_forwards_read(variant, node_layers,
-                                                       label_layers):
+def test_init_weights_are_the_weights_the_forwards_read(variant):
     g = small_graph()
-    cfg = small_config(variant=variant, node_gcn_layers=node_layers,
-                       label_gcn_layers=label_layers, epochs=2)
+    cfg = small_config(variant=variant, epochs=2)
     result = train(g, split_dataset(g, 0.25, seed=0), cfg)
     assert len(result.history) == 2
     ops = build_operators(g, variant)
@@ -578,9 +576,23 @@ class TestSgdStep:
     def test_adam_first_step_is_signed_lr(self):
         model = self.tiny_model([[1.0, 1.0]])
         cfg = small_config(optimizer="adam", learning_rate=0.1)
-        sgd_step(model, {"w": np.array([[0.5, -0.25]])}, cfg)
+        sgd_step(model, {"w": np.array([[0.5, -0.25]])}, cfg, _Optimizer(cfg))
         # bias-corrected first step: lr * g / (|g| + eps) ~ lr * sign(g)
         assert np.allclose(model.weights["w"], [[0.9, 1.1]], atol=1e-6)
+
+    def test_adam_step_without_its_optimizer_refused(self):
+        # a fresh optimizer per call would restart Adam's moments: three
+        # such steps with gradients 0.5, 0.1, 0.1 at lr 0.1 took w = 1 to
+        # 0.7, where one optimizer's three steps reach 0.7465
+        model = self.tiny_model([[1.0]])
+        cfg = small_config(optimizer="adam", learning_rate=0.1)
+        with pytest.raises(ValueError, match="optimizer"):
+            sgd_step(model, {"w": np.array([[0.5]])}, cfg)
+        assert model.weights["w"][0, 0] == 1.0
+        optimizer = _Optimizer(cfg)
+        for g in (0.5, 0.1, 0.1):
+            sgd_step(model, {"w": np.array([[g]])}, cfg, optimizer)
+        assert abs(model.weights["w"][0, 0] - 0.7465) < 1e-4
 
     @pytest.mark.parametrize("optimizer", ["gd", "adam"])
     def test_in_place_step_equals_the_formula_bitwise(self, optimizer,
