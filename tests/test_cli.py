@@ -13,7 +13,8 @@ from mlgcn.cli import (_TRAIN_FLAGS, EXIT_BAD_REF, EXIT_DIVERGED,
                        make_parser, parse_rule, parse_synthetic_spec,
                        train_config_from_args)
 from mlgcn.datasets import SyntheticConfig, generate_synthetic
-from mlgcn.training import VARIANTS, CheckpointError, TrainConfig, load_checkpoint
+from mlgcn.training import (VARIANTS, CheckpointError, TrainConfig,
+                            layer_table, load_checkpoint)
 
 from helpers import assert_stored_embeddings, node_block
 
@@ -141,6 +142,13 @@ BAD_VALUES = {
     "bad_node_layers": (["sweep", "--synthetic", "k=2,size=10",
                          "--node-layers", "0", "--grid", "epochs=1",
                          "--out", "o"], "unrecognized arguments: --node-layers"),
+    "removed_label_layers": (["sweep", "--synthetic", "k=2,size=10",
+                              "--label-layers", "1", "--grid", "epochs=1",
+                              "--out", "o"],
+                             "unrecognized arguments: --label-layers"),
+    "removed_node_layers": (["train", "--synthetic", "k=2,size=10",
+                             "--node-layers", "1", "--out", "o"],
+                            "unrecognized arguments: --node-layers"),
     "repeated_synthetic_key": (["stats", "--synthetic", "k=2,k=3,size=10"],
                                "'communities' given more than once"),
     "repeated_synthetic_alias": (["train", "--synthetic",
@@ -426,6 +434,27 @@ def easy_run(tmp_path_factory):
     code = main(["train", *EASY_TRAIN, "--out", str(out)])
     assert code == EXIT_OK
     return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_trains_and_evaluates(tmp_path, variant):
+    # the checkpoint holds the weights of the variant's stacks, and eval
+    # scores it
+    out, metrics = tmp_path / "o", tmp_path / "metrics.json"
+    assert run(["train", "--synthetic", "k=2,size=10", "--variant", variant,
+                "--epochs", "2", "--hidden", "8",
+                "--out", str(out)]) == EXIT_OK
+    model, config, epoch, _ = load_checkpoint(out / "checkpoint.npz")
+    assert (config.variant, epoch) == (variant, 2)
+    stacks = layer_table(config).values()
+    assert set(model.weights) == {key for layers in stacks
+                                  for _, key in layers}
+    assert run(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                "--synthetic", "k=2,size=10",
+                "--metrics", str(metrics)]) == EXIT_OK
+    doc = json.loads(metrics.read_text())
+    assert doc["config"]["variant"] == variant
+    assert set(doc["results"]) == {"train", "val", "test"}
 
 
 class TestEval:

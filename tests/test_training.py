@@ -57,6 +57,22 @@ def raw_features(g, cfg):
     return input_features(g.node_count, g.label_count, cfg)
 
 
+# the layouts each variant had when depths were config fields, at their
+# defaults (two node layers, one label layer)
+_FULL_LAYOUT = {"label": [("truncated", "w0_label")],
+                "node": [("truncated", "w0_node"), ("intra", "w1_node")]}
+VARIANT_LAYOUTS = {
+    "full": _FULL_LAYOUT,
+    "node": _FULL_LAYOUT,
+    "1n": {"label": [("truncated", "w0_label")],
+           "node": [("truncated", "w0_node")]},
+    "2l": {"label": [("truncated", "w0_label"), ("intra", "w1_label")],
+           "node": [("truncated", "w0_node"), ("intra", "w1_node")]},
+    "gcn_baseline": {"label": [],
+                     "node": [("intra", "w0_node"), ("intra", "w1_node")]},
+}
+
+
 class TestTrainConfig:
     def test_paper_defaults(self):
         cfg = TrainConfig()
@@ -71,22 +87,13 @@ class TestTrainConfig:
         assert cfg.variant == "full"
         assert cfg.optimizer == "gd"
 
-    def test_each_variant_lays_out_its_stacks(self):
-        # the layouts each variant had when depths were config fields, at
-        # their defaults (two node layers, one label layer)
-        full = {"label": [("truncated", "w0_label")],
-                "node": [("truncated", "w0_node"), ("intra", "w1_node")]}
-        assert {v: layer_table(TrainConfig(variant=v)) for v in VARIANTS} == {
-            "full": full,
-            "node": full,
-            "1n": {"label": [("truncated", "w0_label")],
-                   "node": [("truncated", "w0_node")]},
-            "2l": {"label": [("truncated", "w0_label"), ("intra", "w1_label")],
-                   "node": [("truncated", "w0_node"), ("intra", "w1_node")]},
-            "gcn_baseline": {"label": [],
-                             "node": [("intra", "w0_node"),
-                                      ("intra", "w1_node")]},
-        }
+    def test_every_variant_has_a_layout(self):
+        assert sorted(VARIANTS) == sorted(VARIANT_LAYOUTS)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_LAYOUTS))
+    def test_each_variant_lays_out_its_stacks(self, variant):
+        assert (layer_table(TrainConfig(variant=variant))
+                == VARIANT_LAYOUTS[variant])
 
     @pytest.mark.parametrize("removed", ["node_gcn_layers",
                                          "label_gcn_layers"])
@@ -191,9 +198,10 @@ class TestInitModel:
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_init_weights_are_the_weights_the_forwards_read(variant):
+@pytest.mark.parametrize("feature_dim", [0, 5])
+def test_init_weights_are_the_weights_the_forwards_read(variant, feature_dim):
     g = small_graph()
-    cfg = small_config(variant=variant, epochs=2)
+    cfg = small_config(variant=variant, feature_dim=feature_dim, epochs=2)
     result = train(g, split_dataset(g, 0.25, seed=0), cfg)
     assert len(result.history) == 2
     ops = build_operators(g, variant)
@@ -202,6 +210,8 @@ def test_init_weights_are_the_weights_the_forwards_read(variant):
     _, node_caches = forward_node_gcn(ops, model, cfg)
     assert set(model.weights) == {c.weight_key
                                   for c in label_caches + node_caches}
+    assert ({k: w.shape for k, w in result.model.weights.items()}
+            == {k: w.shape for k, w in model.weights.items()})
 
 
 class TestForwardLabelGcn:
