@@ -1,10 +1,17 @@
 """How label correlation moves per-label scores.
 
-Correlated labels should help each other: a label that co-occurs strongly
-with an easy label inherits signal through the label view that a plain
-convolution over the node graph alone cannot use. This script prints the
-normalized pair-wise correlation matrix and compares per-label F1 between
-the full model and the plain-convolution baseline.
+The paper's premise is that correlated labels help each other: a label
+that co-occurs strongly with an easy label inherits signal through the
+label view that a plain convolution over the node graph alone cannot use.
+This script prints the normalized pair-wise correlation matrix and compares
+per-label F1 between the full model and the plain-convolution baseline.
+
+The full model's lead here does not show that premise. `build_operators`
+builds the operators from every node's labels, test nodes included, so
+each test node is joined to its own true label nodes (README, "The
+operators see every node's labels"). With operators built from the
+training nodes' labels alone, the plain GCN scored best on this synthetic
+family (ROADMAP, "The label leak decides the paper's claim").
 """
 
 from mlgcn import (SyntheticConfig, TrainConfig, evaluate,
@@ -36,4 +43,5 @@ for r, lab in enumerate(graph.label_ids):
     print(f"{lab:>6s}  {full:6.4f}   {base:6.4f}   {full - base:+7.4f}")
 
 print("\nthe corr* labels exist only through co-occurrence with their home "
-      "label; the label view gives them a direct path into the model.")
+      "label; the operators join every node, test nodes included, to its "
+      "true label nodes, so the full model's lead includes test labels.")

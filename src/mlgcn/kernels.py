@@ -10,10 +10,12 @@ one-hot input features) always multiplies W first, and its dropout scales
 only its stored entries. `forward_stack` walks a stack of such layers and
 records everything the backward pass needs (the matrix W multiplies, the
 rectified output, dropout masks, as bytes); `backward` then walks the two
-layer stacks in reverse, in the order each layer's forward used. A row
-writer always propagates first; such a layer is handed ``op @ dropout(H)``
-from `_propagate`, which streams a writer or a drawn array in row blocks
-of about a MiB, or a caller's ``op @ H``.
+layer stacks in reverse, in the order each layer's forward used. A dense
+first layer, over an array or a row writer, keeps the shapes' order: one
+that propagates first is handed ``op @ dropout(H)`` from `_propagate`,
+which streams a writer or a drawn array in row blocks of about a MiB, or
+a caller's ``op @ H``; a writer under a W-first layer is written out
+once, whole.
 Gradients never flow into the operators or the input feature blocks —
 those are constants.
 """
@@ -308,10 +310,12 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h,
 
     Every layer but the last is rectified; dropout is drawn layer by layer
     in stack order. `h` is an array, a sparse matrix, a row writer (see
-    `_propagate`), or None when `propagated` is given. A first layer over a
-    writer, or an array that propagates first, is handed ``op @ dropout(h)``
-    from `_propagate` or, in a forward that draws nothing, `propagated`, a
-    precomputed ``op @ h``; it sees a NaN stand-in of the input's shape. Any
+    `_propagate`), or None when `propagated` is given. A dense first layer,
+    over an array or a writer, takes the order `propagates_first` picks.
+    One that propagates first is handed ``op @ dropout(h)`` from
+    `_propagate` or, in a forward that draws nothing, `propagated`, a
+    precomputed ``op @ h``; it sees a NaN stand-in of the input's shape. A
+    writer whose layer multiplies W first is written out once, whole. Any
     other first layer, and a forward that draws, refuses `propagated`.
     Returns the output and `backward_stack`'s caches.
     """
@@ -327,8 +331,8 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h,
         w, product = weights[key], None
         if idx == 0:
             shape = (op.shape[1], w.shape[0])
-            if callable(h) or (not sp.issparse(h) and propagates_first(
-                    op.shape, op.nnz, w.shape)):
+            if not sp.issparse(h) and propagates_first(op.shape, op.nnz,
+                                                       w.shape):
                 # no mask of a first layer is read: the layer is handed
                 # the product, with the draws already taken
                 product = propagated if propagated is not None else (
@@ -337,6 +341,10 @@ def forward_stack(layers: list[tuple[SparseMatrix, str]], h,
             elif propagated is not None:
                 raise ValueError("only a dense first layer that propagates "
                                  "first takes a precomputed op @ h")
+            elif callable(h):
+                # W goes first, and dropout(H) is its weight input
+                h, write = np.empty(shape), h
+                write(0, shape[0], h)
         h, cache = gcn_layer_forward(op, h, w, activation=activation,
                                      dropout=dropout, training=training,
                                      rng=rng, weight_key=key,

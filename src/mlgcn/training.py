@@ -9,7 +9,8 @@ random projections that produce them are never trained.
 
 `layer_table` lays out each variant's stacks from the one table `_STACKS`;
 weight shapes, both forwards and the training loop all derive from it.
-`input_features` is the one place that builds the raw input features.
+`input_features` is the one place that builds the raw input features, and
+`_view_input` the one place that builds either view's first-layer input.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class ModelState:
     checkpoint rebuilds them from its config. The label view's attribute
     block is the raw X until a node injection and relu(node_logits @
     proj_node) after it; only the n x m logits are kept, and the label view
-    writes the block's rows into its streamed input (`_label_input`). The
+    writes the block's rows into its streamed input (`_view_input`). The
     node view's attribute block starts as the raw Y. Injections replace the
     logits and the label block, and never write into them.
     """
@@ -224,82 +225,68 @@ def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
         dropout_rng=rng_stream(config.seed, "dropout"))
 
 
-def _stack(operators: GraphOperators, config: TrainConfig,
-           view: str) -> list[tuple[SparseMatrix, str]]:
-    """(operator, weight key) per layer of one view's stack."""
-    view_ops = getattr(operators, view)
-    return [(getattr(view_ops, name), key)
-            for name, key in layer_table(config)[view]]
-
-
-def _stacked(blocks: list[np.ndarray | SparseMatrix]
-             ) -> np.ndarray | SparseMatrix:
-    """Blocks stacked row-wise: as one CSR matrix when any block is sparse
-    (the one-hot X), else as a dense array."""
-    if len(blocks) == 1:
-        return blocks[0]
-    if any(map(sp.issparse, blocks)):
-        return SparseMatrix(sp.vstack(blocks, format="csr"))
-    return np.vstack(blocks)
-
-
-def _label_input(model: ModelState):
-    """The label view's input [Y; node block]: over the one-hot X, before
-    any node injection, one CSR matrix (`_stacked`); otherwise a row writer
-    (see `kernels.forward_stack`) of Y's rows, then X's, or, once node
-    logits are injected, relu(logits[rows] @ proj_node) rectified in place."""
-    y, x, logits = model.label_features, model.node_features, model.node_logits
-    if logits is None and sp.issparse(x):
-        return _stacked([y, x])
-    m = y.shape[0]
+def _view_input(model: ModelState, config: TrainConfig, view: str):
+    """A view's first-layer input: its raw features (X or Y, the head rows)
+    over the block that the other view injects. A lone block (no label
+    stack) is passed as it is; two blocks are one CSR matrix while one of
+    them is the one-hot X; otherwise a row writer (see
+    `kernels.forward_stack`) writes the head rows, then the attribute rows:
+    the label block, X, or, once node logits are injected,
+    relu(logits[rows] @ proj_node) rectified in place."""
+    x, logits = model.node_features, model.node_logits
+    if view == "node" and not layer_table(config)["label"]:
+        return x
+    head, block = ((x, model.label_block) if view == "node" else
+                   (model.label_features, x if logits is None else None))
+    if sp.issparse(head) or sp.issparse(block):
+        return SparseMatrix(sp.vstack([head, block], format="csr"))
+    top = head.shape[0]
 
     def write(start: int, stop: int, out: np.ndarray):
-        head = max(min(stop, m) - start, 0)
-        out[:head] = y[start:start + head]
-        nodes, rows = slice(max(start, m) - m, max(stop, m) - m), out[head:]
-        if logits is None:
-            rows[...] = x[nodes]
+        count = max(min(stop, top) - start, 0)
+        out[:count] = head[start:start + count]
+        rows, out = slice(max(start - top, 0), max(stop - top, 0)), out[count:]
+        if block is not None:
+            out[...] = block[rows]
         else:
-            np.matmul(logits[nodes], model.projections["proj_node"], out=rows)
-            np.maximum(rows, 0.0, out=rows)
+            np.matmul(logits[rows], model.projections["proj_node"], out=out)
+            np.maximum(out, 0.0, out=out)
     return write
 
 
-def _node_input(model: ModelState, config: TrainConfig):
-    """The node view's input: the raw node features over the injected
-    label block, or, without a label stack, the raw node features alone."""
-    blocks = [model.node_features]
-    if layer_table(config)["label"]:
-        blocks.append(model.label_block)
-    return _stacked(blocks)
+def _forward(view: str, operators: GraphOperators, model: ModelState,
+             config: TrainConfig, training: bool,
+             propagated: np.ndarray | None, h
+             ) -> tuple[np.ndarray, list[LayerCache]]:
+    """One view's forward, as `forward_label_gcn` describes it."""
+    layers = [(getattr(getattr(operators, view), name), key)
+              for name, key in layer_table(config)[view]]
+    if h is None and propagated is None:
+        h = _view_input(model, config, view)
+    return forward_stack(layers, h, model.weights, config.dropout, training,
+                         model.dropout_rng, propagated)
 
 
 def forward_label_gcn(operators: GraphOperators, model: ModelState,
                       config: TrainConfig, training: bool = False, *,
-                      propagated: np.ndarray | None = None
+                      propagated: np.ndarray | None = None, h=None
                       ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Label-view logits (m x m) from the raw label features over the
-    injected node block (`_label_input`), or from `propagated`, the first
-    layer's ``op @ H`` over that input: a row writer's, handed over
-    unwritten beside it so that `forward_stack` takes the product."""
-    return forward_stack(_stack(operators, config, "label"),
-                         _label_input(model), model.weights, config.dropout,
-                         training, model.dropout_rng, propagated)
+    """Label-view logits (m x m) from `h`, the view's input as
+    `_view_input` builds it (built here when neither it nor `propagated`
+    is given), or from `propagated`, the first layer's ``op @ H`` over that
+    input (see `kernels.forward_stack`)."""
+    return _forward("label", operators, model, config, training,
+                    propagated, h)
 
 
 def forward_node_gcn(operators: GraphOperators, model: ModelState,
                      config: TrainConfig, training: bool = False, *,
-                     propagated: np.ndarray | None = None,
-                     h: SparseMatrix | None = None
+                     propagated: np.ndarray | None = None, h=None
                      ) -> tuple[np.ndarray, list[LayerCache]]:
-    """Node-view logits (n x m) from `_node_input`, built in the argument
-    list so no local outlives it, or from `h`, a sparse one built from the
-    current blocks; `propagated` is as for `forward_label_gcn`."""
-    return forward_stack(_stack(operators, config, "node"),
-                         None if propagated is not None else
-                         _node_input(model, config) if h is None else h,
-                         model.weights, config.dropout, training,
-                         model.dropout_rng, propagated)
+    """Node-view logits (n x m); `h` and `propagated` are as for
+    `forward_label_gcn`."""
+    return _forward("node", operators, model, config, training,
+                    propagated, h)
 
 
 def inject_node_features(model: ModelState, node_logits: np.ndarray) -> np.ndarray:
@@ -405,12 +392,12 @@ class TrainState:
     blocks; so that validation forward, caches and all, waits in
     `node_forward` to double as the next epoch's node-view training forward.
 
-    A view's first-layer ``op @ H`` changes only with its input, at an
-    injection into that view. So each forward that draws no dropout is
-    handed the product of its view's last such forward (`products`), and
-    builds no input, until `inject` drops that product. A sparse node-view
-    input is built once per label block (`node_input`) and handed to every
-    node forward; one that draws dropout masks a copy.
+    A view's input and its first-layer ``op @ H`` change only at an
+    injection into that view. So each view's input (`_view_input`) is
+    built on its first forward and kept (`inputs`), and each forward that
+    draws no dropout is handed the product of its view's last such forward
+    (`products`), until `inject` drops both. A forward that draws dropout
+    over a sparse input masks a copy.
     """
 
     operators: GraphOperators
@@ -419,34 +406,31 @@ class TrainState:
     optimizer: _Optimizer
     history: TrainHistory = field(default_factory=TrainHistory)
     embeddings: np.ndarray | None = None  # eval-mode node logits, n x m
+    inputs: dict = field(default_factory=dict)
     products: dict[str, np.ndarray] = field(default_factory=dict)
-    node_input: SparseMatrix | None = None
     node_forward: tuple[np.ndarray, list[LayerCache]] | None = None
-
-    def __post_init__(self):
-        if sp.issparse(self.model.node_features):
-            self.node_input = _node_input(self.model, self.config)
 
     def forward(self, view: str, training: bool):
         drawn = training and self.config.dropout > 0.0
+        if view not in self.inputs:
+            self.inputs[view] = _view_input(self.model, self.config, view)
         fn = forward_label_gcn if view == "label" else forward_node_gcn
         out, caches = fn(self.operators, self.model, self.config,
                          training=training,
                          propagated=None if drawn else self.products.get(view),
-                         **({"h": self.node_input} if view == "node" else {}))
+                         h=self.inputs[view])
         if not drawn and caches[0].propagated_first:
             self.products[view] = caches[0].weight_input
         return out, caches
 
     def inject(self, view: str, logits: np.ndarray):
-        """Inject the other view's logits into `view`; drop the view's
-        product and, for the node view, rebuild its one-hot input."""
+        """Inject the other view's logits into `view`, and drop the view's
+        input and product, which that makes stale."""
         if view == "label":
             inject_node_features(self.model, logits)
         else:
             inject_label_features(self.model, logits)
-            if self.node_input is not None:
-                self.node_input = _node_input(self.model, self.config)
+        self.inputs.pop(view, None)
         self.products.pop(view, None)
 
 
@@ -529,7 +513,7 @@ def train(graph: MultiLabelGraph, split: DataSplit, config: TrainConfig,
     # the last epoch's validation forward doubles as the final one
     if state.embeddings is None:
         state.embeddings, _ = state.forward("node", training=False)
-    state.products, state.node_input, state.node_forward = {}, None, None
+    state.inputs, state.products, state.node_forward = {}, {}, None
     return state
 
 

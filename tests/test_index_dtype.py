@@ -13,8 +13,8 @@ from mlgcn.kernels import multi_label_loss, multi_label_loss_grad, spmm
 from mlgcn.matrices import SparseMatrix, index_dtype
 from mlgcn.metrics import compute_f1, evaluate, predict_labels
 from mlgcn.operators import build_operators
-from mlgcn.training import (VARIANTS, TrainConfig, _label_input, _node_input,
-                            init_model, input_features)
+from mlgcn.training import (VARIANTS, TrainConfig, _view_input, init_model,
+                            input_features)
 
 EDGES = "a,b\nb,c\nc,a\nc,c\na,b\nd,a\n"
 LABELS = "a,x\nb,y\nc,x\nc,y\nd,x\n"
@@ -118,10 +118,10 @@ class TestBuiltMatrices:
         x, _ = input_features(g.node_count, g.label_count, config)
         assert_int32(x, "X")
         model = init_model(g, config)
-        assert_int32(_node_input(model, config), "node input")
+        assert_int32(_view_input(model, config, "node"), "node input")
         if variant != "gcn_baseline":
             # before any node injection the label input is [Y; X] as CSR
-            assert_int32(_label_input(model), "label input")
+            assert_int32(_view_input(model, config, "label"), "label input")
 
 
 class TestNoResultDependsOnTheDtype:

@@ -1,6 +1,4 @@
 import dataclasses
-import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -540,7 +538,9 @@ class TestLabelInput:
             op, stacked, model.weights["w0_label"], activation="identity",
             dropout=dropout, training=True, rng=ref_rng, weight_key="w0_label")
         assert ref_cache.propagated_first
-        out, caches = forward_stack(layers, training._label_input(model),
+        out, caches = forward_stack(layers,
+                                    training._view_input(model, TrainConfig(),
+                                                         "label"),
                                     model.weights, dropout, True,
                                     model.dropout_rng)
         assert out.tobytes() == ref.tobytes()
@@ -695,15 +695,15 @@ class TestFirstLayerReuse:
         assert ref_caches[0].propagated_first
         assert np.array_equal(product, spmm(getattr(ops, view).truncated,
                                             view_input(model)))
-        built = []
-        for name in ("_label_input", "_stacked"):
-            def recording(*args, fn=getattr(training, name), name=name):
-                built.append(name)
-                return fn(*args)
-            monkeypatch.setattr(training, name, recording)
+        built, build = [], training._view_input
+
+        def recording(*args):
+            built.append(args)
+            return build(*args)
+        monkeypatch.setattr(training, "_view_input", recording)
         out, caches = forward(ops, model, cfg, propagated=product)
-        # the label view's input is a row writer, made but never written
-        assert built == (["_label_input"] if view == "label" else [])
+        # a forward handed the product builds no input
+        assert built == []
         assert out.tobytes() == ref.tobytes()
         assert len(caches) == len(ref_caches)
         for cache, want in zip(caches, ref_caches):
@@ -790,30 +790,50 @@ class TestFirstLayerReuse:
         assert shapes.count(self.ops.node.truncated.shape) == node
         assert handed["node"] and bool(handed["label"]) == (dropout == 0.0)
 
-    @pytest.mark.parametrize("feature_dim", [0, 3])
-    def test_hidden_one_label_writer_keeps_its_product(self, feature_dim):
-        # at hidden 1 the 2l label stack's first layer multiplies W first by
-        # its shapes, but over a row writer it propagates first: the product
-        # is kept and handed to the next label forward, which gives the
-        # bits of the first, and a whole run at dropout 0 reuses it
-        from mlgcn.kernels import propagates_first
-        cfg = small_config(variant="2l", hidden_dim=1, epochs=4,
-                           feature_dim=feature_dim, update_freq_nodes=2)
-        ops = build_operators(self.g, "2l")
-        model = init_model(self.g, cfg)
-        op = ops.label.truncated
-        assert not propagates_first(op.shape, op.nnz,
-                                    (model.label_features.shape[1], 1))
-        state = TrainState(ops, model, cfg, _Optimizer(cfg))
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("view,variant,feature_dim,hidden_dim", [
+        ("node", "full", 50, 2),  # 50-wide features under a hidden 2
+        ("label", "2l", 0, 1),    # the 2l label stack at hidden 1
+        ("label", "2l", 3, 1),
+    ])
+    def test_writer_takes_the_shapes_order(self, view, variant, feature_dim,
+                                           hidden_dim, dropout):
+        # a view whose input is a row writer, and whose first layer
+        # multiplies W first by its shapes, does so: over the written input,
+        # with the bits of the same forward over the explicitly stacked
+        # array, and keeps no product for reuse
+        from mlgcn.kernels import forward_stack, propagates_first
+        g = generate_synthetic(SyntheticConfig(communities=4,
+                                               community_size=5))
+        ops = build_operators(g, variant)
+        cfg = TrainConfig(variant=variant, feature_dim=feature_dim,
+                          hidden_dim=hidden_dim, dropout=dropout, epochs=4,
+                          update_freq_nodes=2)
+        state = TrainState(ops, init_model(g, cfg), cfg, _Optimizer(cfg))
+        model = state.model
         node_logits, _ = state.forward("node", training=False)
         state.inject("label", node_logits)
-        first, caches = state.forward("label", training=True)
-        assert caches[0].propagated_first
-        assert state.products["label"] is caches[0].weight_input
-        again, _ = state.forward("label", training=True)
-        assert again.tobytes() == first.tobytes()
-        split = split_dataset(self.g, 0.25, seed=21)
-        assert len(train(self.g, split, cfg).history.epoch_seconds) == 4
+        assert callable(training._view_input(model, cfg, view))
+        layers = [(getattr(getattr(ops, view), name), key)
+                  for name, key in layer_table(cfg)[view]]
+        op, w = layers[0][0], model.weights[layers[0][1]]
+        assert not propagates_first(op.shape, op.nnz, w.shape)
+        stacked = {"label": label_view_input, "node": node_view_input}[view]
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = model.dropout_rng.bit_generator.state
+        ref, ref_caches = forward_stack(layers, stacked(model), model.weights,
+                                        dropout, True, ref_rng)
+        out, caches = state.forward(view, training=True)
+        assert (caches[0].propagated_first == ref_caches[0].propagated_first
+                == propagates_first(op.shape, op.nnz, w.shape))
+        assert out.tobytes() == ref.tobytes()
+        assert (caches[0].weight_input.tobytes()
+                == ref_caches[0].weight_input.tobytes())
+        assert (model.dropout_rng.bit_generator.state
+                == ref_rng.bit_generator.state)
+        assert view not in state.products
+        split = split_dataset(g, 0.25, seed=21)
+        assert len(train(g, split, cfg).history.epoch_seconds) == 4
 
     def test_inject_drops_only_its_views_product(self):
         state = TrainState(self.ops, self.model, self.cfg,
@@ -823,7 +843,7 @@ class TestFirstLayerReuse:
         kept = dict(state.products)
         assert sorted(kept) == ["label", "node"]
         state.inject("label", node_logits)
-        assert list(state.products) == ["node"]
+        assert list(state.products) == ["node"] == list(state.inputs)
         assert state.products["node"] is kept["node"]
         assert np.array_equal(self.model.node_logits, node_logits)
         state.forward("label", training=False)
@@ -831,53 +851,70 @@ class TestFirstLayerReuse:
         state.inject("node", label_logits)
         assert list(state.products) == ["label"]
         assert state.products["label"] is kept["label"]
-        assert state.node_input is None
+        assert list(state.inputs) == ["label"]
 
     def test_node_injection_rebuilds_the_one_hot_input(self):
         cfg = small_config()
         model = init_model(self.g, cfg)
         state = TrainState(self.ops, model, cfg, _Optimizer(cfg))
-        first = state.node_input
-        assert isinstance(first, SparseMatrix)
-        assert np.array_equal(first.toarray(), node_view_input(model))
+        assert state.inputs == {}
         label_logits, _ = state.forward("label", training=False)
         node_logits, _ = state.forward("node", training=False)
+        first = state.inputs["node"]
+        assert isinstance(first, SparseMatrix)
+        assert np.array_equal(first.toarray(), node_view_input(model))
         state.inject("label", node_logits)
-        assert state.node_input is first
+        assert state.inputs["node"] is first
         state.inject("node", label_logits)
-        assert state.node_input is not first
-        assert np.array_equal(state.node_input.toarray(),
+        assert "node" not in state.inputs and "node" not in state.products
+        state.forward("node", training=False)
+        assert state.inputs["node"] is not first
+        assert np.array_equal(state.inputs["node"].toarray(),
                               node_view_input(model))
-        assert "node" not in state.products
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-        "before CPython 3.11 a caller keeps its call's arguments alive "
-        "until the call returns"))
-    @pytest.mark.parametrize("dropout", [0.0, 0.5])
-    def test_node_input_dies_before_its_first_layer(self, monkeypatch,
-                                                    dropout):
-        # the dense node-view input is built in forward_stack's argument
-        # list: once the first layer has its op @ H, nothing holds the
-        # (n+m) x d input through the layer's GEMM
+    @pytest.mark.parametrize("training_mode,dropout", [
+        (True, 0.0), (True, 0.5), (False, 0.5)])
+    def test_dense_node_input_streams(self, monkeypatch, training_mode,
+                                      dropout):
+        # with dense features the node view's [X; label block] is a row
+        # writer, streamed in row blocks: the forward's whole allocation
+        # peak stays below one (n+m) x d array. Community size 1 gives m = 2n
+        # labels; the forward holds the n x d product and n x m logits
+        import tracemalloc
         import mlgcn.kernels as kernels
-        refs, dead = [], []
-        build, layer = training._node_input, kernels.gcn_layer_forward
+        g = generate_synthetic(SyntheticConfig(
+            communities=200, community_size=1, p_inter=0.02, rho=1.0))
+        n, m, d = g.node_count, g.label_count, 512
+        assert m == 2 * n
+        cfg = small_config(feature_dim=d, hidden_dim=32, dropout=dropout)
+        ops = build_operators(g)
+        model = init_model(g, cfg)
+        label_logits, _ = forward_label_gcn(ops, model, cfg)
+        inject_label_features(model, label_logits)
+        monkeypatch.setattr(kernels, "_BLOCK_VALUES", 32 * d)
+        handed, propagate = [], kernels._propagate
 
-        def building(*args):
-            h = build(*args)
-            refs.append(weakref.ref(h))
-            return h
-
-        def recording(op, *args, **kwargs):
-            if op.shape == self.ops.node.truncated.shape:
-                dead.append(refs[-1]() is None)
-            return layer(op, *args, **kwargs)
-        monkeypatch.setattr(training, "_node_input", building)
-        monkeypatch.setattr(kernels, "gcn_layer_forward", recording)
-        split = split_dataset(self.g, 0.25, seed=21)
-        train(self.g, split, small_config(feature_dim=3, hidden_dim=8,
-                                          epochs=3, dropout=dropout))
-        assert refs and dead and all(dead)
+        def recording(op, h, *args):
+            handed.append((op.shape, callable(h)))
+            return propagate(op, h, *args)
+        monkeypatch.setattr(kernels, "_propagate", recording)
+        state = TrainState(ops, model, cfg, _Optimizer(cfg))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state.forward("node", training=training_mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert handed == [(ops.node.truncated.shape, True)]
+        assert peak - base < (n + m) * d * 8
+        # and so does every node forward of a run
+        handed.clear()
+        split = split_dataset(g, 0.25, seed=0)
+        train(g, split, dataclasses.replace(cfg, epochs=3))
+        node = [writer for shape, writer in handed
+                if shape == ops.node.truncated.shape]
+        assert node and all(node)
 
 
 def densified(model):
@@ -903,26 +940,28 @@ class TestSparseInput:
         assert isinstance(x, np.ndarray)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
-    def test_node_input_built_once_per_label_injection(self, monkeypatch,
-                                                       dropout):
-        # train keeps the node view's sparse [X; label block] until a label
-        # injection replaces the block; a forward that draws masks a copy
+    def test_view_inputs_built_once_per_injection(self, monkeypatch,
+                                                  dropout):
+        # train keeps each view's input until an injection into that view
+        # replaces its block; a forward that draws masks a copy
         g = small_graph(seed=33)
         split = split_dataset(g, 0.25, seed=33)
         assert split.val_nodes.size
-        built, stacked = [], training._stacked
+        built, build = [], training._view_input
 
-        def recording(blocks):
-            built.append(blocks[0].shape[0])
-            return stacked(blocks)
-        monkeypatch.setattr(training, "_stacked", recording)
-        epochs, freq_m = 7, 3
-        cfg = small_config(epochs=epochs, dropout=dropout, update_freq_nodes=2,
+        def recording(model, config, view):
+            built.append(view)
+            return build(model, config, view)
+        monkeypatch.setattr(training, "_view_input", recording)
+        epochs, freq_n, freq_m = 7, 2, 3
+        cfg = small_config(epochs=epochs, dropout=dropout,
+                           update_freq_nodes=freq_n,
                            update_freq_labels=freq_m)
         train(g, split, cfg)
-        # the node view's blocks start with X's n rows, the label view's
-        # with Y's m
-        assert built.count(g.node_count) == 1 + len(range(0, epochs, freq_m))
+        # a label injection is followed by its epoch's validation forward;
+        # a node injection by the next epoch's label forward
+        assert built.count("node") == 1 + len(range(0, epochs, freq_m))
+        assert built.count("label") == 1 + len(range(0, epochs - 1, freq_n))
 
     def test_view_inputs_stack_sparse_until_injected(self, monkeypatch):
         g = small_graph(seed=31)
@@ -1195,14 +1234,14 @@ class TestTrain:
     @pytest.mark.parametrize("feature_dim", [0, 3])
     def test_returned_state_holds_nothing_for_reuse(self, feature_dim):
         # at dropout 0 every epoch keeps a product, and the last one a
-        # pending node forward; the one-hot run keeps its node input
+        # pending node forward, and every run keeps its views' inputs
         g = small_graph(seed=21)
         split = split_dataset(g, 0.25, seed=21)
         assert split.val_nodes.size
         result = train(g, split, small_config(feature_dim=feature_dim,
                                               epochs=3))
         assert result.products == {}
-        assert result.node_input is None and result.node_forward is None
+        assert result.inputs == {} and result.node_forward is None
         assert result.embeddings.shape == (g.node_count, g.label_count)
         assert len(result.history) == 3
 
