@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .files import replacing
 from .graph import DataSplit, MultiLabelGraph
 from .kernels import (LayerCache, backward, forward_stack, multi_label_loss,
-                      multi_label_loss_grad, relu, single_label_loss,
+                      multi_label_loss_grad, single_label_loss,
                       single_label_loss_grad, softmax_rows)
 from .matrices import SparseMatrix
 from .metrics import evaluate
@@ -53,7 +53,7 @@ _STACKS = {
 
 VARIANTS = tuple(_STACKS)
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 # values per row block of an optimizer step (at least one row)
 _STEP_CHUNK_VALUES = 1 << 16
@@ -89,8 +89,11 @@ class TrainConfig:
     feature_dim: int = 0  # 0: one-hot over the joint node+label space
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        # NaN fails both comparisons
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be finite and nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if self.hidden_dim < 1:
@@ -122,17 +125,16 @@ def layer_table(config: TrainConfig) -> dict[str, list[tuple[str, str]]]:
 
 @dataclass
 class ModelState:
-    """Trainable weights, frozen projections, the raw input features, what
-    the injections put into each view, and the dropout stream. It caches
+    """Trainable weights, frozen projections, the raw input features, the
+    logits injected into each view, and the dropout stream. It caches
     nothing: `TrainState` keeps the first-layer products that it reuses.
 
     The raw features come from `input_features` and are never stored: a
-    checkpoint rebuilds them from its config. The label view's attribute
-    block is the raw X until a node injection and relu(node_logits @
-    proj_node) after it; only the n x m logits are kept, and the label view
-    writes the block's rows into its streamed input (`_view_input`). The
-    node view's attribute block starts as the raw Y. Injections replace the
-    logits and the label block, and never write into them.
+    checkpoint rebuilds them from its config. A view's attribute block is
+    the other side's raw features until an injection into it, and
+    relu(logits @ proj) after it; only the logits are kept, and
+    `_view_input` builds the block from them. Injections replace the
+    logits and never write into them.
     """
 
     weights: dict[str, np.ndarray]
@@ -140,9 +142,9 @@ class ModelState:
     node_features: np.ndarray | SparseMatrix  # raw X (n x d), the node view's
                                               # leading rows; CSR when one-hot
     label_features: np.ndarray  # raw Y (m x d), the label view's leading rows
-    node_logits: np.ndarray | None  # last node logits injected into the label
-                                    # view (n x m); None before the first
-    label_block: np.ndarray     # attribute features of the node view (starts as raw Y)
+    injected: dict[str, np.ndarray]  # view -> the logits last injected into
+                                     # it (label: n x m, node: m x m); no
+                                     # key before its first injection
     dropout_rng: np.random.Generator
 
 
@@ -221,36 +223,43 @@ def init_model(graph: MultiLabelGraph, config: TrainConfig) -> ModelState:
 
     return ModelState(
         weights=weights, projections=projections, node_features=x,
-        label_features=y, node_logits=None, label_block=y,
+        label_features=y, injected={},
         dropout_rng=rng_stream(config.seed, "dropout"))
 
 
 def _view_input(model: ModelState, config: TrainConfig, view: str):
     """A view's first-layer input: its raw features (X or Y, the head rows)
-    over the block that the other view injects. A lone block (no label
-    stack) is passed as it is; two blocks are one CSR matrix while one of
-    them is the one-hot X; otherwise a row writer (see
-    `kernels.forward_stack`) writes the head rows, then the attribute rows:
-    the label block, X, or, once node logits are injected,
-    relu(logits[rows] @ proj_node) rectified in place."""
-    x, logits = model.node_features, model.node_logits
+    over its attribute rows, the other side's raw features until an
+    injection into the view and relu(logits[rows] @ proj) after it. A lone
+    block (no label stack) is passed as it is; an input that holds the
+    one-hot X is one CSR matrix, its attribute rows computed whole;
+    otherwise a row writer (see `kernels.forward_stack`) writes the head
+    rows, then the attribute rows, computed in place."""
+    x, y = model.node_features, model.label_features
     if view == "node" and not layer_table(config)["label"]:
         return x
-    head, block = ((x, model.label_block) if view == "node" else
-                   (model.label_features, x if logits is None else None))
-    if sp.issparse(head) or sp.issparse(block):
+    head, raw, proj = ((x, y, "proj_label") if view == "node" else
+                       (y, x, "proj_node"))
+    logits = model.injected.get(view)
+
+    def attributes(rows: slice, out: np.ndarray) -> np.ndarray:
+        if logits is None:
+            out[...] = raw[rows]
+        else:
+            np.matmul(logits[rows], model.projections[proj], out=out)
+            np.maximum(out, 0.0, out=out)
+        return out
+    if sp.issparse(head) or (logits is None and sp.issparse(raw)):
+        block = raw if logits is None else attributes(
+            slice(None), np.empty((logits.shape[0], head.shape[1])))
         return SparseMatrix(sp.vstack([head, block], format="csr"))
     top = head.shape[0]
 
     def write(start: int, stop: int, out: np.ndarray):
         count = max(min(stop, top) - start, 0)
         out[:count] = head[start:start + count]
-        rows, out = slice(max(start - top, 0), max(stop - top, 0)), out[count:]
-        if block is not None:
-            out[...] = block[rows]
-        else:
-            np.matmul(logits[rows], model.projections["proj_node"], out=out)
-            np.maximum(out, 0.0, out=out)
+        attributes(slice(max(start - top, 0), max(stop - top, 0)),
+                   out[count:])
     return write
 
 
@@ -290,19 +299,18 @@ def forward_node_gcn(operators: GraphOperators, model: ModelState,
 
 
 def inject_node_features(model: ModelState, node_logits: np.ndarray) -> np.ndarray:
-    """Replace the label view's attribute block with projected node logits.
-
-    The block, relu(node_logits @ proj_node), is n x d; the model keeps a
-    copy of the n x m logits instead, which it returns, and the label view
-    rebuilds the block's rows on each forward that needs them."""
-    model.node_logits = np.array(node_logits, dtype=np.float64)
-    return model.node_logits
+    """Inject node logits into the label view: its attribute block becomes
+    relu(node_logits @ proj_node). The model keeps, and returns, a float64
+    copy of the n x m logits; `_view_input` builds the block from them."""
+    model.injected["label"] = np.array(node_logits, dtype=np.float64)
+    return model.injected["label"]
 
 
 def inject_label_features(model: ModelState, label_logits: np.ndarray) -> np.ndarray:
-    """Replace the node view's attribute block with projected label logits."""
-    model.label_block = relu(label_logits @ model.projections["proj_label"])
-    return model.label_block
+    """Inject label logits into the node view, as `inject_node_features`
+    does node logits: the model keeps, and returns, the m x m logits."""
+    model.injected["node"] = np.array(label_logits, dtype=np.float64)
+    return model.injected["node"]
 
 
 class _Optimizer:
@@ -389,7 +397,7 @@ class TrainState:
     At dropout 0 a training forward draws nothing and computes what an
     eval-mode one does, and nothing between an epoch's validation forward
     and the next epoch's node forward changes the weights or the injected
-    blocks; so that validation forward, caches and all, waits in
+    logits; so that validation forward, caches and all, waits in
     `node_forward` to double as the next epoch's node-view training forward.
 
     A view's input and its first-layer ``op @ H`` change only at an
@@ -525,16 +533,9 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
                     embeddings: np.ndarray):
     """Versioned npz dump of weights, projections, rng state, config, the
     dataset fingerprint, the model's final eval-mode node logits
-    (`embeddings`, n x m), which `eval` scores, and what injections put
-    into the views: the node logits (n x m), once injected, and the label
-    block, once replaced; what is still the raw features is left for
-    `load_checkpoint` to rebuild. A failed write leaves `path` as it was
-    (`files.replacing`)."""
-    injected = {}
-    if model.node_logits is not None:
-        injected["node_logits"] = model.node_logits
-    if model.label_block is not model.label_features:
-        injected["label_block"] = model.label_block
+    (`embeddings`, n x m), which `eval` scores, and the logits injected
+    into each view that has had an injection (`injected__<view>`). A
+    failed write leaves `path` as it was (`files.replacing`)."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
@@ -542,14 +543,15 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
         "fingerprint": fingerprint,
         "node_count": model.node_features.shape[0],
         "label_count": model.label_features.shape[0],
-        "injected": list(injected),
+        "injected": list(model.injected),
         "weight_keys": list(model.weights),
         "projection_keys": list(model.projections),
         "dropout_rng_state": model.dropout_rng.bit_generator.state,
         "optimizer_steps": optimizer.step_count if optimizer else 0,
     }
-    arrays = {"embeddings": np.asarray(embeddings, dtype=np.float64),
-              **injected}
+    arrays = {"embeddings": np.asarray(embeddings, dtype=np.float64)}
+    for key, a in model.injected.items():
+        arrays[f"injected__{key}"] = a
     for key, w in model.weights.items():
         arrays[f"weight__{key}"] = w
     for key, w in model.projections.items():
@@ -567,15 +569,16 @@ def save_checkpoint(path, model: ModelState, config: TrainConfig,
 def read_checkpoint(path):
     """Read and check a checkpoint without building a model; returns
     (meta, config, arrays, dropout_rng), where `arrays` holds the
-    embeddings, the listed injected arrays, and each weight and projection
-    under its `weight__` or `projection__` name.
+    embeddings, and each listed view's injected logits, weight and
+    projection under its `injected__`, `weight__` or `projection__` name.
 
     Raises CheckpointError for a file that is not a complete checkpoint
     archive, lacks an entry, carries an unknown config field, another
     version than this build writes, counts, an epoch or a fingerprint of
-    the wrong type or a dropout rng state that does not load, or holds
-    embeddings, node logits, a label block, weights or projections of
-    other shapes than its config lays out.
+    the wrong type or a dropout rng state that does not load, holds
+    embeddings, injected logits, weights or projections of other shapes
+    than its config lays out or of another dtype than float64, or holds
+    non-finite embeddings.
     """
     try:
         # np.load leaves a file it opened open when the archive is broken
@@ -592,10 +595,10 @@ def read_checkpoint(path):
                     and isinstance(meta["fingerprint"], str)):
                 raise CheckpointError(f"{path}: bad counts, epoch or "
                                       f"fingerprint in the metadata")
-            d = config.feature_dim or n + m  # as `input_features` lays out
-            injected = {"node_logits": (n, m), "label_block": (m, d)}
+            injected = {"label": (n, m), "node": (m, m)}
             expected = {"embeddings": (n, m)}
-            expected.update((name, injected[name]) for name in meta["injected"])
+            expected.update((f"injected__{view}", injected[view])
+                            for view in meta["injected"])
             arrays = {}
             for name, shape in expected.items():
                 arrays[name] = data[name]
@@ -603,6 +606,7 @@ def read_checkpoint(path):
                     raise CheckpointError(
                         f"{path}: {name} {arrays[name].shape} does not "
                         f"match the expected {shape}")
+            d = config.feature_dim or n + m  # as `input_features` lays out
             layouts = {"weight": weight_shapes(config, d, m),
                        "projection": projection_shapes(config, d, m)}
             for kind, layout in layouts.items():
@@ -613,6 +617,12 @@ def read_checkpoint(path):
                         f"{path}: {kind} shapes {shapes} do not match the "
                         f"{config.variant} layout {layout}")
                 arrays.update((f"{kind}__{k}", a) for k, a in stored.items())
+            for name, a in arrays.items():
+                if a.dtype != np.float64:
+                    raise CheckpointError(f"{path}: {name} is {a.dtype}, "
+                                          f"not float64")
+            if not np.isfinite(arrays["embeddings"]).all():
+                raise CheckpointError(f"{path}: non-finite embeddings")
             dropout_rng = rng_stream(config.seed, "dropout")
             dropout_rng.bit_generator.state = meta["dropout_rng_state"]
             return meta, config, arrays, dropout_rng
@@ -627,18 +637,16 @@ def load_checkpoint(path):
     """Load a checkpoint (`read_checkpoint`); returns (model, config,
     epoch, fingerprint).
 
-    `input_features` rebuilds the raw features for the stored n and m;
-    without stored node logits the label view reads the raw X, and an
-    unlisted label block is the raw Y itself.
+    `input_features` rebuilds the raw features for the stored n and m; a
+    view with no stored logits reads the other side's raw features.
     """
     meta, config, arrays, dropout_rng = read_checkpoint(path)
     x, y = input_features(meta["node_count"], meta["label_count"], config)
-    injected = {"node_logits": None, "label_block": y}
-    injected.update((name, arrays[name]) for name in meta["injected"])
     model = ModelState(
         weights={k: arrays[f"weight__{k}"] for k in meta["weight_keys"]},
         projections={k: arrays[f"projection__{k}"]
                      for k in meta["projection_keys"]},
-        node_features=x, label_features=y, **injected,
+        node_features=x, label_features=y,
+        injected={v: arrays[f"injected__{v}"] for v in meta["injected"]},
         dropout_rng=dropout_rng)
     return model, config, meta["epoch"], meta["fingerprint"]

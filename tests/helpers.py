@@ -6,13 +6,17 @@ from mlgcn.kernels import relu
 from mlgcn.operators import build_operators
 from mlgcn.training import forward_node_gcn, load_checkpoint
 
+# view -> the projection of the logits injected into it
+PROJECTIONS = {"label": "proj_node", "node": "proj_label"}
 
-def node_block(model):
-    """The label view's attribute block: the raw X before any node
-    injection, else relu(node_logits @ proj_node), a new n x d array."""
-    if model.node_logits is None:
-        return model.node_features
-    return relu(model.node_logits @ model.projections["proj_node"])
+
+def attribute_block(model, view):
+    """A view's attribute block: the other side's raw features (X for the
+    label view, Y for the node view) before any injection into it, else
+    relu(logits @ proj), a new array."""
+    if view not in model.injected:
+        return model.node_features if view == "label" else model.label_features
+    return relu(model.injected[view] @ model.projections[PROJECTIONS[view]])
 
 
 def assert_stored_embeddings(path, graph, embeddings):

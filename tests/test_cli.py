@@ -16,7 +16,7 @@ from mlgcn.datasets import SyntheticConfig, generate_synthetic
 from mlgcn.training import (VARIANTS, CheckpointError, TrainConfig,
                             layer_table, load_checkpoint)
 
-from helpers import assert_stored_embeddings, node_block
+from helpers import assert_stored_embeddings, attribute_block
 
 EASY = "k=2,size=15,p-intra=0.5,p-inter=0.02,rho=1"
 EASY_TRAIN = ["--synthetic", EASY, "--epochs", "150", "--hidden", "32",
@@ -135,6 +135,25 @@ BAD_VALUES = {
                      "--out", "o"], "'gcn'"),
     "bad_optimizer": (["train", "--synthetic", "k=2,size=10",
                        "--optimizer", "sgd", "--out", "o"], "'sgd'"),
+    # each of these ran an epoch, then exited 1 as a divergence, or (a
+    # negative decay) trained with a negative L2 term
+    "nan_lr": (["train", "--synthetic", "k=2,size=10", "--lr", "nan",
+                "--out", "o"], "learning_rate must be finite"),
+    "inf_lr": (["train", "--synthetic", "k=2,size=10", "--lr", "inf",
+                "--out", "o"], "learning_rate must be finite"),
+    "nan_decay": (["train", "--synthetic", "k=2,size=10", "--decay", "nan",
+                   "--out", "o"], "weight_decay must be finite"),
+    "inf_decay": (["train", "--synthetic", "k=2,size=10", "--decay", "inf",
+                   "--out", "o"], "weight_decay must be finite"),
+    "negative_decay": (["train", "--synthetic", "k=2,size=10",
+                        "--decay=-1", "--out", "o"],
+                       "weight_decay must be finite and nonnegative"),
+    "sweep_nan_lr": (["sweep", "--synthetic", "k=2,size=10",
+                      "--grid", "lr=0.1,nan", "--out", "o"],
+                     "grid point {'lr': nan}: learning_rate must be finite"),
+    "sweep_negative_decay": (["sweep", "--synthetic", "k=2,size=10",
+                              "--grid", "decay=0,-1", "--out", "o"],
+                             "grid point {'decay': -1.0}: weight_decay"),
     # the variant lays out the stacks; there are no layer-count flags
     "bad_label_layers": (["train", "--synthetic", "k=2,size=10",
                           "--label-layers", "3", "--out", "o"],
@@ -500,7 +519,7 @@ class TestEval:
     def test_uninjected_one_hot_checkpoint(self, tmp_path, monkeypatch):
         # no injection fires, so both blocks are still the raw features
         # when the checkpoint is written, and it stores neither, nor any
-        # node logits
+        # logits
         import mlgcn.cli as cli
         captured = {}
 
@@ -515,14 +534,17 @@ class TestEval:
                     "--skip-epoch0-injection", "--hidden", "8",
                     "--out", str(out)]) == EXIT_OK
         checkpoint = out / "checkpoint.npz"
-        x = node_block(captured["train"].model)
+        x = attribute_block(captured["train"].model, "label")
         assert x is captured["train"].model.node_features
+        assert captured["train"].model.injected == {}
         with np.load(checkpoint) as data:  # refuses pickled objects
-            assert not ({"node_block", "node_logits", "label_block"}
+            assert not ({"node_block", "node_logits", "label_block",
+                         "injected__label", "injected__node"}
                         & set(data.files))
         # X is rebuilt and loads back sparse, as training stacks it
         loaded, *_ = load_checkpoint(checkpoint)
-        assert node_block(loaded) is loaded.node_features
+        assert attribute_block(loaded, "label") is loaded.node_features
+        assert loaded.injected == {}
         assert_stored_embeddings(
             checkpoint, generate_synthetic(parse_synthetic_spec(spec, 0)),
             captured["train"].embeddings)
@@ -677,6 +699,7 @@ def _version_3(meta, arrays):
 def _version_4(meta, arrays):
     # version-4 checkpoints stored the injected n x d node block, not the
     # node logits, and listed it under "injected_blocks"
+    _version_8(meta, arrays)
     meta["version"] = 4
     meta["injected_blocks"] = ["node_block" if name == "node_logits"
                                else name for name in meta.pop("injected")]
@@ -701,14 +724,37 @@ def _version_6(meta, arrays):
 
 def _version_7(meta, arrays):
     # version-7 configs carried the node and label stacks' depths
+    _version_8(meta, arrays)
     meta["version"] = 7
     meta["config"].update(node_gcn_layers=2, label_gcn_layers=1)
 
 
-def _drop_injected_node_logits(meta, arrays):
-    # EASY_TRAIN injects at epoch 0, so meta lists the node logits
-    assert "node_logits" in meta["injected"]
-    del arrays["node_logits"]
+def _version_8(meta, arrays):
+    # version-8 checkpoints stored the logits injected into the label view
+    # as "node_logits" and the node view's finished m x d block as
+    # "label_block"; EASY_TRAIN injects into both views
+    meta["version"] = 8
+    meta["injected"] = ["node_logits", "label_block"]
+    arrays["node_logits"] = arrays.pop("injected__label")
+    arrays["label_block"] = np.maximum(
+        arrays.pop("injected__node") @ arrays["projection__proj_label"], 0.0)
+
+
+def _drop_injected_label(meta, arrays):
+    # EASY_TRAIN injects at epoch 0, so meta lists both views
+    assert meta["injected"] == ["label", "node"]
+    del arrays["injected__label"]
+
+
+def _retyped(name, dtype):
+    """An edit that stores the array `name` as `dtype`."""
+    return lambda meta, arrays: arrays.update(
+        {name: arrays[name].astype(dtype)})
+
+
+def _nan_embedding(meta, arrays):
+    arrays["embeddings"] = arrays["embeddings"].copy()
+    arrays["embeddings"][3, 1] = np.nan
 
 
 def _drop_proj_label(meta, arrays):
@@ -726,7 +772,7 @@ BROKEN_CHECKPOINTS = {
         src, dst, lambda meta, arrays: meta.pop("weight_keys")),
         "weight_keys"),
     "missing_array": (lambda src, dst: _rewrite_checkpoint(
-        src, dst, _drop_injected_node_logits), "node_logits"),
+        src, dst, _drop_injected_label), "injected__label"),
     "unknown_config_field": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: meta["config"].update(bogus=1)),
         "bogus"),
@@ -740,13 +786,16 @@ BROKEN_CHECKPOINTS = {
                   "unsupported checkpoint version 4"),
     "version_5": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_5),
                   "unsupported checkpoint version 5 (this build reads "
-                  "version 8)"),
+                  "version 9)"),
     "version_6": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_6),
                   "unsupported checkpoint version 6 (this build reads "
-                  "version 8)"),
+                  "version 9)"),
     "version_7": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_7),
                   "unsupported checkpoint version 7 (this build reads "
-                  "version 8)"),
+                  "version 9)"),
+    "version_8": (lambda src, dst: _rewrite_checkpoint(src, dst, _version_8),
+                  "unsupported checkpoint version 8 (this build reads "
+                  "version 9)"),
     "missing_embeddings": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: arrays.pop("embeddings")),
         "embeddings"),
@@ -768,10 +817,41 @@ BROKEN_CHECKPOINTS = {
             weight__w1_node=arrays["weight__w1_node"][:, :-1])),
         "'w1_node': (32, 3)"),
     # EASY has 30 nodes and 4 labels, so one-hot features are 34 wide
-    "narrowed_node_logits": (lambda src, dst: _rewrite_checkpoint(
+    "narrowed_injected_label": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: arrays.update(
-            node_logits=arrays["node_logits"][:, :-1])),
-        "node_logits (30, 3)"),
+            injected__label=arrays["injected__label"][:, :-1])),
+        "injected__label (30, 3) does not match the expected (30, 4)"),
+    # the node view's finished m x d block in place of its m x m logits
+    "block_as_injected_node": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, lambda meta, arrays: arrays.update(
+            injected__node=np.maximum(arrays["injected__node"]
+                                      @ arrays["projection__proj_label"],
+                                      0.0))),
+        "injected__node (4, 34) does not match the expected (4, 4)"),
+    # eval died with a traceback and exit 1 on bool or str embeddings, and
+    # scored int or complex ones
+    "bool_embeddings": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _retyped("embeddings", bool)),
+        "embeddings is bool, not float64"),
+    "str_embeddings": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _retyped("embeddings", str)), "not float64"),
+    "int_embeddings": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _retyped("embeddings", np.int64)),
+        "embeddings is int64, not float64"),
+    "complex_embeddings": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _retyped("embeddings", np.complex128)),
+        "embeddings is complex128, not float64"),
+    "nan_embeddings": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _nan_embedding), "non-finite embeddings"),
+    "float32_injected": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _retyped("injected__node", np.float32)),
+        "injected__node is float32, not float64"),
+    "int_weight": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _retyped("weight__w0_node", np.int64)),
+        "weight__w0_node is int64, not float64"),
+    "float32_projection": (lambda src, dst: _rewrite_checkpoint(
+        src, dst, _retyped("projection__proj_label", np.float32)),
+        "projection__proj_label is float32, not float64"),
     "narrowed_projection": (lambda src, dst: _rewrite_checkpoint(
         src, dst, lambda meta, arrays: arrays.update(
             projection__proj_node=arrays["projection__proj_node"][:, :-1])),

@@ -21,7 +21,7 @@ from mlgcn.training import (VARIANTS, DivergenceError, ModelState,
 from mlgcn.matrices import SparseMatrix
 from mlgcn.rng import rng_stream
 
-from helpers import assert_stored_embeddings, node_block
+from helpers import PROJECTIONS, assert_stored_embeddings, attribute_block
 
 
 def small_graph(seed=0, size=8, rho=0.7):
@@ -41,14 +41,10 @@ def dense(block):
     return block.toarray() if sp.issparse(block) else block
 
 
-def label_view_input(model):
-    """Raw label features over the injected node block."""
-    return np.vstack([model.label_features, dense(node_block(model))])
-
-
-def node_view_input(model):
-    """Raw node features over the injected label block."""
-    return np.vstack([dense(model.node_features), model.label_block])
+def view_input(model, view):
+    """A view's raw features over its attribute block, as one array."""
+    head = model.label_features if view == "label" else model.node_features
+    return np.vstack([dense(head), dense(attribute_block(model, view))])
 
 
 def raw_features(g, cfg):
@@ -100,7 +96,10 @@ class TestTrainConfig:
             TrainConfig(**{removed: 2})
 
     @pytest.mark.parametrize("kw", [
-        dict(learning_rate=-0.1), dict(epochs=0), dict(train_ratio=0.0),
+        dict(learning_rate=-0.1), dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")), dict(weight_decay=-1.0),
+        dict(weight_decay=float("nan")), dict(weight_decay=float("inf")),
+        dict(epochs=0), dict(train_ratio=0.0),
         dict(train_ratio=1.0), dict(update_freq_nodes=0), dict(dropout=1.0),
         dict(variant="bogus"), dict(optimizer="sgd"),
         dict(feature_dim=-1),
@@ -167,8 +166,10 @@ class TestInitModel:
         x, y = raw_features(g, cfg)
         assert np.array_equal(model.node_features.toarray(), x.toarray())
         assert np.array_equal(model.label_features, y)
-        assert np.array_equal(node_block(model).toarray(), x.toarray())
-        assert np.array_equal(model.label_block, y)
+        assert model.injected == {}
+        assert np.array_equal(attribute_block(model, "label").toarray(),
+                              x.toarray())
+        assert np.array_equal(attribute_block(model, "node"), y)
 
     def test_weights_take_the_feature_width(self):
         g = small_graph()
@@ -230,7 +231,7 @@ class TestForwardLabelGcn:
         model = init_model(g, cfg)
         logits, _ = forward_label_gcn(ops, model, cfg)
         oracle = (ops.label.truncated.to_dense()
-                  @ label_view_input(model)
+                  @ view_input(model, "label")
                   @ model.weights["w0_label"])
         assert np.abs(logits - oracle).max() <= 1e-12
 
@@ -242,7 +243,7 @@ class TestForwardLabelGcn:
         model.weights["w1_label"] = np.eye(cfg.hidden_dim, g.label_count)
         logits, _ = forward_label_gcn(ops, model, cfg)
         hidden_oracle = np.maximum(
-            ops.label.truncated.to_dense() @ label_view_input(model)
+            ops.label.truncated.to_dense() @ view_input(model, "label")
             @ model.weights["w0_label"], 0.0)
         oracle = (ops.label.intra.to_dense() @ hidden_oracle
                   @ model.weights["w1_label"])
@@ -269,7 +270,7 @@ class TestForwardNodeGcn:
         model = init_model(g, cfg)
         logits, _ = forward_node_gcn(ops, model, cfg)
         hidden = np.maximum(
-            ops.node.truncated.to_dense() @ node_view_input(model)
+            ops.node.truncated.to_dense() @ view_input(model, "node")
             @ model.weights["w0_node"], 0.0)
         oracle = ops.node.intra.to_dense() @ hidden @ model.weights["w1_node"]
         assert np.abs(logits - oracle).max() <= 1e-12
@@ -283,7 +284,7 @@ class TestForwardNodeGcn:
         logits, caches = forward_node_gcn(ops, model, cfg)
         assert len(caches) == 1
         oracle = (ops.node.truncated.to_dense()
-                  @ node_view_input(model) @ model.weights["w0_node"])
+                  @ view_input(model, "node") @ model.weights["w0_node"])
         assert np.abs(logits - oracle).max() <= 1e-12
         assert logits.min() < 0  # no relu on the output
 
@@ -306,20 +307,24 @@ class TestInjections:
         model = init_model(g, small_config())
         inject_node_features(model, np.zeros((g.node_count, g.label_count)))
         inject_label_features(model, np.zeros((g.label_count, g.label_count)))
-        assert np.all(node_block(model) == 0)
-        assert np.all(model.label_block == 0)
+        assert np.all(attribute_block(model, "label") == 0)
+        assert np.all(attribute_block(model, "node") == 0)
 
-    def test_hand_product(self):
+    @pytest.mark.parametrize("view,inject", [
+        ("label", inject_node_features), ("node", inject_label_features)])
+    def test_hand_product(self, view, inject):
         g = small_graph()
         model = init_model(g, small_config())
-        logits = np.arange(g.node_count * g.label_count,
-                           dtype=float).reshape(g.node_count, -1) - 10.0
-        kept = inject_node_features(model, logits)
-        # the model keeps its own copy of the logits
-        assert kept is model.node_logits and kept is not logits
-        assert np.array_equal(kept, logits)
-        oracle = np.maximum(logits @ model.projections["proj_node"], 0.0)
-        assert np.array_equal(node_block(model), oracle)
+        rows = g.node_count if view == "label" else g.label_count
+        logits = np.arange(rows * g.label_count,
+                           dtype=float).reshape(rows, -1) - 10.0
+        kept = inject(model, logits.astype(np.float32))
+        # the model keeps its own float64 copy of the logits
+        assert kept is model.injected[view] and list(model.injected) == [view]
+        assert kept.dtype == np.float64 and np.array_equal(kept, logits)
+        assert inject(model, kept) is not kept
+        oracle = np.maximum(logits @ model.projections[PROJECTIONS[view]], 0.0)
+        assert np.array_equal(attribute_block(model, view), oracle)
 
     def test_stacks_keep_raw_primary_blocks(self):
         # each view's input is the raw features, untouched by injections,
@@ -333,35 +338,38 @@ class TestInjections:
         x, y = raw_features(g, cfg)
         label_logits, _ = forward_label_gcn(ops, model, cfg)
         oracle = (ops.label.truncated.to_dense()
-                  @ np.vstack([y, node_block(model)]) @ model.weights["w0_label"])
+                  @ np.vstack([y, attribute_block(model, "label")])
+                  @ model.weights["w0_label"])
         assert np.abs(label_logits - oracle).max() <= 1e-12
         node_logits, _ = forward_node_gcn(ops, model, cfg)
         hidden = np.maximum(ops.node.truncated.to_dense()
-                            @ np.vstack([x.toarray(), model.label_block])
+                            @ np.vstack([x.toarray(),
+                                         attribute_block(model, "node")])
                             @ model.weights["w0_node"], 0.0)
         oracle = ops.node.intra.to_dense() @ hidden @ model.weights["w1_node"]
         assert np.abs(node_logits - oracle).max() <= 1e-12
 
 
-def stacked_label_forward(ops, model, cfg, rng):
-    """The label view's training forward written as before the node logits
-    were kept: [Y; relu(logits @ proj_node)] stacked by `np.vstack` (or
-    `scipy.sparse.vstack` over the one-hot X before any node injection),
-    then each layer drawing its own dropout with its generator. Returns the
-    stacked input, the logits and the caches."""
+def stacked_forward(ops, model, cfg, rng, view):
+    """A view's training forward written out: its raw features over the
+    other side's, or over relu(logits @ proj) once logits are injected into
+    it, stacked by `np.vstack` (or `scipy.sparse.vstack` while a block is
+    the one-hot X), then each layer drawing its own dropout with its
+    generator. Returns the stacked input, the logits and the caches."""
     x, y = model.node_features, model.label_features
-    if model.node_logits is not None:
-        h = np.vstack([y, np.maximum(
-            model.node_logits @ model.projections["proj_node"], 0.0)])
-    elif sp.issparse(x):
-        h = SparseMatrix(sp.vstack([y, x], format="csr"))
+    head, block = (x, y) if view == "node" else (y, x)
+    if view in model.injected:
+        block = np.maximum(model.injected[view]
+                           @ model.projections[PROJECTIONS[view]], 0.0)
+    if sp.issparse(head) or sp.issparse(block):
+        h = SparseMatrix(sp.vstack([head, block], format="csr"))
     else:
-        h = np.vstack([y, x])
+        h = np.vstack([head, block])
     stacked, caches = h, []
-    layers = layer_table(cfg)["label"]
+    layers = layer_table(cfg)[view]
     for idx, (name, key) in enumerate(layers):
         h, cache = gcn_layer_forward(
-            getattr(ops.label, name), h, model.weights[key],
+            getattr(getattr(ops, view), name), h, model.weights[key],
             activation="identity" if idx == len(layers) - 1 else "relu",
             dropout=cfg.dropout, training=True, rng=rng, weight_key=key)
         caches.append(cache)
@@ -415,36 +423,47 @@ def model_arrays(value):
             yield from model_arrays(getattr(value, name))
 
 
-class TestLabelInput:
-    """The label view streams [Y; relu(logits @ proj_node)] from the kept
-    node logits, and gives the stacked formula's bits."""
+class TestViewInput:
+    """Each view's input is its raw features over the other side's until an
+    injection into it, and [head; relu(logits @ proj)] from the kept logits
+    after it, streamed or one CSR matrix; it gives the stacked formula's
+    bits."""
 
     @pytest.mark.parametrize("feature_dim", [0, 5])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("variant",
                              [v for v in VARIANTS if v != "gcn_baseline"])
-    def test_matches_the_stacked_formula(self, monkeypatch, variant, dropout,
-                                         feature_dim):
+    @pytest.mark.parametrize("view", ["label", "node"])
+    def test_matches_the_stacked_formula(self, monkeypatch, view, variant,
+                                         dropout, feature_dim):
         g = small_graph(seed=35)
         cfg = small_config(variant=variant, dropout=dropout,
                            feature_dim=feature_dim)
         ops = build_operators(g, variant)
         model = init_model(g, cfg)
         seen = record_layer_inputs(monkeypatch)
+        forward = forward_label_gcn if view == "label" else forward_node_gcn
         for injected in (False, True):
-            if injected:
+            if injected and view == "label":
                 node_logits, _ = forward_node_gcn(ops, model, cfg)
                 inject_node_features(model, node_logits)
+            elif injected:
+                label_logits, _ = forward_label_gcn(ops, model, cfg)
+                inject_label_features(model, label_logits)
+            assert list(model.injected) == ([view] if injected else [])
             ref_rng = np.random.default_rng()
             ref_rng.bit_generator.state = model.dropout_rng.bit_generator.state
-            stacked, ref, ref_caches = stacked_label_forward(ops, model, cfg,
-                                                             ref_rng)
+            stacked, ref, ref_caches = stacked_forward(ops, model, cfg,
+                                                       ref_rng, view)
             seen.clear()
-            out, caches = forward_label_gcn(ops, model, cfg, training=True)
+            out, caches = forward(ops, model, cfg, training=True)
+            # only the one-hot X makes an input sparse
             assert isinstance(seen[0], np.ndarray) == (
-                injected or feature_dim > 0)
+                feature_dim > 0 or (view == "label" and injected))
             if sp.issparse(stacked):
-                assert np.array_equal(seen[0].toarray(), stacked.toarray())
+                for part in ("data", "indices", "indptr"):
+                    assert (getattr(seen[0], part).tobytes()
+                            == getattr(stacked, part).tobytes())
             else:
                 assert seen[0].tobytes() == stacked.tobytes()
             assert out.tobytes() == ref.tobytes()
@@ -460,6 +479,67 @@ class TestLabelInput:
                     assert stored_bytes(cache.mask) == stored_bytes(want.mask)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("view,n,m,d,folded", [
+        # onehot_train's label view (d = n + m)
+        ("label", 600, 8, 608, False),
+        # bc's (BlogCatalog-sized, 128-d features)
+        ("label", 10312, 39, 128, False),
+        # 435 rows: a 5-row tail joins the last block
+        ("label", 427, 8, 608, True),
+        # 2058 rows: a 10-row tail does
+        ("label", 2019, 39, 128, True),
+        ("node", 10312, 39, 128, False),  # bc's node view
+        # 1060 rows: the 40 label rows straddle the blocks' boundary at 1024
+        ("node", 1020, 40, 128, False),
+    ])
+    def test_streamed_forward_matches_the_stacked_formula(self, view, n, m,
+                                                          d, folded, dropout):
+        # at the shipped block size, against [head; relu(logits @ proj)]
+        # stacked whole and one whole draw
+        import mlgcn.kernels as kernels
+        from mlgcn.kernels import forward_stack
+        rng = np.random.default_rng(n)
+        rows, width = (m, m) if view == "label" else (n, d)
+        op = SparseMatrix(sp.random(rows, m + n, density=min(0.04, 8 / rows),
+                                    random_state=rng, format="csr"))
+        key = layer_table(TrainConfig())[view][0][1]
+        limit = np.sqrt(6.0 / (m + d))
+        model = ModelState(
+            weights={key: rng.uniform(-limit, limit, (d, width))},
+            projections={PROJECTIONS[view]: rng.uniform(-limit, limit,
+                                                        (m, d))},
+            node_features=rng.normal(0.0, 1 / np.sqrt(d), (n, d)),
+            label_features=rng.normal(0.0, 1 / np.sqrt(d), (m, d)),
+            injected={view: rng.standard_normal(
+                (n if view == "label" else m, m)) * 3},
+            dropout_rng=rng_stream(n, "dropout"))
+        blocks = kernels._row_blocks(m + n, d, kernels._BLOCK_VALUES)
+        sizes = [stop - start for start, stop in blocks]
+        assert len(blocks) > 1 and (sizes[-1] > sizes[0]) == folded
+        layers = [(op, key)]
+        stacked = view_input(model, view)
+        ref_rng = rng_stream(n, "dropout")
+        ref, ref_cache = gcn_layer_forward(
+            op, stacked, model.weights[key], activation="identity",
+            dropout=dropout, training=True, rng=ref_rng, weight_key=key)
+        assert ref_cache.propagated_first
+        out, caches = forward_stack(layers,
+                                    training._view_input(model, TrainConfig(),
+                                                         view),
+                                    model.weights, dropout, True,
+                                    model.dropout_rng)
+        assert out.tobytes() == ref.tobytes()
+        assert (caches[0].weight_input.tobytes()
+                == ref_cache.weight_input.tobytes())
+        assert (model.dropout_rng.bit_generator.state
+                == ref_rng.bit_generator.state)
+
+
+class TestLabelInput:
+    """The label view streams [Y; relu(logits @ proj_node)] from the kept
+    node logits."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_no_node_by_feature_array_is_kept(self, dropout):
         # one-hot features: X is sparse, the node logits are n x m, and the
         # label view's input is built per forward and not kept
@@ -468,7 +548,7 @@ class TestLabelInput:
         n, m = g.node_count, g.label_count
         cfg = small_config(epochs=3, dropout=dropout, update_freq_nodes=2)
         model = train(g, split, cfg).model
-        assert model.node_logits.shape == (n, m)
+        assert model.injected["label"].shape == (n, m)
         dense_sizes = [a.size for a in model_arrays(model)
                        if isinstance(a, np.ndarray)]
         assert max(dense_sizes) < n * (n + m)
@@ -502,62 +582,13 @@ class TestLabelInput:
         slack = kernels._BLOCK_VALUES * 8 / 4
         assert peak - base <= 2 * block + m * d * 8 + slack
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.5])
-    @pytest.mark.parametrize("n,m,d,folded", [
-        (600, 8, 608, False),     # onehot_train's label view (d = n + m)
-        (10312, 39, 128, False),  # bc's (BlogCatalog-sized, 128-d features)
-        (427, 8, 608, True),      # 435 rows: a 5-row tail joins the last block
-        (2019, 39, 128, True),    # 2058 rows: a 10-row tail does
-    ])
-    def test_streamed_forward_matches_the_stacked_formula(self, n, m, d,
-                                                          folded, dropout):
-        # at the shipped block size, against [Y; relu(logits @ proj_node)]
-        # stacked whole and one whole draw
-        import mlgcn.kernels as kernels
-        from mlgcn.kernels import forward_stack
-        rng = np.random.default_rng(n)
-        dense_op = rng.random((m, m + n)) * (rng.random((m, m + n)) < 0.04)
-        op = SparseMatrix(dense_op / np.maximum(dense_op.sum(1, keepdims=True),
-                                                1.0))
-        limit = np.sqrt(6.0 / (m + d))
-        model = ModelState(
-            weights={"w0_label": rng.uniform(-limit, limit, (d, m))},
-            projections={"proj_node": rng.uniform(-limit, limit, (m, d))},
-            node_features=np.zeros((n, d)),
-            label_features=rng.normal(0.0, 1 / np.sqrt(d), (m, d)),
-            node_logits=rng.standard_normal((n, m)) * 3,
-            label_block=np.zeros((m, d)), dropout_rng=rng_stream(n, "dropout"))
-        blocks = kernels._row_blocks(m + n, d, kernels._BLOCK_VALUES)
-        sizes = [stop - start for start, stop in blocks]
-        assert len(blocks) > 1 and (sizes[-1] > sizes[0]) == folded
-        layers = [(op, "w0_label")]
-        stacked = np.vstack([model.label_features, np.maximum(
-            model.node_logits @ model.projections["proj_node"], 0.0)])
-        ref_rng = rng_stream(n, "dropout")
-        ref, ref_cache = gcn_layer_forward(
-            op, stacked, model.weights["w0_label"], activation="identity",
-            dropout=dropout, training=True, rng=ref_rng, weight_key="w0_label")
-        assert ref_cache.propagated_first
-        out, caches = forward_stack(layers,
-                                    training._view_input(model, TrainConfig(),
-                                                         "label"),
-                                    model.weights, dropout, True,
-                                    model.dropout_rng)
-        assert out.tobytes() == ref.tobytes()
-        assert (caches[0].weight_input.tobytes()
-                == ref_cache.weight_input.tobytes())
-        assert (model.dropout_rng.bit_generator.state
-                == ref_rng.bit_generator.state)
-
-
 class TestSgdStep:
     def tiny_model(self, w):
         return ModelState(weights={"w": np.array(w, dtype=float)},
                           projections={},
                           node_features=np.zeros((1, 1)),
                           label_features=np.zeros((1, 1)),
-                          node_logits=None,
-                          label_block=np.zeros((1, 1)),
+                          injected={},
                           dropout_rng=rng_stream(0, "dropout"))
 
     def test_zero_gradient_no_change(self):
@@ -685,16 +716,14 @@ class TestFirstLayerReuse:
     def test_handed_product_gives_the_same_forward(self, monkeypatch, view):
         from mlgcn.kernels import spmm
         model, ops, cfg = self.model, self.ops, self.cfg
-        forward, view_input = {
-            "label": (forward_label_gcn, label_view_input),
-            "node": (forward_node_gcn, node_view_input)}[view]
+        forward = {"label": forward_label_gcn, "node": forward_node_gcn}[view]
         node_logits, _ = forward_node_gcn(ops, model, cfg)
         inject_node_features(model, node_logits)
         ref, ref_caches = forward(ops, model, cfg)
         product = ref_caches[0].weight_input
         assert ref_caches[0].propagated_first
         assert np.array_equal(product, spmm(getattr(ops, view).truncated,
-                                            view_input(model)))
+                                            view_input(model, view)))
         built, build = [], training._view_input
 
         def recording(*args):
@@ -735,7 +764,7 @@ class TestFirstLayerReuse:
         ops = build_operators(g)
         cfg = TrainConfig(hidden_dim=2, feature_dim=50, dropout=0)
         model = init_model(g, cfg)
-        product = spmm(ops.node.truncated, node_view_input(model))
+        product = spmm(ops.node.truncated, view_input(model, "node"))
         with pytest.raises(ValueError, match="precomputed"):
             forward_node_gcn(ops, model, cfg, propagated=product)
         logits, caches = forward_node_gcn(ops, model, cfg)
@@ -757,18 +786,17 @@ class TestFirstLayerReuse:
         # handed over is that of the view's current input.
         from mlgcn.kernels import spmm
         handed = {"label": 0, "node": 0}
-        for view, view_input in (("label", label_view_input),
-                                 ("node", node_view_input)):
+        for view in ("label", "node"):
             name = f"forward_{view}_gcn"
 
             def checking(operators, model, *args, fn=getattr(training, name),
-                         view=view, view_input=view_input, **kwargs):
+                         view=view, **kwargs):
                 product = kwargs.get("propagated")
                 if product is not None:
                     handed[view] += 1
                     op = getattr(operators, view).truncated
                     assert (product.tobytes()
-                            == spmm(op, view_input(model)).tobytes())
+                            == spmm(op, view_input(model, view)).tobytes())
                 return fn(operators, model, *args, **kwargs)
             monkeypatch.setattr(training, name, checking)
         calls = self.truncated_products(monkeypatch)
@@ -818,11 +846,10 @@ class TestFirstLayerReuse:
                   for name, key in layer_table(cfg)[view]]
         op, w = layers[0][0], model.weights[layers[0][1]]
         assert not propagates_first(op.shape, op.nnz, w.shape)
-        stacked = {"label": label_view_input, "node": node_view_input}[view]
         ref_rng = np.random.default_rng()
         ref_rng.bit_generator.state = model.dropout_rng.bit_generator.state
-        ref, ref_caches = forward_stack(layers, stacked(model), model.weights,
-                                        dropout, True, ref_rng)
+        ref, ref_caches = forward_stack(layers, view_input(model, view),
+                                        model.weights, dropout, True, ref_rng)
         out, caches = state.forward(view, training=True)
         assert (caches[0].propagated_first == ref_caches[0].propagated_first
                 == propagates_first(op.shape, op.nnz, w.shape))
@@ -845,7 +872,7 @@ class TestFirstLayerReuse:
         state.inject("label", node_logits)
         assert list(state.products) == ["node"] == list(state.inputs)
         assert state.products["node"] is kept["node"]
-        assert np.array_equal(self.model.node_logits, node_logits)
+        assert np.array_equal(self.model.injected["label"], node_logits)
         state.forward("label", training=False)
         kept = dict(state.products)
         state.inject("node", label_logits)
@@ -862,7 +889,7 @@ class TestFirstLayerReuse:
         node_logits, _ = state.forward("node", training=False)
         first = state.inputs["node"]
         assert isinstance(first, SparseMatrix)
-        assert np.array_equal(first.toarray(), node_view_input(model))
+        assert np.array_equal(first.toarray(), view_input(model, "node"))
         state.inject("label", node_logits)
         assert state.inputs["node"] is first
         state.inject("node", label_logits)
@@ -870,7 +897,7 @@ class TestFirstLayerReuse:
         state.forward("node", training=False)
         assert state.inputs["node"] is not first
         assert np.array_equal(state.inputs["node"].toarray(),
-                              node_view_input(model))
+                              view_input(model, "node"))
 
     @pytest.mark.parametrize("training_mode,dropout", [
         (True, 0.0), (True, 0.5), (False, 0.5)])
@@ -918,13 +945,11 @@ class TestFirstLayerReuse:
 
 
 def densified(model):
-    """The same model with its one-hot X, and any block still equal to it,
-    stored as dense arrays."""
+    """The same model with its one-hot X stored as a dense array."""
     return ModelState(
         weights={k: w.copy() for k, w in model.weights.items()},
         projections=model.projections, node_features=dense(model.node_features),
-        label_features=model.label_features,
-        node_logits=model.node_logits, label_block=model.label_block,
+        label_features=model.label_features, injected=dict(model.injected),
         dropout_rng=rng_stream(0, "dropout"))
 
 
@@ -973,8 +998,8 @@ class TestSparseInput:
         label_logits, _ = forward_label_gcn(ops, model, cfg, training=True)
         node_logits, _ = forward_node_gcn(ops, model, cfg, training=True)
         label_h, node_h = seen[0], seen[1]
-        for h, want, nnz in ((label_h, label_view_input(model), m + n),
-                             (node_h, node_view_input(model), n + m)):
+        for h, want, nnz in ((label_h, view_input(model, "label"), m + n),
+                             (node_h, view_input(model, "node"), n + m)):
             assert isinstance(h, SparseMatrix) and h.format == "csr"
             assert h.nnz == nnz
             assert np.array_equal(h.toarray(), want)
@@ -986,11 +1011,12 @@ class TestSparseInput:
         forward_node_gcn(ops, model, cfg, training=True)
         label_h, node_h = seen[0], seen[1]
         assert isinstance(label_h, np.ndarray)
-        assert np.array_equal(label_h, label_view_input(model))
+        assert np.array_equal(label_h, view_input(model, "label"))
         # the node view stays sparse: X over the label block's nonzeros
         assert isinstance(node_h, SparseMatrix) and node_h.format == "csr"
-        assert node_h.nnz == n + np.count_nonzero(model.label_block)
-        assert np.array_equal(node_h.toarray(), node_view_input(model))
+        assert node_h.nnz == n + np.count_nonzero(attribute_block(model,
+                                                                  "node"))
+        assert np.array_equal(node_h.toarray(), view_input(model, "node"))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_dense_features(self, variant):
@@ -1144,8 +1170,10 @@ class TestTrain:
                                                    split.train_nodes))
             sgd_step(model, grads, cfg)
         assert losses == result.history.total_loss
-        assert np.array_equal(node_block(model), node_block(result.model))
-        assert np.array_equal(model.label_block, result.model.label_block)
+        assert np.array_equal(attribute_block(model, "label"),
+                              attribute_block(result.model, "label"))
+        assert np.array_equal(attribute_block(model, "node"),
+                              attribute_block(result.model, "node"))
         for key in model.weights:
             assert np.array_equal(model.weights[key], result.model.weights[key])
 
@@ -1298,8 +1326,9 @@ class TestTrain:
                            update_freq_labels=99, skip_epoch0_injection=True)
         result = train(g, split, cfg)
         x, y = raw_features(g, cfg)
-        assert np.array_equal(node_block(result.model).toarray(), x.toarray())
-        assert np.array_equal(result.model.label_block, y)
+        assert np.array_equal(attribute_block(result.model, "label").toarray(),
+                              x.toarray())
+        assert np.array_equal(attribute_block(result.model, "node"), y)
 
     def test_large_frequencies_without_skip_fire_only_at_epoch0(self):
         g = small_graph(seed=5)
@@ -1313,10 +1342,10 @@ class TestTrain:
         node_logits, _ = forward_node_gcn(ops, model0, cfg, training=False)
         label_logits, _ = forward_label_gcn(ops, model0, cfg, training=False)
         assert np.array_equal(
-            node_block(result.model),
+            attribute_block(result.model, "label"),
             np.maximum(node_logits @ model0.projections["proj_node"], 0.0))
         assert np.array_equal(
-            result.model.label_block,
+            attribute_block(result.model, "node"),
             np.maximum(label_logits @ model0.projections["proj_label"], 0.0))
 
     def test_baseline_skips_label_loss_and_injections(self):
@@ -1326,8 +1355,9 @@ class TestTrain:
         result = train(g, split, cfg)
         assert result.history.label_loss == [0.0] * 4
         x, y = raw_features(g, cfg)
-        assert np.array_equal(node_block(result.model).toarray(), x.toarray())
-        assert np.array_equal(result.model.label_block, y)
+        assert np.array_equal(attribute_block(result.model, "label").toarray(),
+                              x.toarray())
+        assert np.array_equal(attribute_block(result.model, "node"), y)
 
     def test_node_variant_runs_with_stripped_label_view(self):
         g = small_graph(seed=7)
@@ -1392,8 +1422,10 @@ class TestCheckpoint:
         for key in result.model.projections:
             assert np.array_equal(model.projections[key],
                                   result.model.projections[key])
-        assert np.array_equal(node_block(model), node_block(result.model))
-        assert np.array_equal(model.label_block, result.model.label_block)
+        assert np.array_equal(attribute_block(model, "label"),
+                              attribute_block(result.model, "label"))
+        assert np.array_equal(attribute_block(model, "node"),
+                              attribute_block(result.model, "node"))
         assert np.array_equal(model.node_features.toarray(),
                               result.model.node_features.toarray())
         assert np.array_equal(model.label_features,
@@ -1461,31 +1493,30 @@ class TestCheckpoint:
         loaded, *_ = load_checkpoint(path)
         with np.load(path) as data:
             files = set(data.files)
-        # the label view's node block is stored as the n x m node logits
-        assert "node_block" not in files
-        assert (model.node_logits is not None) == injected
-        if injected:
-            assert "node_logits" in files
-            assert model.node_logits.shape == (g.node_count, g.label_count)
-            assert loaded.node_logits.dtype == model.node_logits.dtype
-            assert loaded.node_logits.shape == model.node_logits.shape
-            assert loaded.node_logits.tobytes() == model.node_logits.tobytes()
-            assert (node_block(loaded).tobytes()
-                    == node_block(model).tobytes())
-        else:
-            assert "node_logits" not in files
-            assert loaded.node_logits is None
-            assert node_block(loaded) is loaded.node_features
-        block, loaded_block = model.label_block, loaded.label_block
-        assert (block is not model.label_features) == injected
-        if injected:
-            assert "label_block" in files
-            assert loaded_block.dtype == block.dtype
-            assert loaded_block.shape == block.shape
-            assert loaded_block.tobytes() == block.tobytes()
-        else:
-            assert "label_block" not in files
-            assert loaded_block is loaded.label_features
+        # each view's attribute block is stored as the logits injected into
+        # it: n x m node logits for the label view, m x m label logits for
+        # the node view; no n x d or m x d block
+        assert all(f in ("__meta__", "embeddings") or f.startswith(
+            ("injected__", "weight__", "projection__")) for f in files)
+        n, m = g.node_count, g.label_count
+        shapes = {"label": (n, m), "node": (m, m)}
+        coupled = bool(layer_table(cfg)["label"])
+        assert sorted(model.injected) == (["label", "node"]
+                                          if injected and coupled else [])
+        assert sorted(loaded.injected) == sorted(model.injected)
+        for view, raw in (("label", loaded.node_features),
+                          ("node", loaded.label_features)):
+            assert (f"injected__{view}" in files) == (view in model.injected)
+            if view in model.injected:
+                kept, back = model.injected[view], loaded.injected[view]
+                assert kept.shape == shapes[view]
+                assert back.dtype == kept.dtype == np.float64
+                assert back.shape == kept.shape
+                assert back.tobytes() == kept.tobytes()
+                assert (attribute_block(loaded, view).tobytes()
+                        == attribute_block(model, view).tobytes())
+            else:
+                assert attribute_block(loaded, view) is raw
         assert (sorted(f for f in files if f.startswith("projection__"))
                 == sorted(f"projection__{k}" for k in model.projections))
         logits, _ = forward_node_gcn(ops, loaded, cfg, training=False)
@@ -1509,7 +1540,8 @@ class TestCheckpoint:
                            skip_epoch0_injection=True)
         state = train(g, split, cfg)
         coupled = bool(layer_table(cfg)["label"])
-        assert (state.model.node_logits is not None) == coupled
+        assert sorted(state.model.injected) == (["label", "node"] if coupled
+                                                else [])
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, state.model, cfg, cfg.epochs, "fp",
                         state.optimizer, embeddings=state.embeddings)
